@@ -1,21 +1,17 @@
 //! Interpreted vs compiled inference throughput — the fastpath trajectory.
 //!
-//! Two comparisons on the same fitted models:
-//!
-//! * **batch** — raw model inference over a pre-built feature buffer:
-//!   interpreted `Gbdt::predict_proba` vs the compiled struct-of-arrays
-//!   scorer's `predict_proba_into`, on a production-sized ensemble
-//!   (deep trees whose node tables outgrow the upper cache levels —
-//!   the regime the lockstep-lane kernel is built for). The batch is
-//!   kept below the interpreted path's parallel-row threshold so both
-//!   sides run serial and the numbers are per-core predictions/sec.
-//! * **stream** — the end-to-end `streamd::serve` replay with the
-//!   interpreted vs compiled backend, which dilutes the model speedup
-//!   with event replay and feature assembly.
+//! Raw model inference over a pre-built feature buffer: the interpreted
+//! `Gbdt::predict_proba` (the oracle) vs the compiled struct-of-arrays
+//! scorer's `predict_proba_into` (the serving path), on a
+//! production-sized ensemble (deep trees whose node tables outgrow the
+//! upper cache levels — the regime the lockstep-lane kernel is built
+//! for). The batch is kept below the interpreted path's parallel-row
+//! threshold so both sides run serial and the numbers are per-core
+//! predictions/sec.
 //!
 //! Besides the Criterion timings, the bench hand-times both sides and
 //! writes the machine-readable `BENCH_fastpath.json` report (schema
-//! `sbe-bench/fastpath/1`) that `repro check-bench` gates on in CI. Set
+//! `sbe-bench/fastpath/2`) that `repro check-bench` gates on in CI. Set
 //! `FASTPATH_BENCH_OUT` to redirect the report path. Parity is asserted
 //! bit-for-bit before anything is timed: a fast wrong answer is not a
 //! result.
@@ -29,15 +25,6 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
 use sbe_bench::{FastpathReport, FastpathSection, FastpathWorkload, FASTPATH_SCHEMA};
-use sbepred::datasets::DsSplit;
-use sbepred::features::{FeatureExtractor, FeatureSpec};
-use sbepred::samples::build_samples;
-use sbepred::twostage::{prepare_with_extractor, run_classifier};
-use streamd::artifact::{PipelineArtifact, PipelineModel};
-use streamd::serve::{serve, NullSink, ScorerBackend, ServeConfig};
-use titan_sim::config::SimConfig;
-use titan_sim::engine::generate;
-use titan_sim::trace::TraceSet;
 
 /// Below `Gbdt`'s parallel-row threshold (4096): keeps the interpreted
 /// side serial so batch numbers compare one core against one core.
@@ -122,61 +109,6 @@ fn assert_batch_parity(f: &BatchFixture) {
     }
 }
 
-struct StreamFixture {
-    trace: TraceSet,
-    artifact: PipelineArtifact,
-    window: (u64, u64),
-    n_test: usize,
-}
-
-fn stream_fixture() -> StreamFixture {
-    let trace = generate(&SimConfig::tiny(13)).expect("generates");
-    let samples = build_samples(&trace).expect("samples build");
-    let fx = FeatureExtractor::new(&trace, &samples).expect("extractor builds");
-    let split = DsSplit::ds1(&trace).expect("split");
-    let spec = FeatureSpec::all();
-    let prepared = prepare_with_extractor(&fx, &samples, &split, &spec).expect("prepares");
-    // The production pipeline's ensemble size (`ModelKind::build`: 120
-    // trees, depth 5): stream speedup should reflect serving the model
-    // the deployment loop actually ships, not a toy.
-    let mut model = Gbdt::new()
-        .n_trees(120)
-        .max_depth(5)
-        .min_samples_leaf(2)
-        .seed(7);
-    run_classifier(&prepared, &mut model).expect("fits");
-    let offenders: Vec<u32> = fx
-        .history()
-        .offender_nodes_before(split.train_end_min())
-        .into_iter()
-        .map(|n| n.0)
-        .collect();
-    let artifact = PipelineArtifact::new(
-        spec,
-        offenders,
-        prepared.scaler.clone(),
-        PipelineModel::Gbdt(model),
-        split.train_end_min(),
-        split.name(),
-    );
-    StreamFixture {
-        trace,
-        artifact,
-        window: split.test_window(),
-        n_test: prepared.test_samples.len(),
-    }
-}
-
-fn serve_pass(f: &StreamFixture, backend: ScorerBackend) -> usize {
-    let cfg = ServeConfig {
-        backend,
-        ..ServeConfig::window(f.window.0, f.window.1)
-    };
-    let mut sink = NullSink;
-    let report = serve(&f.trace, &f.artifact, &cfg, &mut sink).expect("serves");
-    report.scored.len()
-}
-
 /// Hand-times `reps` runs of `pass` and returns events-per-second for
 /// the *fastest* run (`per_rep` events each). Min-time is the standard
 /// capability estimator: scheduler noise only ever slows a run down, so
@@ -203,12 +135,10 @@ fn write_report(report: &FastpathReport) {
 
 fn bench_fastpath(c: &mut Criterion) {
     let bf = batch_fixture();
-    let sf = stream_fixture();
 
     // Hand-timed predictions/sec for the JSON report; the vendored
     // criterion cannot report throughput units.
     const BATCH_REPS: u32 = 20;
-    const STREAM_REPS: u32 = 5;
     let batch_interpreted = rate_of(BATCH_REPS, BATCH_ROWS, || {
         std::hint::black_box(bf.model.predict_proba(&bf.ds).expect("predicts"));
     });
@@ -218,12 +148,6 @@ fn bench_fastpath(c: &mut Criterion) {
             .predict_proba_into(&bf.frame, &mut out)
             .expect("compiled predicts");
         std::hint::black_box(&out);
-    });
-    let stream_interpreted = rate_of(STREAM_REPS, sf.n_test, || {
-        std::hint::black_box(serve_pass(&sf, ScorerBackend::Interpreted));
-    });
-    let stream_compiled = rate_of(STREAM_REPS, sf.n_test, || {
-        std::hint::black_box(serve_pass(&sf, ScorerBackend::Compiled));
     });
 
     let report = FastpathReport {
@@ -235,18 +159,12 @@ fn bench_fastpath(c: &mut Criterion) {
             max_depth: MAX_DEPTH,
         },
         batch: FastpathSection::from_rates(batch_interpreted, batch_compiled),
-        stream: FastpathSection::from_rates(stream_interpreted, stream_compiled),
     };
     eprintln!(
         "batch ({BATCH_ROWS} rows x {N_FEATURES} features, {N_TREES} trees, depth {MAX_DEPTH}): \
          interpreted {batch_interpreted:.0} pps, compiled {batch_compiled:.0} pps \
          ({:.2}x)",
         report.batch.speedup
-    );
-    eprintln!(
-        "stream ({} test samples): interpreted {stream_interpreted:.0} pps, \
-         compiled {stream_compiled:.0} pps ({:.2}x)",
-        sf.n_test, report.stream.speedup
     );
     write_report(&report);
 
@@ -266,12 +184,6 @@ fn bench_fastpath(c: &mut Criterion) {
                 .predict_proba_into(std::hint::black_box(&bf.frame), &mut out)
                 .expect("compiled predicts")
         })
-    });
-    group.bench_function("stream_interpreted", |b| {
-        b.iter(|| serve_pass(&sf, ScorerBackend::Interpreted))
-    });
-    group.bench_function("stream_compiled", |b| {
-        b.iter(|| serve_pass(&sf, ScorerBackend::Compiled))
     });
     group.finish();
 }

@@ -12,16 +12,15 @@
 //!       [--features all|no-telemetry] --out ARTIFACT
 //! repro serve --model ARTIFACT --trace PATH [--alerts-out FILE]
 //!       [--metrics-out FILE] [--batch N] [--delay N] [--from M] [--until M]
-//!       [--threads N] [--backend interpreted|compiled]
+//!       [--threads N]
 //! repro serve-net --model ARTIFACT [--listen ADDR] [--topology tiny|scaled|titan]
 //!       [--from M] [--until M] [--batch N] [--delay N] [--threads N]
-//!       [--backend interpreted|compiled] [--queue-cap N] [--conn-window N]
-//!       [--record LOG]
+//!       [--queue-cap N] [--conn-window N] [--record LOG]
 //! repro fleet --addr ADDR [--conns N] [--nodes N] [--minutes N] [--rate N]
 //!       [--sbe-rate N] [--seed N] [--window N] [--failure-conns N]
 //!       [--corrupt-every N] [--metrics-out FILE]
 //! repro check-bench --file BENCH_fastpath.json|BENCH_train.json|BENCH_sbed.json
-//!       [--min-batch-speedup X] [--min-stream-speedup X]
+//!       [--min-batch-speedup X]
 //!       [--min-fast-speedup X] [--min-exact-speedup X]
 //!       [--min-sbed-rps X] [--min-sbed-scale X]
 //! ```
@@ -39,9 +38,9 @@
 //! loop: persist a generated trace, train and ship a versioned TwoStage
 //! pipeline artifact, then replay the trace through `streamd`'s online
 //! scoring loop. `--trace PATH` accepts either a trace JSON file or a
-//! directory containing `trace.json`. `serve --backend compiled` scores
-//! through the flattened fastpath tables instead of the interpreted
-//! trees — bit-identical output, higher throughput. `train
+//! directory containing `trace.json`. `serve` scores through the
+//! flattened fastpath tables, which `train` checks bit for bit against
+//! the interpreted trees before it ships an artifact. `train
 //! --train-mode fast` fits the GBDT through the histogram engine's
 //! sibling-subtraction path (`exact`, the default, is bit-identical to
 //! the original trainer). `check-bench` reads a report emitted by
@@ -95,11 +94,10 @@ fn usage() -> ExitCode {
          [--model gbdt|lr] [--train-mode reference|exact|fast] \
          [--features all|no-telemetry] --out ARTIFACT\n\
          repro serve --model ARTIFACT --trace PATH [--alerts-out FILE] \
-         [--metrics-out FILE] [--batch N] [--delay N] [--from M] [--until M] [--threads N] \
-         [--backend interpreted|compiled]\n\
+         [--metrics-out FILE] [--batch N] [--delay N] [--from M] [--until M] [--threads N]\n\
          repro serve-net --model ARTIFACT [--listen ADDR] [--topology tiny|scaled|titan] \
          [--from M] [--until M] [--batch N] [--delay N] [--threads N] \
-         [--backend interpreted|compiled] [--queue-cap N] [--conn-window N] [--record LOG]\n\
+         [--queue-cap N] [--conn-window N] [--record LOG]\n\
          repro fleet --addr ADDR [--conns N] [--nodes N] [--minutes N] [--rate N] \
          [--sbe-rate N] [--seed N] [--window N] [--failure-conns N] [--corrupt-every N] \
          [--metrics-out FILE]\n\
@@ -107,7 +105,7 @@ fn usage() -> ExitCode {
          [--check-every N] [--threads N] [--verdicts-out FILE] [--metrics-out FILE]\n\
          repro check-bench --file REPORT.json [--file REPORT.json ...] \
          (schemas: fastpath, train, sbed, drift) \
-         [--min-batch-speedup X] [--min-stream-speedup X] \
+         [--min-batch-speedup X] \
          [--min-fast-speedup X] [--min-exact-speedup X] \
          [--min-sbed-rps X] [--min-sbed-scale X] \
          [--min-drift-ratio X] [--max-swap-pause-ms N]\n\
@@ -449,7 +447,7 @@ fn compiled_self_check(
 
 /// `repro serve`: replay a trace through the streaming scoring loop.
 fn cmd_serve(args: &[String]) -> ExitCode {
-    use streamd::serve::{serve_observed, ScorerBackend, ServeConfig};
+    use streamd::serve::{serve_observed, ServeConfig};
 
     let mut model_path: Option<PathBuf> = None;
     let mut trace_path: Option<PathBuf> = None;
@@ -460,7 +458,6 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     let mut from: Option<u64> = None;
     let mut until: Option<u64> = None;
     let mut threads = parkit::Threads::Auto;
-    let mut backend = ScorerBackend::Interpreted;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -500,10 +497,6 @@ fn cmd_serve(args: &[String]) -> ExitCode {
                 Some(v) => threads = parkit::Threads::Fixed(v),
                 None => return usage(),
             },
-            "--backend" => match it.next().and_then(|v| ScorerBackend::parse(v)) {
-                Some(v) => backend = v,
-                None => return usage(),
-            },
             _ => return usage(),
         }
     }
@@ -537,7 +530,6 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         score_from_min: score_from,
         score_until_min: score_until,
         threads,
-        backend,
     };
     let mut rec = if metrics_out.is_some() {
         obskit::Recorder::new()
@@ -566,9 +558,8 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         report.n_alerts
     );
     eprintln!(
-        "scored {} launch-nodes in {elapsed:.1?} ({rate:.0} samples/sec, {:?} backend)",
-        report.scored.len(),
-        backend
+        "scored {} launch-nodes in {elapsed:.1?} ({rate:.0} samples/sec)",
+        report.scored.len()
     );
     let mut failures = 0;
     if let Some(path) = &alerts_out {
@@ -796,7 +787,7 @@ fn default_threads() -> parkit::Threads {
 fn cmd_serve_net(args: &[String]) -> ExitCode {
     use sbed::daemon::{Daemon, DaemonConfig};
     use std::sync::Arc;
-    use streamd::serve::{ScorerBackend, ServeConfig};
+    use streamd::serve::ServeConfig;
 
     let mut model_path: Option<PathBuf> = None;
     let mut listen = "127.0.0.1:7811".to_string();
@@ -806,7 +797,6 @@ fn cmd_serve_net(args: &[String]) -> ExitCode {
     let mut from: Option<u64> = None;
     let mut until: Option<u64> = None;
     let mut threads = default_threads();
-    let mut backend = ScorerBackend::Interpreted;
     let mut queue_cap = 1024usize;
     let mut conn_window = 64usize;
     let mut record: Option<PathBuf> = None;
@@ -843,10 +833,6 @@ fn cmd_serve_net(args: &[String]) -> ExitCode {
             },
             "--threads" => match it.next().and_then(|v| v.parse().ok()) {
                 Some(v) => threads = parkit::Threads::Fixed(v),
-                None => return usage(),
-            },
-            "--backend" => match it.next().and_then(|v| ScorerBackend::parse(v)) {
-                Some(v) => backend = v,
                 None => return usage(),
             },
             "--queue-cap" => match it.next().and_then(|v| v.parse().ok()) {
@@ -886,7 +872,6 @@ fn cmd_serve_net(args: &[String]) -> ExitCode {
         score_from_min: score_from,
         score_until_min: score_until,
         threads,
-        backend,
     };
     let mut cfg = DaemonConfig::new(&listen, serve_cfg, topology);
     cfg.queue_capacity = queue_cap;
@@ -904,7 +889,7 @@ fn cmd_serve_net(args: &[String]) -> ExitCode {
     println!("listening {}", daemon.addr());
     eprintln!(
         "sbed: {} on {} ({} nodes), window [{score_from}, {score_until}), \
-         {threads:?} threads, {backend:?} backend",
+         {threads:?} threads",
         artifact.model().name(),
         daemon.addr(),
         topology.n_nodes(),
@@ -1150,10 +1135,11 @@ fn cmd_fleet(args: &[String]) -> ExitCode {
 /// `repro check-bench`: gate CI on a performance trajectory.
 ///
 /// Reads one or more bench report JSONs (`--file`, repeatable) and
-/// dispatches each on its embedded `schema` field: `sbe-bench/fastpath/1`
-/// (from `cargo bench --bench fastpath`) gates the compiled/interpreted
-/// inference speedups, `sbe-bench/train/1` (from `cargo bench --bench
-/// trainpath`) gates the histogram-engine training speedups,
+/// dispatches each on its embedded `schema` field: `sbe-bench/fastpath/2`
+/// (from `cargo bench --bench fastpath`) gates the compiled batch
+/// inference speedup over the interpreted model, `sbe-bench/train/1`
+/// (from `cargo bench --bench trainpath`) gates the histogram-engine
+/// training speedups,
 /// `sbe-bench/sbed/1` (from `cargo bench --bench sbed`) gates
 /// network-serving saturation and worker scaling, and `sbe-bench/drift/1`
 /// (from `cargo bench --bench drift`) gates the drift monitor's streaming
@@ -1168,13 +1154,7 @@ fn cmd_check_bench(args: &[String]) -> ExitCode {
     // scheduler jitter.
     //
     // Fastpath: batch sits well under the ~6x a quiet machine shows.
-    // Stream is diluted by event replay and feature assembly, but since
-    // the compiled backend grew batch-parallel feature assembly it must
-    // never be slower than interpreted end to end — the floor is 1.0,
-    // up from the 0.8 allowance that tolerated the serial-assembly
-    // regression this floor now guards against.
     let mut min_batch = 3.0f64;
-    let mut min_stream = 1.0f64;
     // Trainpath: the sibling-subtraction engine clears ~2x over the
     // reference trainer by construction (it builds half the histograms
     // and derives the rest); the exact engine must simply never lose to
@@ -1204,10 +1184,6 @@ fn cmd_check_bench(args: &[String]) -> ExitCode {
             },
             "--min-batch-speedup" => match it.next().and_then(|v| v.parse().ok()) {
                 Some(v) => min_batch = v,
-                None => return usage(),
-            },
-            "--min-stream-speedup" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => min_stream = v,
                 None => return usage(),
             },
             "--min-fast-speedup" => match it.next().and_then(|v| v.parse().ok()) {
@@ -1261,9 +1237,7 @@ fn cmd_check_bench(args: &[String]) -> ExitCode {
             .ok()
             .and_then(|v| v.get("schema").and_then(|s| s.as_str()).map(String::from));
         let outcome = match schema.as_deref() {
-            Some(sbe_bench::FASTPATH_SCHEMA) => {
-                check_fastpath_report(file, &text, min_batch, min_stream)
-            }
+            Some(sbe_bench::FASTPATH_SCHEMA) => check_fastpath_report(file, &text, min_batch),
             Some(sbe_bench::TRAIN_SCHEMA) => check_train_report(file, &text, min_fast, min_exact),
             Some(sbe_bench::SBED_SCHEMA) => {
                 check_sbed_report(file, &text, min_sbed_rps, min_sbed_scale)
@@ -1318,13 +1292,8 @@ fn check_drift_report(
     report.check(min_ratio, max_swap_pause_ns)
 }
 
-/// Parses and gates a `sbe-bench/fastpath/1` inference report.
-fn check_fastpath_report(
-    file: &Path,
-    text: &str,
-    min_batch: f64,
-    min_stream: f64,
-) -> Result<(), String> {
+/// Parses and gates a `sbe-bench/fastpath/2` inference report.
+fn check_fastpath_report(file: &Path, text: &str, min_batch: f64) -> Result<(), String> {
     let report: sbe_bench::FastpathReport = serde_json::from_str(text)
         .map_err(|e| format!("could not parse `{}`: {e}", file.display()))?;
     eprintln!(
@@ -1338,11 +1307,7 @@ fn check_fastpath_report(
         "  batch:  {:>12.0} -> {:>12.0} pps ({:.2}x, floor {min_batch:.2}x)",
         report.batch.interpreted_pps, report.batch.compiled_pps, report.batch.speedup
     );
-    eprintln!(
-        "  stream: {:>12.0} -> {:>12.0} pps ({:.2}x, floor {min_stream:.2}x)",
-        report.stream.interpreted_pps, report.stream.compiled_pps, report.stream.speedup
-    );
-    report.check(min_batch, min_stream)
+    report.check(min_batch)
 }
 
 /// Parses and gates a `sbe-bench/train/1` training report.

@@ -10,7 +10,7 @@ use std::path::Path;
 use std::time::Instant;
 
 /// Schema tag of [`FastpathReport`] / `BENCH_fastpath.json`.
-pub const FASTPATH_SCHEMA: &str = "sbe-bench/fastpath/1";
+pub const FASTPATH_SCHEMA: &str = "sbe-bench/fastpath/2";
 
 /// One interpreted-vs-compiled throughput comparison.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -51,11 +51,11 @@ pub struct FastpathWorkload {
 /// Machine-readable fastpath benchmark report — the `BENCH_fastpath.json`
 /// artifact CI emits and `repro check-bench` gates on.
 ///
-/// The report compares the interpreted tree-walking scorer against the
-/// compiled struct-of-arrays fastpath on the same fitted model, both for
-/// raw batch scoring (`batch`) and for the end-to-end streaming serve
-/// loop (`stream`, which dilutes the model-scoring speedup with feature
-/// assembly and event replay).
+/// The report compares the interpreted tree-walking scorer (the
+/// oracle) against the compiled struct-of-arrays fastpath (the only
+/// serving scorer) on the same fitted model, for raw batch scoring.
+/// End-to-end stream cost is measured by the repository benchmark's
+/// `replay` workload instead.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FastpathReport {
     /// Always [`FASTPATH_SCHEMA`].
@@ -64,44 +64,35 @@ pub struct FastpathReport {
     pub workload: FastpathWorkload,
     /// Raw batch scoring, model inference only.
     pub batch: FastpathSection,
-    /// End-to-end `streamd::serve` replay.
-    pub stream: FastpathSection,
 }
 
 impl FastpathReport {
-    /// Enforces speedup floors on the report.
+    /// Enforces the batch speedup floor on the report.
     ///
     /// # Errors
     ///
     /// Returns a human-readable message when the schema tag is wrong,
-    /// a rate is non-finite or non-positive, or a speedup falls below
+    /// a rate is non-finite or non-positive, or the speedup falls below
     /// its floor.
-    pub fn check(&self, min_batch_speedup: f64, min_stream_speedup: f64) -> Result<(), String> {
+    pub fn check(&self, min_batch_speedup: f64) -> Result<(), String> {
         if self.schema != FASTPATH_SCHEMA {
             return Err(format!(
                 "unexpected schema `{}` (want `{FASTPATH_SCHEMA}`)",
                 self.schema
             ));
         }
-        for (name, s) in [("batch", &self.batch), ("stream", &self.stream)] {
-            let healthy = |r: f64| r.is_finite() && r > 0.0;
-            if !healthy(s.interpreted_pps) || !healthy(s.compiled_pps) {
-                return Err(format!(
-                    "{name}: degenerate rates (interpreted {} pps, compiled {} pps)",
-                    s.interpreted_pps, s.compiled_pps
-                ));
-            }
-        }
-        if self.batch.speedup < min_batch_speedup {
+        let s = &self.batch;
+        let healthy = |r: f64| r.is_finite() && r > 0.0;
+        if !healthy(s.interpreted_pps) || !healthy(s.compiled_pps) {
             return Err(format!(
-                "batch speedup {:.2}x below floor {min_batch_speedup:.2}x",
-                self.batch.speedup
+                "batch: degenerate rates (interpreted {} pps, compiled {} pps)",
+                s.interpreted_pps, s.compiled_pps
             ));
         }
-        if self.stream.speedup < min_stream_speedup {
+        if s.speedup < min_batch_speedup {
             return Err(format!(
-                "stream speedup {:.2}x below floor {min_stream_speedup:.2}x",
-                self.stream.speedup
+                "batch speedup {:.2}x below floor {min_batch_speedup:.2}x",
+                s.speedup
             ));
         }
         Ok(())
@@ -528,7 +519,7 @@ mod tests {
         assert!(b >= a);
     }
 
-    fn report(batch: f64, stream: f64) -> FastpathReport {
+    fn report(batch: f64) -> FastpathReport {
         FastpathReport {
             schema: FASTPATH_SCHEMA.into(),
             workload: FastpathWorkload {
@@ -538,40 +529,37 @@ mod tests {
                 max_depth: 8,
             },
             batch: FastpathSection::from_rates(1_000.0, 1_000.0 * batch),
-            stream: FastpathSection::from_rates(500.0, 500.0 * stream),
         }
     }
 
     #[test]
     fn fastpath_report_passes_at_or_above_floor() {
-        assert!(report(5.0, 1.5).check(5.0, 1.5).is_ok());
-        assert!(report(8.0, 2.0).check(5.0, 1.5).is_ok());
+        assert!(report(5.0).check(5.0).is_ok());
+        assert!(report(8.0).check(5.0).is_ok());
     }
 
     #[test]
     fn fastpath_report_fails_below_floor() {
-        let err = report(4.9, 2.0).check(5.0, 1.0).unwrap_err();
+        let err = report(4.9).check(5.0).unwrap_err();
         assert!(err.contains("batch speedup"), "{err}");
-        let err = report(8.0, 0.9).check(5.0, 1.0).unwrap_err();
-        assert!(err.contains("stream speedup"), "{err}");
     }
 
     #[test]
     fn fastpath_report_rejects_wrong_schema_and_degenerate_rates() {
-        let mut r = report(5.0, 2.0);
-        r.schema = "sbe-bench/fastpath/0".into();
-        assert!(r.check(1.0, 1.0).unwrap_err().contains("schema"));
-        let mut r = report(5.0, 2.0);
+        let mut r = report(5.0);
+        r.schema = "sbe-bench/fastpath/1".into();
+        assert!(r.check(1.0).unwrap_err().contains("schema"));
+        let mut r = report(5.0);
         r.batch.interpreted_pps = 0.0;
-        assert!(r.check(0.0, 0.0).unwrap_err().contains("degenerate"));
-        let mut r = report(5.0, 2.0);
-        r.stream.compiled_pps = f64::NAN;
-        assert!(r.check(0.0, 0.0).unwrap_err().contains("degenerate"));
+        assert!(r.check(0.0).unwrap_err().contains("degenerate"));
+        let mut r = report(5.0);
+        r.batch.compiled_pps = f64::NAN;
+        assert!(r.check(0.0).unwrap_err().contains("degenerate"));
     }
 
     #[test]
     fn fastpath_report_round_trips_through_json() {
-        let r = report(6.0, 1.8);
+        let r = report(6.0);
         let json = serde_json::to_string_pretty(&r).unwrap();
         let back: FastpathReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back.schema, FASTPATH_SCHEMA);

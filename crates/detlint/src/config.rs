@@ -45,7 +45,7 @@ impl AllowEntry {
 /// function reachable from it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HotpathEntry {
-    /// Qualified function name, e.g. `streamd::serve::score_batch_compiled`
+    /// Qualified function name, e.g. `streamd::serve::score_batch`
     /// (suffix-matched against workspace qnames).
     pub root: String,
     /// Armed rules, a subset of `D006`/`D007`/`D008`.

@@ -10,7 +10,7 @@
 //! | rule | forbids |
 //! |------|---------|
 //! | D001 | `HashMap`/`HashSet` in crates whose iteration order feeds output |
-//! | D002 | wall-clock reads outside `crates/bench` |
+//! | D002 | wall-clock reads outside `crates/bench` and `perfbench/` |
 //! | D003 | unseeded entropy anywhere |
 //! | D004 | `unwrap()`/`expect()`/`panic!` in library non-test code |
 //! | D005 | iterator float reductions chained onto `par_map` results |

@@ -110,7 +110,8 @@ impl RuleSet {
         d005: false,
     };
 
-    /// `crates/bench`: timing is its whole point; only entropy is policed.
+    /// `crates/bench` and `perfbench/`: timing is their whole point; only
+    /// entropy is policed.
     pub const BENCH: RuleSet = RuleSet {
         d001: false,
         d002: false,
@@ -157,7 +158,7 @@ pub fn classify(rel_path: &str) -> Option<RuleSet> {
     {
         return None;
     }
-    if p.starts_with("crates/bench/") {
+    if p.starts_with("crates/bench/") || p.starts_with("perfbench/") {
         return Some(RuleSet::BENCH);
     }
     let in_dir = |d: &str| p.starts_with(&format!("{d}/")) || p.contains(&format!("/{d}/"));
@@ -705,11 +706,16 @@ mod tests {
 
     #[test]
     fn d002_allowed_in_bench() {
-        assert!(check(
-            "crates/bench/src/lib.rs",
-            "fn f() { let t = std::time::Instant::now(); }"
-        )
-        .is_empty());
+        // The repository benchmark `perfbench/` is a package of its own
+        // but times wall clock just like `crates/bench`, and bench code
+        // stays out of the hot-path call graph.
+        for path in ["crates/bench/src/lib.rs", "perfbench/src/steps.rs"] {
+            assert_eq!(classify(path), Some(RuleSet::BENCH), "{path}");
+            assert!(
+                check(path, "fn f() { let t = std::time::Instant::now(); }").is_empty(),
+                "{path}"
+            );
+        }
     }
 
     #[test]
@@ -718,6 +724,7 @@ mod tests {
             "crates/core/src/x.rs",
             "tests/x.rs",
             "crates/bench/src/lib.rs",
+            "perfbench/src/fleet.rs",
         ] {
             let ds = check(path, "fn f() { let r = rand::thread_rng(); }");
             assert_eq!(ds.len(), 1, "{path}");

@@ -5,9 +5,10 @@
 //! [`StepScorer`] exactly as `streamd::serve::serve_observed` does, and
 //! runs a passive sidecar alongside it:
 //!
-//! * every stage-2 launch-node's **raw feature row** (assembled from the
-//!   sidecar's own [`StreamFeatureEngine`], fed in the scorer's call
-//!   order so both see identical state) goes to the
+//! * every stage-2 launch-node's **raw feature row** (rebuilt with
+//!   `assemble_row` from the request facts [`StepScorer::issued`] hands
+//!   out after each launch, so monitor and scorer see the very same
+//!   request) goes to the
 //!   [`DriftMonitor`](crate::monitor::DriftMonitor) and the
 //!   [`SampleWindow`](crate::window::SampleWindow);
 //! * emitted scores and horizon-resolved SBE labels pair up into
@@ -36,14 +37,15 @@ use crate::window::{SampleWindow, WindowConfig};
 use crate::{DriftError, Result};
 use mlkit::hash::{fnv1a64, Fnv1a};
 use obskit::Recorder;
-use sbepred::features::{assemble_row, FeatureSpec, SampleFacts};
+use sbepred::features::{assemble_row, FeatureSpec};
 use streamd::artifact::PipelineArtifact;
-use streamd::engine::StreamFeatureEngine;
-use streamd::serve::{AlertSink, LaunchFacts, ScoredLaunch, ServeConfig, StepScorer};
+use streamd::serve::{
+    AlertSink, LaunchFacts, ScoredLaunch, ServeConfig, Stage2Request, StepScorer,
+};
 use streamd::StreamError;
 use titan_sim::apps::AppId;
 use titan_sim::events::{EventStream, TraceEvent};
-use titan_sim::topology::{NodeId, Topology};
+use titan_sim::topology::NodeId;
 use titan_sim::trace::TraceSet;
 
 /// Everything one adaptive serve run needs. All sub-configs carry their
@@ -51,7 +53,7 @@ use titan_sim::trace::TraceSet;
 /// pinned rule.
 #[derive(Debug, Clone, Copy)]
 pub struct AdaptConfig {
-    /// Scoring window, batching, threads, backend.
+    /// Scoring window, batching, threads.
     pub serve: ServeConfig,
     /// Drift-decision thresholds.
     pub monitor: MonitorConfig,
@@ -209,14 +211,12 @@ fn fold_scores(scored: &[ScoredLaunch]) -> u64 {
     h.finish()
 }
 
-/// The passive sidecar: mirrors the scorer's feature-engine state and
-/// owns the drift monitor and the labeling window.
+/// The passive sidecar: owns the drift monitor and the labeling window
+/// and folds the scorer's stage-2 requests into both.
 struct Sidecar {
-    engine: StreamFeatureEngine,
     monitor: DriftMonitor,
     window: SampleWindow,
     spec: FeatureSpec,
-    topology: Topology,
     /// Scratch row; reused so the streaming path stays allocation-flat
     /// once warmed.
     row: Vec<f32>,
@@ -226,7 +226,7 @@ struct Sidecar {
 }
 
 impl Sidecar {
-    fn new(spec: FeatureSpec, topology: Topology, cfg: &AdaptConfig) -> Result<Sidecar> {
+    fn new(spec: FeatureSpec, cfg: &AdaptConfig) -> Result<Sidecar> {
         if spec.needs_telemetry() {
             return Err(DriftError::InvalidConfig {
                 reason: "adaptive serving requires a telemetry-free feature spec \
@@ -236,63 +236,34 @@ impl Sidecar {
         }
         let n_features = spec.feature_names().len();
         Ok(Sidecar {
-            engine: StreamFeatureEngine::new(),
             monitor: DriftMonitor::new(n_features, cfg.monitor)?,
             window: SampleWindow::new(cfg.window)?,
             spec,
-            topology,
             row: Vec::new(),
             consumed: 0,
             n_pairs: 0,
         })
     }
 
-    /// Mirrors [`StepScorer::step_launch`]: observe first, then assemble
-    /// rows for in-window stage-2 nodes in the scorer's sorted order.
-    fn observe_launch(
+    /// Rebuilds the raw row of each stage-2 request `launch` issued
+    /// (telemetry-free, like the spec) and folds it into the monitor
+    /// and the window.
+    fn observe_issued(
         &mut self,
         launch: &LaunchFacts<'_>,
-        serve: &ServeConfig,
-        champion: &PipelineArtifact,
+        issued: &[Stage2Request],
         rec: &mut Recorder,
     ) -> Result<()> {
-        self.engine
-            .observe_launch_parts(launch.minute, launch.app, launch.nodes);
-        if launch.minute < serve.score_from_min || launch.minute >= serve.score_until_min {
-            return Ok(());
-        }
-        let mut nodes = launch.nodes.to_vec();
-        nodes.sort_unstable();
-        for node in nodes {
-            if !champion.is_offender(node.0) {
-                continue;
-            }
-            let facts = SampleFacts {
-                app: launch.app,
-                prev_app: self.engine.previous_app(node.0),
-                runtime_min: launch.runtime_min,
-                n_nodes: launch.nodes.len() as u32,
-                core_util: launch.core_util,
-                mem_util: launch.mem_util,
-                loc: self.topology.location(node).map_err(StreamError::from)?,
-                node: node.0,
-            };
-            let hist = self.engine.hist_counts(
-                &self.spec,
-                node,
-                AppId(launch.app),
-                launch.nodes,
-                launch.minute,
-            );
+        for req in issued {
             self.row.clear();
-            assemble_row(&self.spec, &facts, None, &hist, &mut self.row)
+            assemble_row(&self.spec, &req.facts, None, &req.hist, &mut self.row)
                 .map_err(StreamError::from)?;
             self.monitor.observe_row(&self.row);
             rec.incr("driftd.rows", 1);
             self.window.admit(
                 launch.minute,
                 launch.aprun,
-                node.0,
+                req.node.0,
                 launch.app,
                 self.row.clone(),
             );
@@ -300,15 +271,13 @@ impl Sidecar {
         Ok(())
     }
 
-    /// Ingests an SBE event: history for feature parity, plus positive
-    /// labels for any open window samples on this `(node, app)`.
-    fn observe_sbe(&mut self, minute: u64, node: NodeId, app: AppId, count: u32) -> Result<()> {
-        self.engine.observe_sbe(minute, node, app, count)?;
+    /// Resolves positive labels for any open window samples on this
+    /// `(node, app)`.
+    fn observe_sbe(&mut self, minute: u64, node: NodeId, app: AppId, count: u32) {
         if count > 0 {
             let pairs = self.window.observe_sbe(minute, node.0, app.0);
             self.feed_pairs(&pairs);
         }
-        Ok(())
     }
 
     /// Attaches newly emitted scores to their window samples.
@@ -351,9 +320,8 @@ pub fn run_adapt(
     rec: &mut Recorder,
 ) -> Result<AdaptReport> {
     cfg.validate()?;
-    let topology = trace.config().topology;
-    let mut step = StepScorer::new(artifact, &cfg.serve, topology, Some(trace))?;
-    let mut sidecar = Sidecar::new(*artifact.spec(), topology, cfg)?;
+    let mut step = StepScorer::new(artifact, &cfg.serve, trace.config().topology, Some(trace))?;
+    let mut sidecar = Sidecar::new(*artifact.spec(), cfg)?;
     // The champion's identity is the FNV of its (root-lineage) envelope
     // — the value every successor must name as parent.
     let mut champion_checksum = fnv1a64(&artifact.to_bytes()?);
@@ -375,7 +343,6 @@ pub fn run_adapt(
         match event {
             TraceEvent::Tick { minute } => {
                 step.step_tick(minute, &mut scored, sink, rec)?;
-                sidecar.engine.end_minute();
                 sidecar.consume_scored(&scored, rec);
                 if minute > 0 && minute.is_multiple_of(cfg.check_every_min) {
                     check_drift(
@@ -408,7 +375,7 @@ pub fn run_adapt(
                     nodes: &run.nodes,
                 };
                 step.step_launch(&facts, &mut scored, sink, rec)?;
-                sidecar.observe_launch(&facts, &cfg.serve, step.artifact(), rec)?;
+                sidecar.observe_issued(&facts, step.issued(), rec)?;
                 sidecar.consume_scored(&scored, rec);
             }
             TraceEvent::SbeVisible {
@@ -420,12 +387,11 @@ pub fn run_adapt(
             } => {
                 n_sbe_events += 1;
                 step.step_sbe(minute, node, app, count, rec)?;
-                sidecar.observe_sbe(minute, node, app, count)?;
+                sidecar.observe_sbe(minute, node, app, count);
             }
         }
     }
     step.step_finish(&mut scored, sink, rec)?;
-    sidecar.engine.end_minute();
     sidecar.consume_scored(&scored, rec);
 
     scored.sort_unstable_by_key(|s| (s.minute, s.aprun, s.node));

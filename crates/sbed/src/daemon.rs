@@ -61,7 +61,7 @@ const READ_TIMEOUT: Duration = Duration::from_millis(100);
 pub struct DaemonConfig {
     /// Address to bind (`"127.0.0.1:0"` for an ephemeral test port).
     pub listen: String,
-    /// Scoring window, batching, threads, backend.
+    /// Scoring window, batching, threads.
     pub serve: ServeConfig,
     /// The node universe events are validated against.
     pub topology: Topology,

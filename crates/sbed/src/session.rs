@@ -99,7 +99,7 @@ impl<'a> ScoreSession<'a> {
     ///
     /// # Errors
     ///
-    /// Config validation and artifact/backend preparation, including a
+    /// Config validation and artifact compilation, including a
     /// telemetry-needing feature spec (sensor windows do not travel on
     /// the wire, so only artifacts trained with
     /// `FeatureSpec::no_telemetry()` — or narrower — can serve).
@@ -476,7 +476,7 @@ impl<'a> ScoreSession<'a> {
     /// bytes: the envelope must decode, its lineage must name the
     /// serving champion as parent with generation champion + 1, and the
     /// challenger must be servable under the current config (same
-    /// feature schema; compiles on the compiled backend). No session
+    /// feature schema, and it must compile). No session
     /// state changes — the daemon calls this *before* logging the swap
     /// frame, so a recorded log never contains a swap a replay would
     /// refuse.

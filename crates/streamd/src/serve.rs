@@ -12,20 +12,19 @@
 //! thread with values that are pure functions of the trace and config
 //! (batch sizes, queue delays, probabilities), so the metrics snapshot is
 //! byte-identical across thread counts; parallelism lives inside the
-//! telemetry query engine, row assembly, and the classifier — all
-//! order-preserving parkit fan-outs.
+//! telemetry query engine and row assembly — both order-preserving
+//! parkit fan-outs.
 //!
 //! Parity: feature values are captured at *launch-event time* from the
 //! incremental engine (frozen, strictly-before-launch state), while
 //! telemetry, scaling, and prediction are pure per-row functions — so
 //! batching policy affects throughput and latency, never a prediction.
 //!
-//! Backends: [`ServeConfig::backend`] selects the stage-2 inference
-//! path. [`ScorerBackend::Interpreted`] scores a per-flush [`Dataset`]
-//! through the model zoo; [`ScorerBackend::Compiled`] flattens the model
-//! once at serve start (`mlkit::fastpath`) and scores batches out of
-//! reusable scratch with zero steady-state allocation. The two are
-//! bit-identical, prediction for prediction and snapshot for snapshot.
+//! Scoring: the stage-2 model is flattened once when the scorer is
+//! built (`mlkit::fastpath`), and every flush scores out of reusable
+//! scratch with zero steady-state allocation. The interpreted
+//! `PipelineModel::predict_proba` is kept only as the oracle the
+//! differential suites hold this path to, bit for bit.
 //!
 //! Step feeding: the loop's body is the public [`StepScorer`] — a
 //! one-event-at-a-time core ([`StepScorer::step_tick`] /
@@ -39,7 +38,6 @@
 use crate::artifact::{CompiledScorer, PipelineArtifact};
 use crate::engine::StreamFeatureEngine;
 use crate::{Result, StreamError};
-use mlkit::dataset::Dataset;
 use mlkit::fastpath::FeatureFrame;
 use obskit::Recorder;
 use sbepred::features::{assemble_row, HistCounts, SampleFacts};
@@ -49,32 +47,6 @@ use titan_sim::events::{EventStream, TraceEvent};
 use titan_sim::schedule::ApRunId;
 use titan_sim::topology::NodeId;
 use titan_sim::trace::TraceSet;
-
-/// Which inference path scores a flushed batch. Both produce
-/// bit-identical probabilities (the differential and parity suites hold
-/// them to it); they differ only in cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
-pub enum ScorerBackend {
-    /// The model zoo's interpreted `predict_proba`: per-row `Vec`
-    /// assembly, a `Dataset` per flush, pointer-walking tree nodes.
-    #[default]
-    Interpreted,
-    /// The mlkit fastpath: the model is flattened once at serve start
-    /// into struct-of-arrays node tables and batches are scored out of
-    /// reusable scratch — no per-row allocation in steady state.
-    Compiled,
-}
-
-impl ScorerBackend {
-    /// Parses the `repro` CLI spelling (`interpreted` / `compiled`).
-    pub fn parse(s: &str) -> Option<ScorerBackend> {
-        match s {
-            "interpreted" => Some(ScorerBackend::Interpreted),
-            "compiled" => Some(ScorerBackend::Compiled),
-            _ => None,
-        }
-    }
-}
 
 /// Tuning and windowing for one serve run.
 #[derive(Debug, Clone, Copy)]
@@ -89,16 +61,14 @@ pub struct ServeConfig {
     pub score_from_min: u64,
     /// End of the scoring window (exclusive).
     pub score_until_min: u64,
-    /// Worker threads for row assembly (telemetry and the classifier
-    /// resolve their own, both through parkit).
+    /// Worker threads for row assembly (telemetry queries resolve
+    /// their own, through parkit).
     pub threads: parkit::Threads,
-    /// Inference path for stage-2 scoring.
-    pub backend: ScorerBackend,
 }
 
 impl ServeConfig {
     /// A config scoring `[from, until)` with the defaults: batches of 64,
-    /// 5-minute latency bound, auto threads, interpreted scoring.
+    /// 5-minute latency bound, auto threads.
     pub fn window(from: u64, until: u64) -> ServeConfig {
         ServeConfig {
             batch_capacity: 64,
@@ -106,7 +76,6 @@ impl ServeConfig {
             score_from_min: from,
             score_until_min: until,
             threads: parkit::Threads::Auto,
-            backend: ScorerBackend::Interpreted,
         }
     }
 
@@ -248,15 +217,26 @@ pub struct ServeReport {
     pub n_alerts: u64,
 }
 
-/// A queued stage-2 score request with its launch-time feature facts.
+/// A stage-2 score request as [`StepScorer::step_launch`] issued it:
+/// the node and the launch-time feature facts its row is assembled
+/// from (`assemble_row`).
+#[derive(Debug, Clone, Copy)]
+pub struct Stage2Request {
+    /// The node being scored.
+    pub node: NodeId,
+    /// Per-sample facts, frozen at launch time.
+    pub facts: SampleFacts,
+    /// SBE-history counts strictly before the launch minute.
+    pub hist: HistCounts,
+}
+
+/// A queued stage-2 request with the launch it belongs to.
 #[derive(Debug, Clone)]
 struct PendingRequest {
     minute: u64,
     aprun: ApRunId,
-    node: NodeId,
     app: u32,
-    facts: SampleFacts,
-    hist: HistCounts,
+    req: Stage2Request,
 }
 
 /// The scorer's handle on its serving artifact. A scorer starts on a
@@ -279,18 +259,9 @@ impl ArtifactRef<'_> {
     }
 }
 
-/// Per-run scoring state, built once before the replay starts.
-enum Scorer {
-    /// Interpreted path: stateless, the model scores a per-flush
-    /// `Dataset`.
-    Interpreted,
-    /// Compiled path with its reusable scratch.
-    Compiled(Box<CompiledState>),
-}
-
-/// Scratch for the compiled backend. Every buffer is reused across
-/// flushes, so once the largest batch has been seen a flush performs no
-/// heap allocation at all.
+/// The compiled stage-2 model and its scratch. Every buffer is reused
+/// across flushes, so once the largest batch has been seen a flush
+/// performs no heap allocation at all.
 struct CompiledState {
     scorer: CompiledScorer,
     /// Feature width (the scaler's row length).
@@ -306,7 +277,22 @@ struct CompiledState {
     proba: Vec<f32>,
 }
 
-/// One row's reusable assembly scratch for the compiled backend.
+impl CompiledState {
+    /// Flattens `artifact`'s model and sizes the frame for `cfg`'s
+    /// batches. Every scorer is built here, at start and for each swap.
+    fn new(artifact: &PipelineArtifact, cfg: &ServeConfig) -> Result<CompiledState> {
+        let n_features = artifact.spec().feature_names().len();
+        Ok(CompiledState {
+            scorer: artifact.compile()?,
+            n_features,
+            slots: Vec::new(),
+            frame: FeatureFrame::with_capacity(n_features, cfg.batch_capacity.min(1_024)),
+            proba: Vec::new(),
+        })
+    }
+}
+
+/// One row's reusable assembly scratch.
 struct RowSlot {
     /// Raw (unscaled) feature row.
     raw: Vec<f32>,
@@ -357,7 +343,7 @@ pub struct StepStats {
 /// [`serve`] drives this from a trace's [`EventStream`]; the `sbed`
 /// network daemon drives it from decoded wire frames — both share the
 /// same feature assembly (`assemble_row`), stage-1 filter, batching
-/// policy, and backend scorers, so a network feed and an in-process
+/// policy, and compiled scorer, so a network feed and an in-process
 /// replay of the same event sequence are bit-identical.
 ///
 /// Call discipline (mirrors the event-stream contract): `step_tick`
@@ -372,9 +358,12 @@ pub struct StepScorer<'a> {
     spec: sbepred::features::FeatureSpec,
     topology: titan_sim::topology::Topology,
     query_engine: Option<TelemetryQueryEngine<'a>>,
-    scorer: Scorer,
+    compiled: CompiledState,
     engine: StreamFeatureEngine,
     pending: Vec<PendingRequest>,
+    /// The stage-2 requests the latest `step_launch` issued, in issue
+    /// order; reused across launches.
+    issued: Vec<Stage2Request>,
     stats: StepStats,
     /// Serving generation: 0 for the artifact the scorer was built with,
     /// bumped by every committed hot swap.
@@ -388,7 +377,7 @@ pub struct StepScorer<'a> {
 /// field exchange.
 pub struct PreparedSwap {
     artifact: std::sync::Arc<PipelineArtifact>,
-    scorer: Scorer,
+    compiled: CompiledState,
     generation: u32,
 }
 
@@ -418,8 +407,7 @@ impl<'a> StepScorer<'a> {
     ) -> Result<StepScorer<'a>> {
         cfg.validate()?;
         let spec = *artifact.spec();
-        let n_features = spec.feature_names().len();
-        if n_features == 0 {
+        if spec.feature_names().is_empty() {
             return Err(StreamError::InvalidConfig {
                 reason: "artifact feature spec selects no features".into(),
             });
@@ -439,25 +427,16 @@ impl<'a> StepScorer<'a> {
         } else {
             None
         };
-        let scorer = match cfg.backend {
-            ScorerBackend::Interpreted => Scorer::Interpreted,
-            ScorerBackend::Compiled => Scorer::Compiled(Box::new(CompiledState {
-                scorer: artifact.compile()?,
-                n_features,
-                slots: Vec::new(),
-                frame: FeatureFrame::with_capacity(n_features, cfg.batch_capacity.min(1_024)),
-                proba: Vec::new(),
-            })),
-        };
         Ok(StepScorer {
             artifact: ArtifactRef::Borrowed(artifact),
             cfg: *cfg,
             spec,
             topology,
             query_engine,
-            scorer,
+            compiled: CompiledState::new(artifact, cfg)?,
             engine: StreamFeatureEngine::new(),
             pending: Vec::new(),
+            issued: Vec::new(),
             stats: StepStats::default(),
             generation: 0,
         })
@@ -487,7 +466,7 @@ impl<'a> StepScorer<'a> {
     ///   different feature schema;
     /// * [`mlkit::MlError::ArtifactLineage`] — `generation` does not
     ///   strictly advance the serving generation;
-    /// * compilation errors for the compiled backend.
+    /// * compilation errors (an unfitted challenger model).
     pub fn prepare_swap(
         &self,
         artifact: std::sync::Arc<PipelineArtifact>,
@@ -507,25 +486,10 @@ impl<'a> StepScorer<'a> {
             }
             .into());
         }
-        let scorer = match self.cfg.backend {
-            ScorerBackend::Interpreted => Scorer::Interpreted,
-            ScorerBackend::Compiled => {
-                let n_features = self.spec.feature_names().len();
-                Scorer::Compiled(Box::new(CompiledState {
-                    scorer: artifact.compile()?,
-                    n_features,
-                    slots: Vec::new(),
-                    frame: FeatureFrame::with_capacity(
-                        n_features,
-                        self.cfg.batch_capacity.min(1_024),
-                    ),
-                    proba: Vec::new(),
-                }))
-            }
-        };
+        let compiled = CompiledState::new(&artifact, &self.cfg)?;
         Ok(PreparedSwap {
             artifact,
-            scorer,
+            compiled,
             generation,
         })
     }
@@ -562,7 +526,7 @@ impl<'a> StepScorer<'a> {
     /// allocate, or consult ambient state.
     fn commit_swap(&mut self, prepared: PreparedSwap) {
         self.artifact = ArtifactRef::Owned(prepared.artifact);
-        self.scorer = prepared.scorer;
+        self.compiled = prepared.compiled;
         self.generation = prepared.generation;
     }
 
@@ -594,7 +558,8 @@ impl<'a> StepScorer<'a> {
     /// Feeds one launch: updates the engine, and (for launches inside
     /// the scoring window) issues per-node requests in sorted node
     /// order — stage-1 rejections are appended to `out` immediately,
-    /// offender nodes queue for the stage-2 batch.
+    /// offender nodes queue for the stage-2 batch and are listed by
+    /// [`StepScorer::issued`] until the next launch.
     ///
     /// # Errors
     ///
@@ -608,7 +573,8 @@ impl<'a> StepScorer<'a> {
     ) -> Result<()> {
         self.engine
             .observe_launch_parts(launch.minute, launch.app, launch.nodes);
-        if launch.minute < self.cfg.score_from_min || launch.minute >= self.cfg.score_until_min {
+        self.issued.clear();
+        if !self.in_window(launch.minute) {
             return Ok(());
         }
         // Requests in (aprun, node) order, matching the batch sample
@@ -650,13 +616,13 @@ impl<'a> StepScorer<'a> {
                 launch.nodes,
                 launch.minute,
             );
+            let req = Stage2Request { node, facts, hist };
+            self.issued.push(req);
             self.pending.push(PendingRequest {
                 minute: launch.minute,
                 aprun: ApRunId(launch.aprun),
-                node,
                 app: launch.app,
-                facts,
-                hist,
+                req,
             });
             if self.pending.len() >= self.cfg.batch_capacity {
                 self.flush_pending(launch.minute, out, sink, rec)?;
@@ -705,6 +671,15 @@ impl<'a> StepScorer<'a> {
         self.stats
     }
 
+    /// The stage-2 requests the latest [`StepScorer::step_launch`]
+    /// issued, in issue order (empty for a launch outside the scoring
+    /// window or one with no offender node). Observers such as a drift
+    /// monitor rebuild each request's raw row from these facts instead
+    /// of mirroring the feature engine.
+    pub fn issued(&self) -> &[Stage2Request] {
+        &self.issued
+    }
+
     /// Whether a launch at `minute` falls inside the scoring window
     /// (feeders use this to predict how many scored rows a launch will
     /// produce).
@@ -741,46 +716,26 @@ impl<'a> StepScorer<'a> {
         let feature_span = rec.span_start("streamd.features");
         let telemetry: Vec<SampleTelemetry> = match &self.query_engine {
             Some(qe) => {
-                let pairs: Vec<_> = batch.iter().map(|p| (p.aprun, p.node)).collect();
+                let pairs: Vec<_> = batch.iter().map(|p| (p.aprun, p.req.node)).collect();
                 qe.query(&pairs)?
             }
             None => Vec::new(),
         };
+        // The assembly/scoring bodies live in named functions so
+        // `detlint.toml` can declare them hot-path roots (D006/D007/D008)
+        // without dragging driver instrumentation into the proof
+        // obligation.
+        let state = &mut self.compiled;
         let scaler = self.artifact.get().scaler();
-        // Both arms record the identical feature/score span sequence and
-        // produce bit-identical probabilities, so the obskit snapshot
-        // does not depend on the backend. The assembly/scoring bodies
-        // live in named functions (`assemble_batch_*` / `score_batch_*`)
-        // so `detlint.toml` can declare the compiled pair as hot-path
-        // roots (D006/D007/D008) without dragging driver instrumentation
-        // into the proof obligation.
-        let proba_interpreted: Vec<f32>;
-        let proba: &[f32] = match &mut self.scorer {
-            Scorer::Interpreted => {
-                let rows =
-                    assemble_batch_interpreted(&self.cfg, &self.spec, scaler, &batch, &telemetry)?;
-                rec.span_end(feature_span);
+        assemble_batch(&self.cfg, &self.spec, scaler, state, &batch, &telemetry)?;
+        rec.span_end(feature_span);
 
-                let score_span = rec.span_start("streamd.score");
-                let ds =
-                    Dataset::from_rows(&rows, &vec![0.0; rows.len()]).map_err(StreamError::from)?;
-                proba_interpreted = self.artifact.get().model().predict_proba(&ds)?;
-                rec.span_end(score_span);
-                &proba_interpreted
-            }
-            Scorer::Compiled(state) => {
-                assemble_batch_compiled(&self.cfg, &self.spec, scaler, state, &batch, &telemetry)?;
-                rec.span_end(feature_span);
-
-                let score_span = rec.span_start("streamd.score");
-                score_batch_compiled(state, batch.len())?;
-                rec.span_end(score_span);
-                &state.proba
-            }
-        };
+        let score_span = rec.span_start("streamd.score");
+        score_batch(state, batch.len())?;
+        rec.span_end(score_span);
         let threshold = self.artifact.get().model().threshold();
 
-        for (p, &prob) in batch.iter().zip(proba) {
+        for (p, &prob) in batch.iter().zip(&state.proba) {
             self.stats.n_stage2 += 1;
             rec.incr("streamd.stage2_scored", 1);
             rec.observe("streamd.probability_pct", prob as f64 * 100.0);
@@ -788,7 +743,7 @@ impl<'a> StepScorer<'a> {
                 minute: p.minute,
                 aprun: p.aprun.0,
                 app: p.app,
-                node: p.node.0,
+                node: p.req.node.0,
                 probability: prob,
                 predicted: prob >= threshold,
                 stage2: true,
@@ -915,48 +870,15 @@ pub fn serve_observed(
     Ok(report)
 }
 
-/// Interpreted-backend feature assembly: fans the per-row pipeline out
-/// with `parkit` and returns freshly allocated standardized rows. This
-/// is the fallback arm — it allocates per flush by design and is
-/// covered by a reasoned `[[assume]]` in `detlint.toml` rather than the
-/// compiled arm's alloc-freedom proof.
-fn assemble_batch_interpreted(
-    cfg: &ServeConfig,
-    spec: &sbepred::features::FeatureSpec,
-    scaler: &mlkit::scaler::StandardScaler,
-    batch: &[PendingRequest],
-    telemetry: &[SampleTelemetry],
-) -> Result<Vec<Vec<f32>>> {
-    let indices: Vec<usize> = (0..batch.len()).collect();
-    parkit::try_par_map::<_, _, StreamError, _>(cfg.threads, &indices, |&i| {
-        let p = &batch[i];
-        let t = if spec.needs_telemetry() {
-            telemetry.get(i)
-        } else {
-            None
-        };
-        let mut raw: Vec<f32> = Vec::with_capacity(scaler.means().len());
-        assemble_row(spec, &p.facts, t, &p.hist, &mut raw).map_err(StreamError::from)?;
-        let mut out = vec![0.0f32; raw.len()];
-        scaler
-            .transform_row(&mut out, &raw)
-            .map_err(StreamError::from)?;
-        Ok(out)
-    })
-}
-
-/// Compiled-backend feature assembly: per-row work fans out across
-/// parkit workers into disjoint reusable [`RowSlot`]s, then the driver
+/// Feature assembly: per-row work (`assemble_row`, then the scaler's
+/// `transform_row`, both pure per-row functions) fans out across parkit
+/// workers into disjoint reusable [`RowSlot`]s, then the driver
 /// scatters the standardized rows into the persistent frame in batch
-/// order. `assemble_row` and `transform_row` are the same pure per-row
-/// functions the interpreted path fans out, over the same batch order,
-/// so the assembled frame is bit-identical to the old serial packing —
-/// but the assembly no longer serialises behind one core, which is what
-/// made compiled stream-mode *slower* than interpreted on small models.
+/// order, so the frame is bit-identical at any thread count.
 /// Hot-path root: detlint proves every function reachable from here
 /// panic-free, steady-state alloc-free, and deterministic
 /// (D006/D007/D008).
-fn assemble_batch_compiled(
+fn assemble_batch(
     cfg: &ServeConfig,
     spec: &sbepred::features::FeatureSpec,
     scaler: &mlkit::scaler::StandardScaler,
@@ -990,7 +912,7 @@ fn assemble_batch_compiled(
         };
         slot.err = None;
         slot.raw.clear();
-        let assembled = assemble_row(spec, &p.facts, t, &p.hist, &mut slot.raw)
+        let assembled = assemble_row(spec, &p.req.facts, t, &p.req.hist, &mut slot.raw)
             .map_err(StreamError::from)
             .and_then(|()| {
                 scaler
@@ -1029,10 +951,10 @@ fn assemble_batch_compiled(
     Ok(())
 }
 
-/// Compiled-backend scoring over the assembled frame. Hot-path root
-/// (D006/D007/D008): after the first full batch the probability buffer
-/// has reached `batch_capacity` and the resize below reuses capacity.
-fn score_batch_compiled(state: &mut CompiledState, n_rows: usize) -> Result<()> {
+/// Scoring over the assembled frame. Hot-path root (D006/D007/D008):
+/// after the first full batch the probability buffer has reached
+/// `batch_capacity` and the resize below reuses capacity.
+fn score_batch(state: &mut CompiledState, n_rows: usize) -> Result<()> {
     state.proba.clear();
     // detlint: allow(D007) reason=bounded by batch_capacity; capacity is reused after the first full batch
     state.proba.resize(n_rows, 0.0);

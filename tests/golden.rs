@@ -3,18 +3,40 @@
 //! feature extraction, or the models that moves these metrics shows up
 //! here before it shows up in the paper tables.
 //!
+//! Two more goldens pin the online paths byte for byte: one
+//! `serve_observed` run (`results/golden_serve_tiny.txt`) and one
+//! promoting `run_adapt` run (`results/golden_drift_tiny.txt`). Their
+//! fixtures are frozen copies of the `stream_batch_parity` and
+//! `drift_replay` fixtures, so a refactor of either serving path is
+//! checked against the bytes the previous implementation produced.
+//!
 //! Regenerate after an intentional change with
 //! `cargo test --release --test golden -- --ignored regenerate_golden`
-//! and commit the new file alongside the change that explains it.
+//! (or `regenerate_serve_golden` / `regenerate_drift_golden`) and commit
+//! the new file alongside the change that explains it.
 
+use gpu_error_prediction::driftd::adapt::{run_adapt, AdaptConfig};
+use gpu_error_prediction::driftd::monitor::MonitorConfig;
+use gpu_error_prediction::driftd::retrain::RetrainConfig;
+use gpu_error_prediction::driftd::window::WindowConfig;
+use gpu_error_prediction::mlkit::dataset::Dataset;
 use gpu_error_prediction::mlkit::gbdt::Gbdt;
+use gpu_error_prediction::mlkit::hash::Fnv1a;
+use gpu_error_prediction::mlkit::model::Classifier;
+use gpu_error_prediction::mlkit::scaler::StandardScaler;
 use gpu_error_prediction::obskit::{NullClock, Recorder};
 use gpu_error_prediction::parkit::Threads;
 use gpu_error_prediction::sbepred::datasets::DsSplit;
 use gpu_error_prediction::sbepred::experiments::{prediction, Lab};
-use gpu_error_prediction::sbepred::features::FeatureSpec;
+use gpu_error_prediction::sbepred::features::{FeatureExtractor, FeatureSpec};
+use gpu_error_prediction::sbepred::samples::build_samples;
 use gpu_error_prediction::sbepred::twostage::{
-    prepare_with_extractor_observed, run_classifier_observed,
+    prepare_with_extractor, prepare_with_extractor_observed, run_classifier,
+    run_classifier_observed,
+};
+use gpu_error_prediction::streamd::artifact::{PipelineArtifact, PipelineModel};
+use gpu_error_prediction::streamd::serve::{
+    serve_observed, Alert, NullSink, ScoredLaunch, ServeConfig,
 };
 use gpu_error_prediction::titan_sim::config::SimConfig;
 use gpu_error_prediction::titan_sim::engine::{generate, generate_observed};
@@ -26,6 +48,12 @@ const GOLDEN_METRICS_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/results/golden_metrics_tiny.json"
 );
+
+const GOLDEN_SERVE_PATH: &str =
+    concat!(env!("CARGO_MANIFEST_DIR"), "/results/golden_serve_tiny.txt");
+
+const GOLDEN_DRIFT_PATH: &str =
+    concat!(env!("CARGO_MANIFEST_DIR"), "/results/golden_drift_tiny.txt");
 
 /// Cross-platform slack for transcendental libm differences; the metrics
 /// themselves are deterministic integer-ratio style quantities.
@@ -123,6 +151,144 @@ fn compute_metrics() -> String {
     rec.snapshot_json() + "\n"
 }
 
+/// FNV-1a over scored rows in `(minute, aprun, node)` order, folded
+/// field by field exactly as the adaptive driver's `scores_fnv`.
+fn fold_scores(scored: &[ScoredLaunch]) -> u64 {
+    let mut h = Fnv1a::new();
+    for s in scored {
+        h.update(&s.minute.to_le_bytes());
+        h.update(&s.aprun.to_le_bytes());
+        h.update(&s.node.to_le_bytes());
+        h.update(&s.probability.to_bits().to_le_bytes());
+        h.update(&[u8::from(s.predicted), u8::from(s.stage2)]);
+    }
+    h.finish()
+}
+
+/// Wraps a DS1-trained GBDT into the shippable artifact.
+fn ds1_artifact(
+    fx: &FeatureExtractor<'_>,
+    split: &DsSplit,
+    spec: FeatureSpec,
+    scaler: StandardScaler,
+    model: Gbdt,
+) -> PipelineArtifact {
+    let offenders: Vec<u32> = fx
+        .history()
+        .offender_nodes_before(split.train_end_min())
+        .into_iter()
+        .map(|n| n.0)
+        .collect();
+    PipelineArtifact::new(
+        spec,
+        offenders,
+        scaler,
+        PipelineModel::Gbdt(model),
+        split.train_end_min(),
+        split.name(),
+    )
+}
+
+/// One `serve_observed` run of the DS1 champion over the DS1 test
+/// window of tiny(13) at the default serving config: the fingerprint of
+/// every scored row, the alert count, and the obskit snapshot.
+fn compute_serve() -> String {
+    let trace = generate(&SimConfig::tiny(13)).expect("trace generates");
+    let samples = build_samples(&trace).expect("samples");
+    let fx = FeatureExtractor::new(&trace, &samples).expect("extractor");
+    let split = DsSplit::ds1(&trace).expect("ds1 splits");
+    let spec = FeatureSpec::all();
+    let prepared = prepare_with_extractor(&fx, &samples, &split, &spec).expect("prepare");
+    let mut model = Gbdt::new().n_trees(20).min_samples_leaf(2).seed(7);
+    run_classifier(&prepared, &mut model).expect("fit");
+    let artifact = ds1_artifact(&fx, &split, spec, prepared.scaler.clone(), model);
+
+    let (from, until) = split.test_window();
+    let mut alerts: Vec<Alert> = Vec::new();
+    let mut rec = Recorder::new();
+    let report = serve_observed(
+        &trace,
+        &artifact,
+        &ServeConfig::window(from, until),
+        &mut alerts,
+        &mut rec,
+    )
+    .expect("serve");
+    format!(
+        "scores_fnv {:#018x}\nn_scored {}\nn_stage2 {}\nn_alerts {}\nsnapshot {}\n",
+        fold_scores(&report.scored),
+        report.scored.len(),
+        report.n_stage2,
+        alerts.len(),
+        rec.snapshot_json()
+    )
+}
+
+/// The drift fixture: a no-telemetry DS1 champion fitted on *inverted*
+/// labels, replayed over everything after its training cut under
+/// thresholds low enough to fire and promote. Records the drift log,
+/// every promoted artifact checksum, and the obskit snapshot.
+fn compute_drift() -> String {
+    let trace = generate(&SimConfig::tiny(13)).expect("trace generates");
+    let samples = build_samples(&trace).expect("samples");
+    let fx = FeatureExtractor::new(&trace, &samples).expect("extractor");
+    let split = DsSplit::ds1(&trace).expect("ds1 splits");
+    let spec = FeatureSpec::no_telemetry();
+    let prepared = prepare_with_extractor(&fx, &samples, &split, &spec).expect("prepare");
+    let inverted: Vec<f32> = prepared
+        .train
+        .y()
+        .iter()
+        .map(|&v| if v > 0.5 { 0.0 } else { 1.0 })
+        .collect();
+    let train = Dataset::new(prepared.train.x().clone(), inverted).expect("inverted dataset");
+    let mut model = Gbdt::new().n_trees(20).min_samples_leaf(2).seed(7);
+    model.fit(&train).expect("fit");
+    let artifact = ds1_artifact(&fx, &split, spec, prepared.scaler.clone(), model);
+
+    let threads = Threads::Fixed(2);
+    let mut serve = ServeConfig::window(split.train_end_min(), trace.config().total_minutes());
+    serve.threads = threads;
+    let cfg = AdaptConfig {
+        serve,
+        monitor: MonitorConfig {
+            baseline_rows: 64,
+            min_current: 32,
+            min_labeled: 16,
+            ece_threshold: 0.05,
+            psi_threshold: 0.05,
+            ..MonitorConfig::pinned()
+        },
+        window: WindowConfig {
+            capacity: 4096,
+            label_horizon_min: 120,
+        },
+        retrain: RetrainConfig {
+            min_labeled: 48,
+            min_holdout: 12,
+            n_trees: 12,
+            max_depth: 3,
+            min_samples_leaf: 2,
+            threads,
+            ..RetrainConfig::pinned()
+        },
+        check_every_min: 60,
+    };
+    let mut rec = Recorder::new();
+    let report = run_adapt(&trace, &artifact, &cfg, &mut NullSink, &mut rec).expect("run_adapt");
+    let promoted: Vec<String> = report
+        .promotions
+        .iter()
+        .map(|p| format!("{:#018x}", p.artifact_fnv))
+        .collect();
+    format!(
+        "{}promoted [{}]\nsnapshot {}\n",
+        report.drift_log(),
+        promoted.join(", "),
+        rec.snapshot_json()
+    )
+}
+
 #[test]
 fn tiny_pipeline_matches_golden() {
     let golden_text = std::fs::read_to_string(GOLDEN_PATH)
@@ -145,6 +311,28 @@ fn tiny_metrics_snapshot_matches_golden() {
     );
 }
 
+#[test]
+fn tiny_serve_matches_golden() {
+    let golden = std::fs::read_to_string(GOLDEN_SERVE_PATH)
+        .expect("results/golden_serve_tiny.txt is committed; regenerate with the ignored test");
+    assert_eq!(
+        compute_serve(),
+        golden,
+        "serve output drifted from results/golden_serve_tiny.txt"
+    );
+}
+
+#[test]
+fn tiny_drift_matches_golden() {
+    let golden = std::fs::read_to_string(GOLDEN_DRIFT_PATH)
+        .expect("results/golden_drift_tiny.txt is committed; regenerate with the ignored test");
+    assert_eq!(
+        compute_drift(),
+        golden,
+        "adaptive serving drifted from results/golden_drift_tiny.txt"
+    );
+}
+
 /// Rewrites the golden files from the current pipeline. Run explicitly
 /// (`-- --ignored regenerate_golden`) after an intentional metric change.
 #[test]
@@ -153,4 +341,18 @@ fn regenerate_golden() {
     let text = serde_json::to_string_pretty(&compute()).expect("serializes");
     std::fs::write(GOLDEN_PATH, text + "\n").expect("golden file writes");
     std::fs::write(GOLDEN_METRICS_PATH, compute_metrics()).expect("metrics golden writes");
+}
+
+/// Rewrites `results/golden_serve_tiny.txt` (`-- --ignored regenerate_serve_golden`).
+#[test]
+#[ignore = "regenerates the serve golden; run on intentional scoring changes"]
+fn regenerate_serve_golden() {
+    std::fs::write(GOLDEN_SERVE_PATH, compute_serve()).expect("serve golden writes");
+}
+
+/// Rewrites `results/golden_drift_tiny.txt` (`-- --ignored regenerate_drift_golden`).
+#[test]
+#[ignore = "regenerates the drift golden; run on intentional adaptation changes"]
+fn regenerate_drift_golden() {
+    std::fs::write(GOLDEN_DRIFT_PATH, compute_drift()).expect("drift golden writes");
 }
