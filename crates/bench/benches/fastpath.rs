@@ -10,11 +10,9 @@
 //! predictions/sec.
 //!
 //! Besides the Criterion timings, the bench hand-times both sides and
-//! writes the machine-readable `BENCH_fastpath.json` report (schema
-//! `sbe-bench/fastpath/2`) that `repro check-bench` gates on in CI. Set
-//! `FASTPATH_BENCH_OUT` to redirect the report path. Parity is asserted
-//! bit-for-bit before anything is timed: a fast wrong answer is not a
-//! result.
+//! writes `BENCH_fastpath.json` at the workspace root, the report
+//! `repro check-bench` gates on in CI. Parity is asserted bit-for-bit
+//! before anything is timed: a fast wrong answer is not a result.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mlkit::dataset::Dataset;
@@ -24,7 +22,7 @@ use mlkit::model::Classifier;
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
-use sbe_bench::{FastpathReport, FastpathSection, FastpathWorkload, FASTPATH_SCHEMA};
+use sbe_bench::{BenchReport, Metric};
 
 /// Below `Gbdt`'s parallel-row threshold (4096): keeps the interpreted
 /// side serial so batch numbers compare one core against one core.
@@ -37,6 +35,11 @@ const N_FEATURES: usize = 64;
 const N_TREES: usize = 150;
 const MAX_DEPTH: usize = 10;
 const TRAIN_ROWS: usize = 12_000;
+/// Floor on the compiled batch speedup, well under the ~6x a quiet
+/// machine shows: shared runners are noisy, and the gate exists to catch
+/// the fastpath regressing toward the interpreted baseline, not to flake
+/// on scheduler jitter.
+const MIN_BATCH_SPEEDUP: f64 = 3.0;
 
 struct BatchFixture {
     model: Gbdt,
@@ -124,15 +127,6 @@ fn rate_of(reps: u32, per_rep: usize, mut pass: impl FnMut()) -> f64 {
     per_rep as f64 / best.max(1e-9)
 }
 
-fn write_report(report: &FastpathReport) {
-    let path = std::env::var("FASTPATH_BENCH_OUT").unwrap_or_else(|_| "BENCH_fastpath.json".into());
-    let json = serde_json::to_string_pretty(report).expect("serialises");
-    match std::fs::write(&path, json) {
-        Ok(()) => eprintln!("fastpath report written to {path}"),
-        Err(e) => eprintln!("could not write fastpath report to {path}: {e}"),
-    }
-}
-
 fn bench_fastpath(c: &mut Criterion) {
     let bf = batch_fixture();
 
@@ -150,23 +144,22 @@ fn bench_fastpath(c: &mut Criterion) {
         std::hint::black_box(&out);
     });
 
-    let report = FastpathReport {
-        schema: FASTPATH_SCHEMA.into(),
-        workload: FastpathWorkload {
-            batch_rows: BATCH_ROWS,
-            n_features: N_FEATURES,
-            n_trees: N_TREES,
-            max_depth: MAX_DEPTH,
-        },
-        batch: FastpathSection::from_rates(batch_interpreted, batch_compiled),
-    };
-    eprintln!(
-        "batch ({BATCH_ROWS} rows x {N_FEATURES} features, {N_TREES} trees, depth {MAX_DEPTH}): \
-         interpreted {batch_interpreted:.0} pps, compiled {batch_compiled:.0} pps \
-         ({:.2}x)",
-        report.batch.speedup
-    );
-    write_report(&report);
+    BenchReport::new(
+        "fastpath",
+        &[
+            ("batch_rows", BATCH_ROWS as u64),
+            ("n_features", N_FEATURES as u64),
+            ("n_trees", N_TREES as u64),
+            ("max_depth", MAX_DEPTH as u64),
+        ],
+        vec![
+            Metric::higher("interpreted_pps", "pred/s", batch_interpreted),
+            Metric::higher("compiled_pps", "pred/s", batch_compiled),
+            Metric::higher("batch_speedup", "ratio", batch_compiled / batch_interpreted)
+                .limit(MIN_BATCH_SPEEDUP),
+        ],
+    )
+    .write();
 
     let mut group = c.benchmark_group("fastpath");
     group.sample_size(10);

@@ -19,10 +19,9 @@
 //! repro fleet --addr ADDR [--conns N] [--nodes N] [--minutes N] [--rate N]
 //!       [--sbe-rate N] [--seed N] [--window N] [--failure-conns N]
 //!       [--corrupt-every N] [--metrics-out FILE]
-//! repro check-bench --file BENCH_fastpath.json|BENCH_train.json|BENCH_sbed.json
-//!       [--min-batch-speedup X]
-//!       [--min-fast-speedup X] [--min-exact-speedup X]
-//!       [--min-sbed-rps X] [--min-sbed-scale X]
+//! repro adapt --model ARTIFACT --trace PATH [--from M] [--until M]
+//!       [--check-every N] [--threads N] [--verdicts-out FILE] [--metrics-out FILE]
+//! repro check-bench --file BENCH_<bench>.json [--file BENCH_<bench>.json ...]
 //! ```
 //!
 //! `--metrics-out FILE` records pipeline observability metrics (trace
@@ -43,12 +42,13 @@
 //! the interpreted trees before it ships an artifact. `train
 //! --train-mode fast` fits the GBDT through the histogram engine's
 //! sibling-subtraction path (`exact`, the default, is bit-identical to
-//! the original trainer). `check-bench` reads a report emitted by
-//! `cargo bench` — a `BENCH_fastpath.json` (inference trajectory), a
-//! `BENCH_train.json` (training trajectory), or a `BENCH_sbed.json`
-//! (network-serving saturation), told apart by the embedded `schema`
-//! field — and fails if the numbers fall below the floors: the CI
-//! guard on all three performance trajectories.
+//! the original trainer). `check-bench` reads the reports that `cargo
+//! bench -p sbe-bench --bench fastpath|trainpath|sbed|drift` writes at
+//! the workspace root (`BENCH_fastpath.json`, `BENCH_train.json`,
+//! `BENCH_sbed.json`, `BENCH_drift.json`, all schema
+//! `sbe-bench/report/1`) and fails if a metric breaks the floor or
+//! ceiling its bench recorded: the CI guard on every performance
+//! trajectory.
 //!
 //! `serve-net` / `fleet` are the network pair: `serve-net` binds the
 //! `sbed` TCP scoring daemon on `--listen` (printing the bound address,
@@ -62,7 +62,7 @@
 //! the live run. `--threads` falls back to the `SBE_THREADS`
 //! environment variable when unset (the CI parity matrix's knob).
 
-use sbe_bench::{persist_json, WallClock};
+use sbe_bench::{persist_json, BenchReport, WallClock, REPORT_SCHEMA};
 use sbepred::experiments::{
     characterization as ch, extensions as ext, prediction as pr, ExperimentOutput, Lab, ModelKind,
 };
@@ -103,12 +103,7 @@ fn usage() -> ExitCode {
          [--metrics-out FILE]\n\
          repro adapt --model ARTIFACT --trace PATH [--from M] [--until M] \
          [--check-every N] [--threads N] [--verdicts-out FILE] [--metrics-out FILE]\n\
-         repro check-bench --file REPORT.json [--file REPORT.json ...] \
-         (schemas: fastpath, train, sbed, drift) \
-         [--min-batch-speedup X] \
-         [--min-fast-speedup X] [--min-exact-speedup X] \
-         [--min-sbed-rps X] [--min-sbed-scale X] \
-         [--min-drift-ratio X] [--max-swap-pause-ms N]\n\
+         repro check-bench --file BENCH_<bench>.json [--file BENCH_<bench>.json ...]\n\
          experiments: {} {} {} | groups: characterization prediction extensions all",
         CHARACTERIZATION.join(" "),
         PREDICTION.join(" "),
@@ -130,15 +125,25 @@ fn build_config(config: &str, seed: u64) -> Option<SimConfig> {
     }
 }
 
-/// Generates a trace, narrating progress to stderr.
-fn generate_trace(cfg: &SimConfig, seed: u64) -> Option<TraceSet> {
+/// Generates a trace into `rec`, narrating progress to stderr.
+fn generate_trace(cfg: &SimConfig, seed: u64, rec: &mut obskit::Recorder) -> Option<TraceSet> {
     eprintln!(
         "generating trace: {} nodes, {} days, seed {seed}...",
         cfg.topology.n_nodes(),
         cfg.days
     );
-    match titan_sim::engine::generate(cfg) {
-        Ok(t) => Some(t),
+    let t0 = std::time::Instant::now();
+    match titan_sim::engine::generate_observed(cfg, rec) {
+        Ok(t) => {
+            eprintln!(
+                "trace ready in {:.1?}: {} apruns, {} samples, positive rate {:.4}",
+                t0.elapsed(),
+                t.apruns().len(),
+                t.samples().len(),
+                t.positive_rate()
+            );
+            Some(t)
+        }
         Err(e) => {
             eprintln!("trace generation failed: {e}");
             None
@@ -200,7 +205,7 @@ fn cmd_save_trace(args: &[String]) -> ExitCode {
     let Some(cfg) = build_config(&config, seed) else {
         return ExitCode::FAILURE;
     };
-    let Some(trace) = generate_trace(&cfg, seed) else {
+    let Some(trace) = generate_trace(&cfg, seed, &mut obskit::Recorder::null()) else {
         return ExitCode::FAILURE;
     };
     let json = match serde_json::to_string(&trace) {
@@ -287,7 +292,8 @@ fn cmd_train(args: &[String]) -> ExitCode {
     };
     let trace = match &trace_path {
         Some(p) => load_trace(p),
-        None => build_config(&config, seed).and_then(|cfg| generate_trace(&cfg, seed)),
+        None => build_config(&config, seed)
+            .and_then(|cfg| generate_trace(&cfg, seed, &mut obskit::Recorder::null())),
     };
     let Some(trace) = trace else {
         return ExitCode::FAILURE;
@@ -1132,49 +1138,16 @@ fn cmd_fleet(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `repro check-bench`: gate CI on a performance trajectory.
+/// `repro check-bench`: gate CI on the performance trajectories.
 ///
-/// Reads one or more bench report JSONs (`--file`, repeatable) and
-/// dispatches each on its embedded `schema` field: `sbe-bench/fastpath/2`
-/// (from `cargo bench --bench fastpath`) gates the compiled batch
-/// inference speedup over the interpreted model, `sbe-bench/train/1`
-/// (from `cargo bench --bench trainpath`) gates the histogram-engine
-/// training speedups,
-/// `sbe-bench/sbed/1` (from `cargo bench --bench sbed`) gates
-/// network-serving saturation and worker scaling, and `sbe-bench/drift/1`
-/// (from `cargo bench --bench drift`) gates the drift monitor's streaming
-/// overhead and the hot-swap pause. A missing or unreadable file is a
-/// hard failure, and every report must clear its floors — all files are
-/// checked before the verdict so one run surfaces every regression.
+/// Reads one or more bench reports (`--file`, repeatable) and checks
+/// each with [`BenchReport::check`]: the `sbe-bench/report/1` schema,
+/// a finite positive value for every metric, and every floor and
+/// ceiling the bench recorded. A missing or unreadable file is a hard
+/// failure, and all files are checked before the verdict so one run
+/// surfaces every regression.
 fn cmd_check_bench(args: &[String]) -> ExitCode {
     let mut files: Vec<PathBuf> = Vec::new();
-    // CI floors, deliberately below what the benches report on a quiet
-    // machine: shared runners are noisy, and the gates exist to catch a
-    // fast path regressing toward its baseline, not to flake on
-    // scheduler jitter.
-    //
-    // Fastpath: batch sits well under the ~6x a quiet machine shows.
-    let mut min_batch = 3.0f64;
-    // Trainpath: the sibling-subtraction engine clears ~2x over the
-    // reference trainer by construction (it builds half the histograms
-    // and derives the rest); the exact engine must simply never lose to
-    // the reference path it replaced as the default.
-    let mut min_fast = 2.0f64;
-    let mut min_exact = 1.0f64;
-    // Sbed: a quiet machine pushes thousands of requests/sec through the
-    // loopback daemon and scales ~1.7x from one worker to eight; the
-    // floors catch the serving path collapsing (a lock on the hot path,
-    // a per-request allocation storm) without flaking on two-core
-    // runners where extra workers buy little.
-    let mut min_sbed_rps = 500.0f64;
-    let mut min_sbed_scale = 0.8f64;
-    // Drift: the monitor and window ride the streaming path, so the
-    // adaptive replay must retain at least 40% of plain serve
-    // throughput end to end, and a hot swap — flush one pending batch,
-    // exchange an Arc — must never pause the stream longer than a
-    // generous quarter second even on a noisy shared runner.
-    let mut min_drift_ratio = 0.4f64;
-    let mut max_swap_pause_ns = 250_000_000u64;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -1182,72 +1155,25 @@ fn cmd_check_bench(args: &[String]) -> ExitCode {
                 Some(v) => files.push(PathBuf::from(v)),
                 None => return usage(),
             },
-            "--min-batch-speedup" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => min_batch = v,
-                None => return usage(),
-            },
-            "--min-fast-speedup" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => min_fast = v,
-                None => return usage(),
-            },
-            "--min-exact-speedup" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => min_exact = v,
-                None => return usage(),
-            },
-            "--min-sbed-rps" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => min_sbed_rps = v,
-                None => return usage(),
-            },
-            "--min-sbed-scale" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => min_sbed_scale = v,
-                None => return usage(),
-            },
-            "--min-drift-ratio" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => min_drift_ratio = v,
-                None => return usage(),
-            },
-            "--max-swap-pause-ms" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(v) => max_swap_pause_ns = v.saturating_mul(1_000_000),
-                None => return usage(),
-            },
             _ => return usage(),
         }
     }
     if files.is_empty() {
-        eprintln!(
-            "check-bench requires at least one --file \
-             BENCH_fastpath.json|BENCH_train.json|BENCH_sbed.json|BENCH_drift.json"
-        );
+        eprintln!("check-bench requires at least one --file BENCH_<bench>.json");
         return ExitCode::FAILURE;
     }
     let mut failed = false;
     for file in &files {
-        let text = match std::fs::read_to_string(file) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!(
-                    "check-bench: FAIL `{}`: could not read: {e}",
-                    file.display()
-                );
-                failed = true;
-                continue;
-            }
-        };
-        let schema = serde_json::from_str::<serde_json::Value>(&text)
-            .ok()
-            .and_then(|v| v.get("schema").and_then(|s| s.as_str()).map(String::from));
-        let outcome = match schema.as_deref() {
-            Some(sbe_bench::FASTPATH_SCHEMA) => check_fastpath_report(file, &text, min_batch),
-            Some(sbe_bench::TRAIN_SCHEMA) => check_train_report(file, &text, min_fast, min_exact),
-            Some(sbe_bench::SBED_SCHEMA) => {
-                check_sbed_report(file, &text, min_sbed_rps, min_sbed_scale)
-            }
-            Some(sbe_bench::DRIFT_SCHEMA) => {
-                check_drift_report(file, &text, min_drift_ratio, max_swap_pause_ns)
-            }
-            Some(other) => Err(format!("unknown bench report schema `{other}`")),
-            None => Err("no `schema` field or not JSON".into()),
-        };
+        let outcome = std::fs::read_to_string(file)
+            .map_err(|e| format!("could not read: {e}"))
+            .and_then(|text| {
+                serde_json::from_str::<BenchReport>(&text)
+                    .map_err(|e| format!("not a `{REPORT_SCHEMA}` report: {e}"))
+            })
+            .and_then(|report| {
+                eprint!("{report}");
+                report.check()
+            });
         match outcome {
             Ok(()) => eprintln!("check-bench: PASS `{}`", file.display()),
             Err(e) => {
@@ -1261,114 +1187,6 @@ fn cmd_check_bench(args: &[String]) -> ExitCode {
     } else {
         ExitCode::SUCCESS
     }
-}
-
-/// Parses and gates a `sbe-bench/drift/1` continual-learning report.
-fn check_drift_report(
-    file: &Path,
-    text: &str,
-    min_ratio: f64,
-    max_swap_pause_ns: u64,
-) -> Result<(), String> {
-    let report: sbe_bench::DriftReport = serde_json::from_str(text)
-        .map_err(|e| format!("could not parse `{}`: {e}", file.display()))?;
-    eprintln!(
-        "drift bench ({} events, {} requests, {} labeled pairs, {} swap(s)):",
-        report.workload.events,
-        report.workload.requests,
-        report.workload.pairs,
-        report.workload.swaps
-    );
-    eprintln!("  plain serve: {:>12.0} events/s", report.plain_eps);
-    eprintln!(
-        "  adaptive:    {:>12.0} events/s ({:.2}x, floor {min_ratio:.2}x)",
-        report.adapt_eps, report.adapt_ratio
-    );
-    eprintln!(
-        "  swap pause:  {:.3} ms (ceiling {:.0} ms)",
-        report.swap_pause_ns as f64 / 1e6,
-        max_swap_pause_ns as f64 / 1e6
-    );
-    report.check(min_ratio, max_swap_pause_ns)
-}
-
-/// Parses and gates a `sbe-bench/fastpath/2` inference report.
-fn check_fastpath_report(file: &Path, text: &str, min_batch: f64) -> Result<(), String> {
-    let report: sbe_bench::FastpathReport = serde_json::from_str(text)
-        .map_err(|e| format!("could not parse `{}`: {e}", file.display()))?;
-    eprintln!(
-        "fastpath bench ({} rows x {} features, {} trees, depth {}):",
-        report.workload.batch_rows,
-        report.workload.n_features,
-        report.workload.n_trees,
-        report.workload.max_depth
-    );
-    eprintln!(
-        "  batch:  {:>12.0} -> {:>12.0} pps ({:.2}x, floor {min_batch:.2}x)",
-        report.batch.interpreted_pps, report.batch.compiled_pps, report.batch.speedup
-    );
-    report.check(min_batch)
-}
-
-/// Parses and gates a `sbe-bench/train/1` training report.
-fn check_train_report(
-    file: &Path,
-    text: &str,
-    min_fast: f64,
-    min_exact: f64,
-) -> Result<(), String> {
-    let report: sbe_bench::TrainReport = serde_json::from_str(text)
-        .map_err(|e| format!("could not parse `{}`: {e}", file.display()))?;
-    eprintln!(
-        "trainpath bench ({} rows x {} features, {} trees, depth {}, {} bins):",
-        report.workload.rows,
-        report.workload.n_features,
-        report.workload.n_trees,
-        report.workload.max_depth,
-        report.workload.n_bins
-    );
-    eprintln!(
-        "  reference: {:>12.0} rvps serial / {:>12.0} parallel",
-        report.reference.serial_rps, report.reference.parallel_rps
-    );
-    eprintln!(
-        "  exact:     {:>12.0} rvps serial / {:>12.0} parallel ({:.2}x, floor {min_exact:.2}x)",
-        report.exact.serial_rps, report.exact.parallel_rps, report.exact_speedup
-    );
-    eprintln!(
-        "  fast:      {:>12.0} rvps serial / {:>12.0} parallel ({:.2}x, floor {min_fast:.2}x)",
-        report.fast.serial_rps, report.fast.parallel_rps, report.fast_speedup
-    );
-    report.check(min_fast, min_exact)
-}
-
-/// Parses and gates a `sbe-bench/sbed/1` network-serving report.
-fn check_sbed_report(file: &Path, text: &str, min_rps: f64, min_scale: f64) -> Result<(), String> {
-    let report: sbe_bench::SbedReport = serde_json::from_str(text)
-        .map_err(|e| format!("could not parse `{}`: {e}", file.display()))?;
-    eprintln!(
-        "sbed bench ({} connections, {} nodes, {} requests over {} minutes):",
-        report.workload.conns,
-        report.workload.n_nodes,
-        report.workload.requests,
-        report.workload.minutes
-    );
-    for rate in &report.rates {
-        eprintln!(
-            "  {} worker(s): {:>10.0} req/s (floor {min_rps:.0})",
-            rate.workers, rate.requests_per_sec
-        );
-    }
-    eprintln!(
-        "  worker scaling: {:.2}x (floor {min_scale:.2}x)",
-        report.scaling
-    );
-    eprintln!(
-        "  fleet latency: p50 {:.3} ms, p99 {:.3} ms",
-        report.latency.p50_ns as f64 / 1e6,
-        report.latency.p99_ns as f64 / 1e6
-    );
-    report.check(min_rps, min_scale)
 }
 
 fn main() -> ExitCode {
@@ -1447,21 +1265,9 @@ fn main() -> ExitCode {
     }
     ids.dedup();
 
-    let cfg = match config.as_str() {
-        "scaled" => SimConfig::scaled(seed),
-        "tiny" => SimConfig::tiny(seed),
-        "titan" => SimConfig::titan_scale(seed),
-        other => {
-            eprintln!("unknown config `{other}`");
-            return usage();
-        }
+    let Some(cfg) = build_config(&config, seed) else {
+        return usage();
     };
-
-    eprintln!(
-        "generating trace: {} nodes, {} days, seed {seed}...",
-        cfg.topology.n_nodes(),
-        cfg.days
-    );
     // A full recorder only when metrics were requested; the null recorder
     // path is a single branch per event.
     let mut rec = if metrics_out.is_some() {
@@ -1469,21 +1275,9 @@ fn main() -> ExitCode {
     } else {
         obskit::Recorder::null()
     };
-    let t0 = std::time::Instant::now();
-    let trace = match titan_sim::engine::generate_observed(&cfg, &mut rec) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("trace generation failed: {e}");
-            return ExitCode::FAILURE;
-        }
+    let Some(trace) = generate_trace(&cfg, seed, &mut rec) else {
+        return ExitCode::FAILURE;
     };
-    eprintln!(
-        "trace ready in {:.1?}: {} apruns, {} samples, positive rate {:.4}",
-        t0.elapsed(),
-        trace.apruns().len(),
-        trace.samples().len(),
-        trace.positive_rate()
-    );
     // The bench crate owns the workspace's only wall clock; injecting it
     // restores real train-time columns in the tables.
     let wall = WallClock::new();
