@@ -8,19 +8,22 @@
 //! arbitrary (aprun, node) pairs after the fact, producing the window
 //! statistics the prediction features need (run window, the four
 //! look-back windows, CPU temperature, and slot-neighbour aggregates)
-//! without the trace ever storing minute-level series.
+//! without the trace ever storing minute-level series. It resumes each
+//! slot from the simulation state of the slot's last window, so queries
+//! that move forward in time simulate each slot's history once.
 
 use crate::apps::AppCatalog;
 use crate::config::SimConfig;
 use crate::faults::FaultModel;
 use crate::rng::stream_rng_indexed;
-use crate::schedule::{ApRunId, NodeInterval, Schedule};
-use crate::telemetry::{SeriesKind, TelemetrySimulator, WindowStats};
+use crate::schedule::{ApRun, ApRunId, Schedule};
+use crate::telemetry::{SeriesKind, SlotSeries, SlotState, TelemetrySimulator, WindowStats};
 use crate::topology::{NodeId, SlotId};
 use crate::trace::{SampleRecord, TraceSet};
 use crate::{Result, SimError};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// The look-back horizons (minutes before run start) used for historical
 /// temperature/power features — the paper's 5/15/30/60-minute windows.
@@ -238,10 +241,24 @@ pub struct SampleTelemetry {
 }
 
 /// Recomputes telemetry statistics on demand, slot by slot.
+///
+/// Every window is re-simulated from the trace's seed, but not from
+/// minute 0 each time: the engine keeps, per touched slot, the
+/// simulation state at the largest window start the slot has served. A
+/// slot's next window resumes from it when the window starts at or after
+/// it, and restarts at minute 0 otherwise; either way only the minutes
+/// the window needs are recorded. A query stream that moves forward in
+/// time, like a stream scorer's flushes, so pays each slot's catch-up
+/// from minute 0 once. The kept states are exact snapshots of the
+/// deterministic per-slot simulation, so any query order, interleaving or
+/// thread count returns the same bits; memory grows by one small state
+/// per touched slot.
 #[derive(Debug)]
 pub struct TelemetryQueryEngine<'a> {
     trace: &'a TraceSet,
     sim: TelemetrySimulator<'a>,
+    /// Per touched slot, the state at the largest window start it served.
+    kept: Mutex<BTreeMap<u32, SlotState>>,
 }
 
 impl<'a> TelemetryQueryEngine<'a> {
@@ -252,76 +269,47 @@ impl<'a> TelemetryQueryEngine<'a> {
     /// Propagates catalogue lookup errors.
     pub fn new(trace: &'a TraceSet) -> Result<TelemetryQueryEngine<'a>> {
         let sim = TelemetrySimulator::new(trace.config(), trace.schedule(), trace.catalog())?;
-        Ok(TelemetryQueryEngine { trace, sim })
+        Ok(TelemetryQueryEngine {
+            trace,
+            sim,
+            kept: Mutex::new(BTreeMap::new()),
+        })
     }
 
     /// Computes [`SampleTelemetry`] for every requested (aprun, node)
     /// pair. The result preserves the input order. Queries are grouped by
-    /// slot internally so each slot is simulated exactly once.
+    /// slot internally so each slot is simulated once, over the run and
+    /// look-back windows of its pairs.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::UnknownEntity`] for dangling ids or pairs where
     /// the node is not part of the aprun's allocation.
     pub fn query(&self, pairs: &[(ApRunId, NodeId)]) -> Result<Vec<SampleTelemetry>> {
-        let topo = &self.trace.config().topology;
-        // Group query indices by slot.
-        let mut by_slot: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
-        for (i, &(aprun, node)) in pairs.iter().enumerate() {
-            let run = self.trace.aprun(aprun)?;
-            if !run.nodes.contains(&node) {
-                return Err(SimError::UnknownEntity {
-                    kind: "sample (node not in aprun allocation)",
-                    id: node.0 as u64,
-                });
-            }
-            by_slot.entry(topo.slot_of(node)?.0).or_default().push(i);
-        }
-
-        let mut slots: Vec<u32> = by_slot.keys().copied().collect();
-        slots.sort_unstable();
-
-        // Each slot is simulated once by whichever worker claims it;
-        // workers return (query index, result) pairs that merge into the
-        // input-ordered output, so the thread policy cannot affect results.
-        let mut out = vec![SampleTelemetry::default(); pairs.len()];
-        let per_slot: Vec<Vec<(usize, SampleTelemetry)>> =
-            parkit::try_par_map(self.trace.config().threads, &slots, |&slot_id| {
-                let slot = SlotId(slot_id);
-                let series = self.sim.simulate_slot(slot)?;
-                let mut acc = Vec::with_capacity(by_slot[&slot_id].len());
-                for &qi in &by_slot[&slot_id] {
-                    let (aprun, node) = pairs[qi];
-                    let run = self.trace.aprun(aprun)?;
-                    let (s, e) = (run.start_min, run.end_min);
-                    let mut st = SampleTelemetry {
-                        aprun,
-                        node,
-                        run_temp: series.stats(node, SeriesKind::GpuTemp, s, e)?,
-                        run_power: series.stats(node, SeriesKind::GpuPower, s, e)?,
-                        cpu_temp: series.stats(node, SeriesKind::CpuTemp, s, e)?,
-                        nei_temp: series.neighbor_stats(node, SeriesKind::GpuTemp, s, e)?,
-                        nei_power: series.neighbor_stats(node, SeriesKind::GpuPower, s, e)?,
-                        prev_temp: [WindowStats::default(); 4],
-                        prev_power: [WindowStats::default(); 4],
-                    };
-                    for (w, &win) in LOOKBACK_WINDOWS_MIN.iter().enumerate() {
-                        let lo = s.saturating_sub(win);
-                        if lo < s {
-                            st.prev_temp[w] = series.stats(node, SeriesKind::GpuTemp, lo, s)?;
-                            st.prev_power[w] = series.stats(node, SeriesKind::GpuPower, lo, s)?;
-                        }
-                    }
-                    acc.push((qi, st));
+        let longest = LOOKBACK_WINDOWS_MIN[LOOKBACK_WINDOWS_MIN.len() - 1];
+        let window = |run: &ApRun| (run.start_min.saturating_sub(longest), run.end_min);
+        self.per_slot(pairs, window, |series, run, (aprun, node)| {
+            let (s, e) = (run.start_min, run.end_min);
+            let mut st = SampleTelemetry {
+                aprun,
+                node,
+                run_temp: series.stats(node, SeriesKind::GpuTemp, s, e)?,
+                run_power: series.stats(node, SeriesKind::GpuPower, s, e)?,
+                cpu_temp: series.stats(node, SeriesKind::CpuTemp, s, e)?,
+                nei_temp: series.neighbor_stats(node, SeriesKind::GpuTemp, s, e)?,
+                nei_power: series.neighbor_stats(node, SeriesKind::GpuPower, s, e)?,
+                prev_temp: [WindowStats::default(); 4],
+                prev_power: [WindowStats::default(); 4],
+            };
+            for (w, &win) in LOOKBACK_WINDOWS_MIN.iter().enumerate() {
+                let lo = s.saturating_sub(win);
+                if lo < s {
+                    st.prev_temp[w] = series.stats(node, SeriesKind::GpuTemp, lo, s)?;
+                    st.prev_power[w] = series.stats(node, SeriesKind::GpuPower, lo, s)?;
                 }
-                Ok::<_, SimError>(acc)
-            })?;
-        for acc in per_slot {
-            for (qi, st) in acc {
-                out[qi] = st;
             }
-        }
-        Ok(out)
+            Ok(st)
+        })
     }
 
     /// Returns, for every (aprun, node) pair, the raw GPU temperature and
@@ -340,41 +328,14 @@ impl<'a> TelemetryQueryEngine<'a> {
         pairs: &[(ApRunId, NodeId)],
         lookback_min: u64,
     ) -> Result<Vec<(Vec<f32>, Vec<f32>)>> {
-        let topo = &self.trace.config().topology;
-        let mut by_slot: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
-        for (i, &(aprun, node)) in pairs.iter().enumerate() {
-            let run = self.trace.aprun(aprun)?;
-            if !run.nodes.contains(&node) {
-                return Err(SimError::UnknownEntity {
-                    kind: "sample (node not in aprun allocation)",
-                    id: node.0 as u64,
-                });
-            }
-            by_slot.entry(topo.slot_of(node)?.0).or_default().push(i);
-        }
-        let mut out = vec![(Vec::new(), Vec::new()); pairs.len()];
-        let mut slots: Vec<u32> = by_slot.keys().copied().collect();
-        slots.sort_unstable();
-        for slot in slots {
-            let series = self.sim.simulate_slot(SlotId(slot))?;
-            for &qi in &by_slot[&slot] {
-                let (aprun, node) = pairs[qi];
-                let run = self.trace.aprun(aprun)?;
-                let start = run.start_min;
-                let lo = start.saturating_sub(lookback_min);
-                if lo < start {
-                    out[qi] = (
-                        series
-                            .series(node, SeriesKind::GpuTemp, lo, start)?
-                            .to_vec(),
-                        series
-                            .series(node, SeriesKind::GpuPower, lo, start)?
-                            .to_vec(),
-                    );
-                }
-            }
-        }
-        Ok(out)
+        let window = |run: &ApRun| (run.start_min.saturating_sub(lookback_min), run.start_min);
+        self.per_slot(pairs, window, |series, run, (_, node)| {
+            let (lo, hi) = window(run);
+            Ok((
+                series.series(node, SeriesKind::GpuTemp, lo, hi)?.to_vec(),
+                series.series(node, SeriesKind::GpuPower, lo, hi)?.to_vec(),
+            ))
+        })
     }
 
     /// Re-simulates one node's raw series over a minute range — the probe
@@ -391,7 +352,7 @@ impl<'a> TelemetryQueryEngine<'a> {
         end_min: u64,
     ) -> Result<Vec<f32>> {
         let slot = self.trace.config().topology.slot_of(node)?;
-        let series = self.sim.simulate_slot_range(slot, start_min, end_min)?;
+        let series = self.slot_window(slot, start_min, start_min, end_min)?;
         Ok(series.series(node, kind, start_min, end_min)?.to_vec())
     }
 
@@ -408,9 +369,8 @@ impl<'a> TelemetryQueryEngine<'a> {
         start_min: u64,
         end_min: u64,
     ) -> Result<Vec<f32>> {
-        let topo = &self.trace.config().topology;
-        let slot = topo.slot_of(node)?;
-        let series = self.sim.simulate_slot_range(slot, start_min, end_min)?;
+        let slot = self.trace.config().topology.slot_of(node)?;
+        let series = self.slot_window(slot, start_min, start_min, end_min)?;
         let members = series.nodes().to_vec();
         let len = (end_min - start_min) as usize;
         let mut acc = vec![0.0f32; len];
@@ -429,18 +389,122 @@ impl<'a> TelemetryQueryEngine<'a> {
         Ok(acc)
     }
 
-    /// Access to the underlying ambient model (for characterization).
-    pub fn ambient_c(&self, cabinet_x: u16, cabinet_y: u16, minute: u64) -> f64 {
-        self.sim.ambient_c(cabinet_x, cabinet_y, minute)
+    /// Answers every pair from its slot's series. Pairs are validated and
+    /// grouped by slot; each touched slot is simulated once over the union
+    /// of its pairs' `window`s, and a pair whose window is empty gets
+    /// `T::default()`. Workers return (pair index, answer) tuples that
+    /// merge into the input-ordered output, so the thread policy cannot
+    /// affect results.
+    fn per_slot<T, W, A>(&self, pairs: &[(ApRunId, NodeId)], window: W, answer: A) -> Result<Vec<T>>
+    where
+        T: Clone + Default + Send,
+        W: Fn(&ApRun) -> (u64, u64) + Sync,
+        A: Fn(&SlotSeries, &ApRun, (ApRunId, NodeId)) -> Result<T> + Sync,
+    {
+        let topo = &self.trace.config().topology;
+        let mut by_slot: BTreeMap<u32, Vec<(usize, &ApRun)>> = BTreeMap::new();
+        for (i, &(aprun, node)) in pairs.iter().enumerate() {
+            let run = self.trace.aprun(aprun)?;
+            if !run.nodes.contains(&node) {
+                return Err(SimError::UnknownEntity {
+                    kind: "sample (node not in aprun allocation)",
+                    id: node.0 as u64,
+                });
+            }
+            by_slot
+                .entry(topo.slot_of(node)?.0)
+                .or_default()
+                .push((i, run));
+        }
+        let slots: Vec<(u32, Vec<(usize, &ApRun)>)> = by_slot.into_iter().collect();
+
+        let per_slot: Vec<Vec<(usize, T)>> =
+            parkit::try_par_map(self.trace.config().threads, &slots, |(slot, queries)| {
+                // The union of the non-empty windows, and its largest start.
+                let mut span: Option<(u64, u64, u64)> = None;
+                for &(_, run) in queries {
+                    let (lo, hi) = window(run);
+                    if lo < hi {
+                        span = Some(match span {
+                            None => (lo, lo, hi),
+                            Some((l, k, h)) => (l.min(lo), k.max(lo), h.max(hi)),
+                        });
+                    }
+                }
+                let series = match span {
+                    Some((lo, keep, hi)) => Some(self.slot_window(SlotId(*slot), lo, keep, hi)?),
+                    None => None,
+                };
+                let mut acc = Vec::with_capacity(queries.len());
+                for &(qi, run) in queries {
+                    let (lo, hi) = window(run);
+                    let value = match &series {
+                        Some(series) if lo < hi => answer(series, run, pairs[qi])?,
+                        _ => T::default(),
+                    };
+                    acc.push((qi, value));
+                }
+                Ok::<_, SimError>(acc)
+            })?;
+        let mut out = vec![T::default(); pairs.len()];
+        for acc in per_slot {
+            for (qi, value) in acc {
+                out[qi] = value;
+            }
+        }
+        Ok(out)
     }
 
-    /// Busy intervals of a node (sorted), resolved from the schedule.
-    pub fn node_timeline(&self, node: NodeId) -> Vec<NodeInterval> {
-        let timelines = self
-            .trace
-            .schedule()
-            .node_timelines(self.trace.config().topology.n_nodes() as usize);
-        timelines[node.0 as usize].clone()
+    /// Simulates `slot` over `[lo, hi)` and keeps its state at minute
+    /// `keep` (`lo <= keep <= hi`) for the slot's next window. The
+    /// simulation resumes from the kept state when that stands at or
+    /// before `lo` and restarts at minute 0 otherwise; a kept state is
+    /// only replaced by one at a later minute.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidTimeRange`] for an empty or
+    /// out-of-horizon window and [`SimError::UnknownEntity`] for an
+    /// out-of-range slot.
+    fn slot_window(&self, slot: SlotId, lo: u64, keep: u64, hi: u64) -> Result<SlotSeries> {
+        let horizon = self.trace.config().total_minutes();
+        if lo >= hi || hi > horizon {
+            return Err(SimError::InvalidTimeRange {
+                start: lo,
+                end: hi,
+                horizon,
+            });
+        }
+        debug_assert!(lo <= keep && keep <= hi);
+        let resumed = {
+            let mut kept = self.kept();
+            match kept.get(&slot.0) {
+                Some(state) if state.minute() <= lo => kept.remove(&slot.0),
+                _ => None,
+            }
+        };
+        let mut state = match resumed {
+            Some(state) => state,
+            None => self.sim.slot_state(slot)?,
+        };
+        self.sim.advance(&mut state, lo);
+        let mut series = state.empty_series((hi - lo) as usize);
+        self.sim.record(&mut state, keep, &mut series);
+        let snapshot = state.clone();
+        self.sim.record(&mut state, hi, &mut series);
+        let mut kept = self.kept();
+        if kept.get(&slot.0).is_none_or(|old| old.minute() < keep) {
+            kept.insert(slot.0, snapshot);
+        }
+        Ok(series)
+    }
+
+    /// The kept states. A panic elsewhere cannot leave the map half
+    /// updated: every update inserts or removes one complete state, and
+    /// each kept state is a valid snapshot, so a poisoned lock is
+    /// recovered.
+    fn kept(&self) -> MutexGuard<'_, BTreeMap<u32, SlotState>> {
+        self.kept.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 

@@ -174,10 +174,12 @@ impl<'a> TelemetrySimulator<'a> {
 
     /// Simulates minutes `[start, end)` for one slot.
     ///
-    /// Note: the OU noise state is evolved from minute 0 regardless of
-    /// `start` so that any sub-range is consistent with the full-horizon
-    /// simulation. The cost of a range query is therefore proportional to
-    /// `end`, not `end - start`.
+    /// Note: the noise and thermal state is evolved from minute 0
+    /// regardless of `start` so that any sub-range is consistent with the
+    /// full-horizon simulation. The cost of a range query is therefore
+    /// proportional to `end`, not `end - start`; a caller that queries one
+    /// slot repeatedly resumes a kept slot state instead, as
+    /// [`crate::engine::TelemetryQueryEngine`] does.
     ///
     /// # Errors
     ///
@@ -189,8 +191,7 @@ impl<'a> TelemetrySimulator<'a> {
         start_min: u64,
         end_min: u64,
     ) -> Result<SlotSeries> {
-        let topo = &self.cfg.topology;
-        let nodes = topo.slot_members(slot)?;
+        let mut state = self.slot_state(slot)?;
         let horizon = self.cfg.total_minutes();
         if start_min >= end_min || end_min > horizon {
             return Err(SimError::InvalidTimeRange {
@@ -199,118 +200,125 @@ impl<'a> TelemetrySimulator<'a> {
                 horizon,
             });
         }
-        let t = &self.cfg.telemetry;
-        let k = nodes.len();
-        let len = (end_min - start_min) as usize;
+        self.advance(&mut state, start_min);
+        let mut out = state.empty_series((end_min - start_min) as usize);
+        self.record(&mut state, end_min, &mut out);
+        Ok(out)
+    }
 
-        // Per-node state.
-        let mut rngs: Vec<XorShift64> = nodes
-            .iter()
-            .map(|n| {
-                XorShift64::new(derive_seed_indexed(
+    /// The state of `slot` before minute 0: fresh per-node noise streams
+    /// and the thermal state at idle steady state.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::UnknownEntity`] for an out-of-range slot.
+    pub(crate) fn slot_state(&self, slot: SlotId) -> Result<SlotState> {
+        let topo = &self.cfg.topology;
+        let t = &self.cfg.telemetry;
+        let mut cabinet = (0, 0);
+        let mut members = Vec::new();
+        for node in topo.slot_members(slot)? {
+            let l = topo.location(node)?;
+            if members.is_empty() {
+                cabinet = (l.cabinet_x, l.cabinet_y);
+            }
+            let ambient0 = self.ambient_c(l.cabinet_x, l.cabinet_y, 0);
+            members.push(MemberState {
+                node,
+                rng: XorShift64::new(derive_seed_indexed(
                     self.cfg.seed,
                     "telemetry-node",
-                    n.0 as u64,
-                ))
-            })
-            .collect();
-        let mut power_noise: Vec<OuProcess> = (0..k)
-            .map(|_| OuProcess::new(t.power_ou_theta, 0.0, t.power_ou_sigma))
-            .collect();
-        let mut temp_noise: Vec<OuProcess> = (0..k)
-            .map(|_| OuProcess::new(t.temp_ou_theta, 0.0, t.temp_ou_sigma))
-            .collect();
-        let mut cpu_noise: Vec<OuProcess> = (0..k)
-            .map(|_| OuProcess::new(t.temp_ou_theta, 0.0, t.temp_ou_sigma * 0.6))
-            .collect();
-        // Interval cursors into each node's timeline.
-        let mut cursors = vec![0usize; k];
-        let locs: Vec<_> = nodes
-            .iter()
-            .map(|&n| topo.location(n))
-            .collect::<Result<_>>()?;
-
-        // Static ambient component per member; the diurnal term is shared
-        // because slot members never straddle a cabinet.
-        let amb_static: Vec<f64> = locs
-            .iter()
-            .map(|l| t.ambient_base_c + self.spatial_c(l.cabinet_x, l.cabinet_y))
-            .collect();
-
-        // Thermal state initialised at idle steady state.
-        let mut gpu_temp_state: Vec<f64> = locs
-            .iter()
-            .map(|l| self.ambient_c(l.cabinet_x, l.cabinet_y, 0) + t.temp_per_watt * t.idle_power_w)
-            .collect();
-        let mut cpu_temp_state: Vec<f64> = locs
-            .iter()
-            .map(|l| self.ambient_c(l.cabinet_x, l.cabinet_y, 0) + 2.0)
-            .collect();
-
-        let mut out = SlotSeries {
+                    node.0 as u64,
+                )),
+                power_noise: OuProcess::new(t.power_ou_theta, 0.0, t.power_ou_sigma),
+                temp_noise: OuProcess::new(t.temp_ou_theta, 0.0, t.temp_ou_sigma),
+                cpu_noise: OuProcess::new(t.temp_ou_theta, 0.0, t.temp_ou_sigma * 0.6),
+                cursor: 0,
+                amb_static: t.ambient_base_c + self.spatial_c(l.cabinet_x, l.cabinet_y),
+                gpu_temp: ambient0 + t.temp_per_watt * t.idle_power_w,
+                cpu_temp: ambient0 + 2.0,
+                power: 0.0,
+            });
+        }
+        Ok(SlotState {
             slot,
-            start_min,
-            nodes: nodes.clone(),
-            gpu_temp: vec![Vec::with_capacity(len); k],
-            gpu_power: vec![Vec::with_capacity(len); k],
-            cpu_temp: vec![Vec::with_capacity(len); k],
-            slot_temp_sum: Vec::with_capacity(len),
-            slot_power_sum: Vec::with_capacity(len),
-        };
+            minute: 0,
+            cabinet,
+            members,
+        })
+    }
 
-        let mut powers = vec![0.0f64; k];
-        for minute in 0..end_min {
-            let record = minute >= start_min;
-            let diurnal = self.diurnal_c(locs[0].cabinet_x, locs[0].cabinet_y, minute);
-            // 1) Utilisation and power for every node this minute.
-            for i in 0..k {
-                let node = nodes[i];
-                let tl = &self.timelines[node.0 as usize];
-                let mut cur = cursors[i];
-                while cur < tl.len() && tl[cur].end_min <= minute {
-                    cur += 1;
-                }
-                cursors[i] = cur;
-                let (core_util, _cpu_util) = self.util_at(tl, cur, minute);
-                let target = t.idle_power_w + core_util as f64 * (t.tdp_power_w - t.idle_power_w);
-                let p = (target + power_noise[i].step(&mut rngs[i])).max(5.0);
-                powers[i] = p;
+    /// Steps `state` up to minute `to_min` without recording; a state at
+    /// or past `to_min` is left as it is.
+    pub(crate) fn advance(&self, state: &mut SlotState, to_min: u64) {
+        while state.minute < to_min {
+            self.step(state, None);
+        }
+    }
+
+    /// Steps `state` up to minute `end_min`, appending every minute to
+    /// `out`, which must end where `state` stands.
+    pub(crate) fn record(&self, state: &mut SlotState, end_min: u64, out: &mut SlotSeries) {
+        debug_assert_eq!(out.start_min + out.len() as u64, state.minute);
+        while state.minute < end_min {
+            self.step(state, Some(out));
+        }
+    }
+
+    /// Simulates the minute `state` stands at, appending it to `out` when
+    /// one is given. Recording never changes what is simulated, so an
+    /// advanced and a recorded state stay bit-identical.
+    #[inline(always)]
+    fn step(&self, state: &mut SlotState, mut out: Option<&mut SlotSeries>) {
+        let t = &self.cfg.telemetry;
+        let minute = state.minute;
+        // The diurnal term is shared because slot members never straddle
+        // a cabinet.
+        let diurnal = self.diurnal_c(state.cabinet.0, state.cabinet.1, minute);
+        // 1) Utilisation and power for every node this minute.
+        for m in state.members.iter_mut() {
+            let tl = &self.timelines[m.node.0 as usize];
+            while m.cursor < tl.len() && tl[m.cursor].end_min <= minute {
+                m.cursor += 1;
             }
-            let power_sum: f64 = powers.iter().sum();
+            let (core_util, _cpu_util) = self.util_at(tl, m.cursor, minute);
+            let target = t.idle_power_w + core_util as f64 * (t.tdp_power_w - t.idle_power_w);
+            m.power = (target + m.power_noise.step(&mut m.rng)).max(5.0);
+        }
+        let power_sum: f64 = state.members.iter().map(|m| m.power).sum();
 
-            // 2) Temperatures using the slot's power field.
-            let mut temp_sum = 0.0f64;
-            for i in 0..k {
-                let node = nodes[i];
-                let tl = &self.timelines[node.0 as usize];
-                let (_, cpu_util) = self.util_at(tl, cursors[i], minute);
-                let amb = amb_static[i] + diurnal;
-                let nei_avg = if k > 1 {
-                    (power_sum - powers[i]) / (k - 1) as f64
-                } else {
-                    0.0
-                };
-                let target = amb + t.temp_per_watt * powers[i] + t.neighbor_temp_per_watt * nei_avg;
-                gpu_temp_state[i] += t.thermal_inertia * (target - gpu_temp_state[i]);
-                let temp = gpu_temp_state[i] + temp_noise[i].step(&mut rngs[i]);
+        // 2) Temperatures using the slot's power field.
+        let k = state.members.len();
+        let mut temp_sum = 0.0f64;
+        for (i, m) in state.members.iter_mut().enumerate() {
+            let tl = &self.timelines[m.node.0 as usize];
+            let (_, cpu_util) = self.util_at(tl, m.cursor, minute);
+            let amb = m.amb_static + diurnal;
+            let nei_avg = if k > 1 {
+                (power_sum - m.power) / (k - 1) as f64
+            } else {
+                0.0
+            };
+            let target = amb + t.temp_per_watt * m.power + t.neighbor_temp_per_watt * nei_avg;
+            m.gpu_temp += t.thermal_inertia * (target - m.gpu_temp);
+            let temp = m.gpu_temp + m.temp_noise.step(&mut m.rng);
 
-                let cpu_target = amb + t.cpu_temp_rise_c * cpu_util as f64;
-                cpu_temp_state[i] += t.thermal_inertia * (cpu_target - cpu_temp_state[i]);
-                let ctemp = cpu_temp_state[i] + cpu_noise[i].step(&mut rngs[i]);
+            let cpu_target = amb + t.cpu_temp_rise_c * cpu_util as f64;
+            m.cpu_temp += t.thermal_inertia * (cpu_target - m.cpu_temp);
+            let ctemp = m.cpu_temp + m.cpu_noise.step(&mut m.rng);
 
-                temp_sum += temp;
-                if record {
-                    out.gpu_temp[i].push(temp as f32);
-                    out.gpu_power[i].push(powers[i] as f32);
-                    out.cpu_temp[i].push(ctemp as f32);
-                }
-            }
-            if record {
-                out.slot_temp_sum.push(temp_sum as f32);
-                out.slot_power_sum.push(power_sum as f32);
+            temp_sum += temp;
+            if let Some(out) = out.as_deref_mut() {
+                out.gpu_temp[i].push(temp as f32);
+                out.gpu_power[i].push(m.power as f32);
+                out.cpu_temp[i].push(ctemp as f32);
             }
         }
-        Ok(out)
+        if let Some(out) = out {
+            out.slot_temp_sum.push(temp_sum as f32);
+            out.slot_power_sum.push(power_sum as f32);
+        }
+        state.minute += 1;
     }
 
     /// Returns `(core_util, cpu_util)` at `minute` for a node timeline with
@@ -322,6 +330,62 @@ impl<'a> TelemetrySimulator<'a> {
             (u.core, u.cpu)
         } else {
             (0.0, 0.0)
+        }
+    }
+}
+
+/// One slot member's simulation state between minutes.
+#[derive(Debug, Clone)]
+struct MemberState {
+    node: NodeId,
+    rng: XorShift64,
+    power_noise: OuProcess,
+    temp_noise: OuProcess,
+    cpu_noise: OuProcess,
+    /// First interval of the node's timeline that has not ended yet.
+    cursor: usize,
+    /// Ambient base plus the node's static spatial component.
+    amb_static: f64,
+    gpu_temp: f64,
+    cpu_temp: f64,
+    /// Board power of the minute being stepped.
+    power: f64,
+}
+
+/// Everything the simulation of one slot carries from a minute to the
+/// next: each member's noise stream, OU processes, thermal state and
+/// timeline cursor, and the next minute to simulate. The simulation is a
+/// pure function of (seed, slot, minute), so a state stepped from
+/// minute 0 is an exact snapshot of it: resuming a clone reproduces the
+/// full-horizon series bit for bit.
+#[derive(Debug, Clone)]
+pub(crate) struct SlotState {
+    slot: SlotId,
+    minute: u64,
+    /// The slot's cabinet, which sets the shared diurnal term.
+    cabinet: (u16, u16),
+    members: Vec<MemberState>,
+}
+
+impl SlotState {
+    /// The next minute this state simulates.
+    pub(crate) fn minute(&self) -> u64 {
+        self.minute
+    }
+
+    /// An empty series of this slot starting at [`SlotState::minute`],
+    /// with room for `len` minutes.
+    pub(crate) fn empty_series(&self, len: usize) -> SlotSeries {
+        let k = self.members.len();
+        SlotSeries {
+            slot: self.slot,
+            start_min: self.minute,
+            nodes: self.members.iter().map(|m| m.node).collect(),
+            gpu_temp: vec![Vec::with_capacity(len); k],
+            gpu_power: vec![Vec::with_capacity(len); k],
+            cpu_temp: vec![Vec::with_capacity(len); k],
+            slot_temp_sum: Vec::with_capacity(len),
+            slot_power_sum: Vec::with_capacity(len),
         }
     }
 }
@@ -532,6 +596,33 @@ mod tests {
         let a = full.series(node, SeriesKind::GpuTemp, 300, 800).unwrap();
         let b = sub.series(node, SeriesKind::GpuTemp, 300, 800).unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn resumed_state_records_the_full_simulation_bit_for_bit() {
+        let (cfg, sched, catalog) = setup();
+        let sim = TelemetrySimulator::new(&cfg, &sched, &catalog).unwrap();
+        let slot = SlotId(1);
+        let end = 1_500u64;
+        let full = sim.simulate_slot_range(slot, 0, end).unwrap();
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for m in [0, 1, end / 2, end - 1] {
+            let mut state = sim.slot_state(slot).unwrap();
+            sim.advance(&mut state, m);
+            assert_eq!(state.minute(), m);
+            let mut part = state.empty_series((end - m) as usize);
+            sim.record(&mut state, end, &mut part);
+            assert_eq!(part.start_min(), m);
+            assert_eq!(part.nodes(), full.nodes());
+            let lo = m as usize;
+            for i in 0..full.nodes().len() {
+                assert_eq!(bits(&part.gpu_temp[i]), bits(&full.gpu_temp[i][lo..]));
+                assert_eq!(bits(&part.gpu_power[i]), bits(&full.gpu_power[i][lo..]));
+                assert_eq!(bits(&part.cpu_temp[i]), bits(&full.cpu_temp[i][lo..]));
+            }
+            assert_eq!(bits(&part.slot_temp_sum), bits(&full.slot_temp_sum[lo..]));
+            assert_eq!(bits(&part.slot_power_sum), bits(&full.slot_power_sum[lo..]));
+        }
     }
 
     #[test]

@@ -1,10 +1,48 @@
 //! Property-based tests for the simulator substrate.
 
+use parkit::Threads;
 use proptest::prelude::*;
+use std::sync::OnceLock;
 use titan_sim::config::SimConfig;
+use titan_sim::engine::{generate, SampleTelemetry, TelemetryQueryEngine};
 use titan_sim::rng::{derive_seed_indexed, OuProcess, XorShift64};
+use titan_sim::schedule::ApRunId;
 use titan_sim::telemetry::window_stats;
 use titan_sim::topology::{NodeId, SlotId, Topology};
+use titan_sim::trace::TraceSet;
+
+/// One short tiny trace per thread policy (Serial, Fixed(2), Fixed(8)).
+/// Generation is thread-invariant, so the traces differ only in the
+/// policy their query engines fan slots out with.
+fn policy_traces() -> &'static [TraceSet; 3] {
+    static TRACES: OnceLock<[TraceSet; 3]> = OnceLock::new();
+    TRACES.get_or_init(|| {
+        [Threads::Serial, Threads::Fixed(2), Threads::Fixed(8)].map(|threads| {
+            let mut cfg = SimConfig::tiny(23).with_threads(threads);
+            cfg.days = 6;
+            generate(&cfg).expect("generates")
+        })
+    })
+}
+
+/// Every field of a telemetry answer, floats as raw bits.
+fn telemetry_bits(answers: &[SampleTelemetry]) -> Vec<u32> {
+    let mut bits = Vec::new();
+    for st in answers {
+        bits.extend([st.aprun.0, st.node.0]);
+        let windows = [
+            st.run_temp,
+            st.run_power,
+            st.cpu_temp,
+            st.nei_temp,
+            st.nei_power,
+        ];
+        for w in windows.iter().chain(&st.prev_temp).chain(&st.prev_power) {
+            bits.extend([w.mean, w.std, w.diff_mean, w.diff_std].map(f32::to_bits));
+        }
+    }
+    bits
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -91,6 +129,73 @@ proptest! {
         prop_assert!((s.std - base.std).abs() < 1e-2);
         prop_assert!((s.diff_mean - base.diff_mean).abs() < 1e-2);
         prop_assert!((s.diff_std - base.diff_std).abs() < 1e-2);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The query engine keeps a resumable state per slot; whatever order
+    /// batches arrive in, each answer must equal a fresh engine's.
+    #[test]
+    fn resumed_queries_equal_a_fresh_engine_per_call(
+        picks in prop::collection::vec(
+            prop::collection::vec(0usize..1_000_000, 1..6),
+            1..5,
+        ),
+        order in 0u8..4,
+    ) {
+        for trace in policy_traces() {
+            let samples = trace.samples();
+            let mut batches: Vec<Vec<(ApRunId, NodeId)>> = picks
+                .iter()
+                .map(|batch| {
+                    batch
+                        .iter()
+                        .map(|&ix| {
+                            let s = &samples[ix % samples.len()];
+                            (s.aprun, s.node)
+                        })
+                        .collect()
+                })
+                .collect();
+            let start = |p: &(ApRunId, NodeId)| trace.aprun(p.0).expect("valid id").start_min;
+            match order {
+                // Time-ordered or reversed: the same pairs re-chunked in
+                // the same batch sizes after sorting by run start. Reversed
+                // windows start before the kept states, forcing restarts.
+                0 | 1 => {
+                    let sizes: Vec<usize> = batches.iter().map(Vec::len).collect();
+                    let mut flat: Vec<_> = batches.concat();
+                    flat.sort_by_key(start);
+                    if order == 1 {
+                        flat.reverse();
+                    }
+                    let mut rest = flat.as_slice();
+                    batches = sizes
+                        .iter()
+                        .map(|&n| {
+                            let (batch, tail) = rest.split_at(n);
+                            rest = tail;
+                            batch.to_vec()
+                        })
+                        .collect();
+                }
+                // Shuffled: batches as drawn.
+                2 => {}
+                // Repeated pairs: every batch is asked twice in a row.
+                _ => batches = batches.iter().flat_map(|b| [b.clone(), b.clone()]).collect(),
+            }
+            let engine = TelemetryQueryEngine::new(trace).expect("engine builds");
+            for batch in &batches {
+                let resumed = engine.query(batch).expect("queries");
+                let fresh = TelemetryQueryEngine::new(trace)
+                    .expect("engine builds")
+                    .query(batch)
+                    .expect("queries");
+                prop_assert_eq!(telemetry_bits(&resumed), telemetry_bits(&fresh));
+            }
+        }
     }
 }
 

@@ -9,7 +9,7 @@ use gpu_error_prediction::sbepred::features::{FeatureExtractor, FeatureSpec};
 use gpu_error_prediction::sbepred::samples::build_samples;
 use gpu_error_prediction::sbepred::twostage::{prepare, run_classifier};
 use gpu_error_prediction::titan_sim::config::SimConfig;
-use gpu_error_prediction::titan_sim::engine::{generate, TelemetryQueryEngine};
+use gpu_error_prediction::titan_sim::engine::{generate, SampleTelemetry, TelemetryQueryEngine};
 use gpu_error_prediction::titan_sim::telemetry::SeriesKind;
 use gpu_error_prediction::titan_sim::topology::NodeId;
 
@@ -47,6 +47,60 @@ fn telemetry_requeries_are_bit_identical() {
         .node_series(NodeId(7), SeriesKind::GpuTemp, 1_000, 2_000)
         .expect("probes");
     assert_eq!(a, c);
+}
+
+/// The query engine resumes each slot from the state of its last window;
+/// single-pair calls in stream order (which resume) and in reverse order
+/// (which restart) must answer exactly what one bulk call on a fresh
+/// engine answers.
+#[test]
+fn resumed_telemetry_queries_match_one_bulk_query() {
+    let t = generate(&SimConfig::tiny(5)).expect("generates");
+    let start = |aprun| t.aprun(aprun).expect("valid id").start_min;
+    let mut pairs: Vec<_> = t
+        .samples()
+        .iter()
+        .step_by(97)
+        .map(|s| (s.aprun, s.node))
+        .collect();
+    pairs.sort_by_key(|&(aprun, node)| (start(aprun), aprun, node));
+    let stats_bits = |st: &SampleTelemetry| {
+        let windows = [
+            st.run_temp,
+            st.run_power,
+            st.cpu_temp,
+            st.nei_temp,
+            st.nei_power,
+        ];
+        let mut bits = vec![st.aprun.0, st.node.0];
+        for w in windows.iter().chain(&st.prev_temp).chain(&st.prev_power) {
+            bits.extend([w.mean, w.std, w.diff_mean, w.diff_std].map(f32::to_bits));
+        }
+        bits
+    };
+    let series_bits = |(temp, power): &(Vec<f32>, Vec<f32>)| {
+        let bits: Vec<u32> = temp.iter().chain(power).map(|x| x.to_bits()).collect();
+        (temp.len(), bits)
+    };
+    let fresh = || TelemetryQueryEngine::new(&t).expect("engine builds");
+    let bulk = fresh().query(&pairs).expect("queries");
+    let bulk_pre = fresh().query_preseries(&pairs, 60).expect("queries");
+
+    let forward: Vec<usize> = (0..pairs.len()).collect();
+    let reverse: Vec<usize> = forward.iter().rev().copied().collect();
+    for order in [forward, reverse] {
+        let engine = fresh();
+        for i in order {
+            let one = engine.query(&pairs[i..=i]).expect("queries");
+            assert_eq!(stats_bits(&one[0]), stats_bits(&bulk[i]), "query {i}");
+            let pre = engine.query_preseries(&pairs[i..=i], 60).expect("queries");
+            assert_eq!(
+                series_bits(&pre[0]),
+                series_bits(&bulk_pre[i]),
+                "preseries {i}"
+            );
+        }
+    }
 }
 
 #[test]
