@@ -2,6 +2,7 @@
 //! history queries.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use obskit::Recorder;
 use sbepred::features::{FeatureExtractor, FeatureSpec};
 use sbepred::history::SbeHistory;
 use sbepred::samples::build_samples;
@@ -24,7 +25,7 @@ fn bench_extraction(c: &mut Criterion) {
     ] {
         group.bench_function(name, |b| {
             b.iter(|| {
-                fx.extract(std::hint::black_box(subset), &spec)
+                fx.extract(std::hint::black_box(subset), &spec, &mut Recorder::null())
                     .expect("extracts")
             })
         });

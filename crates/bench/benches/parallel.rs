@@ -13,12 +13,13 @@
 //! resolves to 1 there, so real runs never pay it).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mlkit::crossval::cross_validate_with;
+use mlkit::crossval::cross_validate;
 use mlkit::dataset::Dataset;
 use mlkit::gbdt::Gbdt;
 use mlkit::model::Classifier;
+use obskit::Recorder;
 use parkit::Threads;
-use sbepred::tuning::threshold_sweep_with;
+use sbepred::tuning::threshold_sweep;
 use titan_sim::config::SimConfig;
 use titan_sim::engine::generate;
 
@@ -81,13 +82,20 @@ fn bench_crossval(c: &mut Criterion) {
     for (id, threads) in [("serial", Threads::Serial), ("threads4", PAR)] {
         group.bench_function(id, |b| {
             b.iter(|| {
-                cross_validate_with(std::hint::black_box(&ds), 4, 7, threads, || {
-                    Gbdt::new()
-                        .n_trees(8)
-                        .max_depth(4)
-                        .min_samples_leaf(5)
-                        .seed(3)
-                })
+                cross_validate(
+                    std::hint::black_box(&ds),
+                    4,
+                    7,
+                    threads,
+                    &mut Recorder::null(),
+                    || {
+                        Gbdt::new()
+                            .n_trees(8)
+                            .max_depth(4)
+                            .min_samples_leaf(5)
+                            .seed(3)
+                    },
+                )
                 .expect("cv runs")
             })
         });
@@ -110,10 +118,11 @@ fn bench_threshold_sweep(c: &mut Criterion) {
     for (id, threads) in [("serial", Threads::Serial), ("threads4", PAR)] {
         group.bench_function(id, |b| {
             b.iter(|| {
-                threshold_sweep_with(
+                threshold_sweep(
                     std::hint::black_box(&truth),
                     std::hint::black_box(&scores),
                     threads,
+                    &mut Recorder::null(),
                 )
                 .expect("sweeps")
             })

@@ -10,6 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mlkit::gbdt::Gbdt;
+use obskit::Recorder;
 use sbepred::datasets::DsSplit;
 use sbepred::features::{FeatureExtractor, FeatureSpec};
 use sbepred::samples::{build_samples, in_window};
@@ -69,7 +70,9 @@ fn batch_score(fx: &FeatureExtractor<'_>, f: &Fixture, test: &[sbepred::samples:
         .filter(|s| f.artifact.is_offender(s.node.0))
         .copied()
         .collect();
-    let raw = fx.extract(&stage2, &spec).expect("extracts");
+    let raw = fx
+        .extract(&stage2, &spec, &mut Recorder::null())
+        .expect("extracts");
     let scaled = f.artifact.scaler().transform(&raw).expect("transforms");
     let proba = f.artifact.model().predict_proba(&scaled).expect("predicts");
     std::hint::black_box(proba);

@@ -133,8 +133,8 @@ fn generate_trace(cfg: &SimConfig, seed: u64, rec: &mut obskit::Recorder) -> Opt
         cfg.days
     );
     let t0 = std::time::Instant::now();
-    match titan_sim::engine::generate_observed(cfg, rec) {
-        Ok(t) => {
+    match titan_sim::engine::generate_full(cfg, rec) {
+        Ok((t, _)) => {
             eprintln!(
                 "trace ready in {:.1?}: {} apruns, {} samples, positive rate {:.4}",
                 t0.elapsed(),

@@ -55,9 +55,11 @@ pub fn ext_forecast(lab: &Lab<'_>) -> Result<ExperimentOutput> {
 
     // Re-extract raw stage-2 test features, substitute forecasts for the
     // run-window T/P statistics, and reuse the *same* trained model.
-    let raw_test = lab
-        .extractor()
-        .extract(&prepared.stage2_test_samples, &spec)?;
+    let raw_test = lab.extractor().extract(
+        &prepared.stage2_test_samples,
+        &spec,
+        &mut obskit::Recorder::null(),
+    )?;
     let forecasts = forecast_run_stats(
         lab.extractor().query_engine(),
         &prepared.stage2_test_samples,
@@ -152,10 +154,16 @@ pub fn ext_imbalance(lab: &Lab<'_>) -> Result<ExperimentOutput> {
     let (vs, ve) = split.test_window();
     let train_samples: Vec<LabeledSample> = in_window(lab.samples(), ts, te);
     let test_samples: Vec<LabeledSample> = in_window(lab.samples(), vs, ve);
-    let train_raw = lab.extractor().extract(&train_samples, &spec)?;
+    let train_raw =
+        lab.extractor()
+            .extract(&train_samples, &spec, &mut obskit::Recorder::null())?;
     let scaler = StandardScaler::fit(&train_raw)?;
     let train_full = scaler.transform(&train_raw)?;
-    let test_full = scaler.transform(&lab.extractor().extract(&test_samples, &spec)?)?;
+    let test_full = scaler.transform(&lab.extractor().extract(
+        &test_samples,
+        &spec,
+        &mut obskit::Recorder::null(),
+    )?)?;
     let truth = labels(&test_samples);
 
     let mut table = Table::new([

@@ -651,23 +651,15 @@ impl<'a> FeatureExtractor<'a> {
         }
     }
 
-    /// Extracts the feature [`Dataset`] for `samples` under `spec`.
+    /// Extracts the feature [`Dataset`] for `samples` under `spec`,
+    /// counting extracted samples, emitted feature columns, and telemetry
+    /// queries into `rec`.
     ///
     /// # Errors
     ///
     /// Returns [`PredError::InvalidInput`] for an empty sample list or an
     /// all-features-off spec, and propagates telemetry/lookup errors.
-    pub fn extract(&self, samples: &[LabeledSample], spec: &FeatureSpec) -> Result<Dataset> {
-        self.extract_observed(samples, spec, &mut obskit::Recorder::null())
-    }
-
-    /// Like [`FeatureExtractor::extract`], but counts extracted samples,
-    /// emitted feature columns, and telemetry queries into `rec`.
-    ///
-    /// # Errors
-    ///
-    /// See [`FeatureExtractor::extract`].
-    pub fn extract_observed(
+    pub fn extract(
         &self,
         samples: &[LabeledSample],
         spec: &FeatureSpec,
@@ -806,7 +798,9 @@ mod tests {
             FeatureSpec::without_local_hist(),
             FeatureSpec::without_hist_today(),
         ] {
-            let ds = fx.extract(&ss[..40], &spec).unwrap();
+            let ds = fx
+                .extract(&ss[..40], &spec, &mut obskit::Recorder::null())
+                .unwrap();
             assert_eq!(ds.n_features(), spec.feature_names().len());
             assert_eq!(ds.len(), 40);
             assert_eq!(ds.feature_names(), spec.feature_names());
@@ -818,7 +812,13 @@ mod tests {
         let (t, ss) = setup();
         let fx = FeatureExtractor::new(&t, &ss).unwrap();
         let _enc = EncoderContext::fit(&ss);
-        let ds = fx.extract(&ss[..60], &FeatureSpec::all()).unwrap();
+        let ds = fx
+            .extract(
+                &ss[..60],
+                &FeatureSpec::all(),
+                &mut obskit::Recorder::null(),
+            )
+            .unwrap();
         for v in ds.x().as_slice() {
             assert!(v.is_finite(), "non-finite feature {v}");
         }
@@ -923,7 +923,9 @@ mod tests {
         let (t, ss) = setup();
         let fx = FeatureExtractor::new(&t, &ss).unwrap();
         let _enc = EncoderContext::fit(&ss);
-        assert!(fx.extract(&[], &FeatureSpec::all()).is_err());
+        assert!(fx
+            .extract(&[], &FeatureSpec::all(), &mut obskit::Recorder::null())
+            .is_err());
         let empty_spec = FeatureSpec {
             app: false,
             location: false,
@@ -937,7 +939,9 @@ mod tests {
             hist_yesterday: false,
             hist_before: false,
         };
-        assert!(fx.extract(&ss[..5], &empty_spec).is_err());
+        assert!(fx
+            .extract(&ss[..5], &empty_spec, &mut obskit::Recorder::null())
+            .is_err());
     }
 
     #[test]
@@ -956,7 +960,13 @@ mod tests {
         if early.is_empty() {
             return;
         }
-        let ds = fx.extract(&early, &FeatureSpec::only_hist()).unwrap();
+        let ds = fx
+            .extract(
+                &early,
+                &FeatureSpec::only_hist(),
+                &mut obskit::Recorder::null(),
+            )
+            .unwrap();
         for v in ds.x().as_slice() {
             assert_eq!(*v, 0.0);
         }

@@ -204,7 +204,9 @@ mod tests {
             .take(10)
             .copied()
             .collect();
-        let ds = fx.extract(&subset, &spec).unwrap();
+        let ds = fx
+            .extract(&subset, &spec, &mut obskit::Recorder::null())
+            .unwrap();
         let forecasts = forecast_run_stats(fx.query_engine(), &subset).unwrap();
         let swapped = apply_forecast_tp(&ds, &spec, &forecasts).unwrap();
         assert_eq!(swapped.len(), ds.len());
@@ -238,11 +240,15 @@ mod tests {
         let samples = build_samples(&trace).unwrap();
         let fx = FeatureExtractor::new(&trace, &samples).unwrap();
         let spec = FeatureSpec::only_hist();
-        let ds = fx.extract(&samples[..4], &spec).unwrap();
+        let ds = fx
+            .extract(&samples[..4], &spec, &mut obskit::Recorder::null())
+            .unwrap();
         let err = apply_forecast_tp(&ds, &spec, &[RunForecast::default(); 4]);
         assert!(err.is_err());
         let spec_all = FeatureSpec::all();
-        let ds = fx.extract(&samples[..4], &spec_all).unwrap();
+        let ds = fx
+            .extract(&samples[..4], &spec_all, &mut obskit::Recorder::null())
+            .unwrap();
         let err = apply_forecast_tp(&ds, &spec_all, &[RunForecast::default(); 3]);
         assert!(err.is_err());
     }

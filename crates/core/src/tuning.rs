@@ -17,23 +17,14 @@ pub struct ThresholdPoint {
     pub metrics: Prf,
 }
 
-/// Sweeps every distinct score as a threshold, returning the metric curve
-/// sorted by ascending threshold. Uses the automatic thread policy; see
-/// [`threshold_sweep_with`].
-///
-/// # Errors
-///
-/// Returns [`PredError::InvalidInput`] for empty or mismatched inputs or
-/// when a class is absent.
-pub fn threshold_sweep(truth: &[f32], scores: &[f32]) -> Result<Vec<ThresholdPoint>> {
-    threshold_sweep_with(truth, scores, parkit::Threads::Auto)
-}
-
 /// Minimum tie-group count below which the sweep runs inline — the two
 /// parallel passes only pay off on large curves.
 const PAR_SWEEP_MIN_GROUPS: usize = 4_096;
 
-/// [`threshold_sweep`] with an explicit thread policy.
+/// Sweeps every distinct score as a threshold, returning the metric curve
+/// sorted by ascending threshold, and records sweep progress into `rec`:
+/// samples scanned, tie-groups (= emitted curve points), and a
+/// `tuning.sweep` span. Recording never changes the curve.
 ///
 /// The sweep decomposes into: a serial sort, tie-group discovery, a
 /// parallel per-group counting pass, a serial prefix sum over groups, and
@@ -43,24 +34,9 @@ const PAR_SWEEP_MIN_GROUPS: usize = 4_096;
 ///
 /// # Errors
 ///
-/// Returns [`PredError::InvalidInput`] for empty or mismatched inputs or
-/// when a class is absent.
-pub fn threshold_sweep_with(
-    truth: &[f32],
-    scores: &[f32],
-    threads: parkit::Threads,
-) -> Result<Vec<ThresholdPoint>> {
-    threshold_sweep_observed(truth, scores, threads, &mut obskit::Recorder::null())
-}
-
-/// [`threshold_sweep_with`] that additionally records sweep progress:
-/// samples scanned, tie-groups (= emitted curve points), and a
-/// `tuning.sweep` span into `rec`. Recording never changes the curve.
-///
-/// # Errors
-///
-/// Same conditions as [`threshold_sweep_with`].
-pub fn threshold_sweep_observed(
+/// Returns [`PredError::InvalidInput`] for empty or mismatched inputs, a
+/// NaN score, or when a class is absent.
+pub fn threshold_sweep(
     truth: &[f32],
     scores: &[f32],
     threads: parkit::Threads,
@@ -73,6 +49,13 @@ pub fn threshold_sweep_observed(
                 truth.len(),
                 scores.len()
             ),
+        });
+    }
+    // A NaN equals nothing, itself included, so it would never close its
+    // tie group below.
+    if let Some(i) = scores.iter().position(|s| s.is_nan()) {
+        return Err(PredError::InvalidInput {
+            reason: format!("score {i} is NaN"),
         });
     }
     let total_pos: u64 = truth.iter().filter(|&&t| t == 1.0).count() as u64;
@@ -161,7 +144,12 @@ pub fn threshold_sweep_observed(
 ///
 /// Same conditions as [`threshold_sweep`].
 pub fn best_f1_threshold(truth: &[f32], scores: &[f32]) -> Result<ThresholdPoint> {
-    let sweep = threshold_sweep(truth, scores)?;
+    let sweep = threshold_sweep(
+        truth,
+        scores,
+        parkit::Threads::Auto,
+        &mut obskit::Recorder::null(),
+    )?;
     sweep
         .into_iter()
         .max_by(|a, b| {
@@ -192,7 +180,12 @@ pub fn max_recall_at_precision(
             reason: format!("precision floor must be in (0, 1], got {floor}"),
         });
     }
-    let sweep = threshold_sweep(truth, scores)?;
+    let sweep = threshold_sweep(
+        truth,
+        scores,
+        parkit::Threads::Auto,
+        &mut obskit::Recorder::null(),
+    )?;
     Ok(sweep
         .into_iter()
         .filter(|p| p.metrics.precision >= floor)
@@ -208,6 +201,16 @@ pub fn max_recall_at_precision(
 mod tests {
     use super::*;
 
+    /// The sweep at the automatic thread policy, unrecorded.
+    fn sweep(truth: &[f32], scores: &[f32]) -> Result<Vec<ThresholdPoint>> {
+        threshold_sweep(
+            truth,
+            scores,
+            parkit::Threads::Auto,
+            &mut obskit::Recorder::null(),
+        )
+    }
+
     fn toy() -> (Vec<f32>, Vec<f32>) {
         // scores: positives cluster high with one hard negative at 0.9.
         let truth = vec![1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0];
@@ -218,15 +221,15 @@ mod tests {
     #[test]
     fn sweep_covers_all_distinct_scores() {
         let (truth, scores) = toy();
-        let sweep = threshold_sweep(&truth, &scores).unwrap();
-        assert_eq!(sweep.len(), 8);
+        let curve = sweep(&truth, &scores).unwrap();
+        assert_eq!(curve.len(), 8);
         // Ascending thresholds; recall non-increasing along them.
-        for w in sweep.windows(2) {
+        for w in curve.windows(2) {
             assert!(w[0].threshold < w[1].threshold);
             assert!(w[0].metrics.recall >= w[1].metrics.recall);
         }
         // Lowest threshold predicts everything positive: recall 1.
-        assert_eq!(sweep[0].metrics.recall, 1.0);
+        assert_eq!(curve[0].metrics.recall, 1.0);
     }
 
     #[test]
@@ -258,18 +261,17 @@ mod tests {
     fn ties_flip_together() {
         let truth = vec![1.0, 0.0, 1.0, 0.0];
         let scores = vec![0.5, 0.5, 0.9, 0.1];
-        let sweep = threshold_sweep(&truth, &scores).unwrap();
+        let curve = sweep(&truth, &scores).unwrap();
         // Distinct scores: 0.1, 0.5, 0.9 -> 3 points.
-        assert_eq!(sweep.len(), 3);
+        assert_eq!(curve.len(), 3);
     }
 
     #[test]
     fn observed_sweep_matches_plain_and_counts_points() {
         let (truth, scores) = toy();
-        let plain = threshold_sweep(&truth, &scores).unwrap();
+        let plain = sweep(&truth, &scores).unwrap();
         let mut rec = obskit::Recorder::new();
-        let observed =
-            threshold_sweep_observed(&truth, &scores, parkit::Threads::Serial, &mut rec).unwrap();
+        let observed = threshold_sweep(&truth, &scores, parkit::Threads::Serial, &mut rec).unwrap();
         assert_eq!(plain, observed);
         assert_eq!(rec.counter("tuning.sweep.samples"), truth.len() as u64);
         assert_eq!(rec.counter("tuning.sweep.points"), plain.len() as u64);
@@ -278,11 +280,20 @@ mod tests {
 
     #[test]
     fn validates_inputs() {
-        assert!(threshold_sweep(&[], &[]).is_err());
-        assert!(threshold_sweep(&[1.0], &[0.5, 0.4]).is_err());
-        assert!(threshold_sweep(&[1.0, 1.0], &[0.5, 0.4]).is_err());
+        assert!(sweep(&[], &[]).is_err());
+        assert!(sweep(&[1.0], &[0.5, 0.4]).is_err());
+        assert!(sweep(&[1.0, 1.0], &[0.5, 0.4]).is_err());
         let (truth, scores) = toy();
         assert!(max_recall_at_precision(&truth, &scores, 0.0).is_err());
         assert!(max_recall_at_precision(&truth, &scores, 1.5).is_err());
+    }
+
+    #[test]
+    fn nan_score_is_rejected() {
+        let truth = [1.0, 0.0, 1.0, 0.0];
+        let scores = [0.9, f32::NAN, 0.4, 0.1];
+        assert!(sweep(&truth, &scores).is_err());
+        assert!(best_f1_threshold(&truth, &scores).is_err());
+        assert!(max_recall_at_precision(&truth, &scores, 0.5).is_err());
     }
 }

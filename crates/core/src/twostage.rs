@@ -107,24 +107,9 @@ impl TwoStageOutcome {
 /// Returns [`PredError::InvalidInput`] when the stage-2 training set is
 /// empty or single-class, and propagates extraction errors.
 pub fn prepare(trace: &TraceSet, split: &DsSplit, spec: &FeatureSpec) -> Result<Prepared> {
-    prepare_observed(trace, split, spec, &mut Recorder::null())
-}
-
-/// Like [`prepare`], but records stage-1 metrics: offender count, window
-/// sizes, the stage-2 survivor counts, and the stage-1 filter rate.
-///
-/// # Errors
-///
-/// See [`prepare`].
-pub fn prepare_observed(
-    trace: &TraceSet,
-    split: &DsSplit,
-    spec: &FeatureSpec,
-    rec: &mut Recorder,
-) -> Result<Prepared> {
     let all = build_samples(trace)?;
     let fx = FeatureExtractor::new(trace, &all)?;
-    prepare_with_extractor_observed(&fx, &all, split, spec, rec)
+    prepare_with_extractor(&fx, &all, split, spec)
 }
 
 /// Like [`prepare`], but reuses an existing extractor and sample list —
@@ -142,8 +127,9 @@ pub fn prepare_with_extractor(
     prepare_with_extractor_observed(fx, all_samples, split, spec, &mut Recorder::null())
 }
 
-/// [`prepare_with_extractor`] with stage-1 metrics (see
-/// [`prepare_observed`]).
+/// [`prepare_with_extractor`] that also records stage-1 metrics: offender
+/// count, window sizes, the stage-2 survivor counts, and the stage-1
+/// filter rate.
 ///
 /// # Errors
 ///
@@ -196,7 +182,7 @@ pub fn prepare_with_extractor_observed(
         });
     }
 
-    let train_raw = fx.extract_observed(&stage2_train, spec, rec)?;
+    let train_raw = fx.extract(&stage2_train, spec, rec)?;
     let scaler = StandardScaler::fit(&train_raw)?;
     let train = scaler.transform(&train_raw)?;
 
@@ -207,7 +193,7 @@ pub fn prepare_with_extractor_observed(
         // reusing the train schema with zero rows via select.
         train.select(&[])
     } else {
-        scaler.transform(&fx.extract_observed(&stage2_test_samples, spec, rec)?)?
+        scaler.transform(&fx.extract(&stage2_test_samples, spec, rec)?)?
     };
 
     rec.incr("twostage.offender_nodes", offenders.len() as u64);
@@ -326,11 +312,6 @@ impl<C: Classifier> TwoStage<C> {
         let prepared = prepare(trace, split, &self.spec)?;
         run_classifier(&prepared, &mut self.classifier)
     }
-
-    /// Consumes the pipeline, returning the (possibly fitted) classifier.
-    pub fn into_classifier(self) -> C {
-        self.classifier
-    }
 }
 
 #[cfg(test)]
@@ -409,7 +390,9 @@ mod tests {
 
         let mut rec = Recorder::new();
         let clock = TickingClock(std::sync::atomic::AtomicU64::new(0));
-        let prep = prepare_observed(&t, &split, &spec, &mut rec).unwrap();
+        let all = build_samples(&t).unwrap();
+        let fx = FeatureExtractor::new(&t, &all).unwrap();
+        let prep = prepare_with_extractor_observed(&fx, &all, &split, &spec, &mut rec).unwrap();
         let out = run_classifier_observed(
             &prep,
             &mut Gbdt::new().n_trees(20).min_samples_leaf(2),

@@ -109,74 +109,23 @@ impl CrossValScores {
     }
 }
 
-/// Runs stratified k-fold cross-validation with a classifier factory
-/// (a fresh model per fold).
-///
-/// Equivalent to [`cross_validate_with`] at [`parkit::Threads::Serial`],
-/// kept for `FnMut` factories that cannot be shared across threads.
-///
-/// # Errors
-///
-/// Propagates split and classifier errors.
-pub fn cross_validate<C, F>(
-    ds: &Dataset,
-    k: usize,
-    seed: u64,
-    mut factory: F,
-) -> Result<CrossValScores>
-where
-    C: Classifier,
-    F: FnMut() -> C,
-{
-    let folds = stratified_k_fold(ds, k, seed)?;
-    let mut out = Vec::with_capacity(k);
-    for (train_idx, test_idx) in folds {
-        out.push(run_fold(ds, &train_idx, &test_idx, &mut factory)?);
-    }
-    Ok(CrossValScores { folds: out })
-}
-
-/// Runs stratified k-fold cross-validation with folds fanned out across
-/// worker threads. Folds are independent (each gets a fresh model from
-/// `factory` and deterministic index splits), and the per-fold confusion
-/// matrices come back in fold order, so any thread policy — including
+/// Runs stratified k-fold cross-validation with a classifier factory (a
+/// fresh model per fold), fanning the folds out across worker threads.
+/// Folds are independent (each gets a fresh model from `factory` and
+/// deterministic index splits), and the per-fold confusion matrices come
+/// back in fold order, so any thread policy — including
 /// [`parkit::Threads::Serial`] — produces identical scores.
+///
+/// Each fold trains against its own [`obskit::Recorder::fork`] under a
+/// `"mlkit.cv.fold"` span, and the per-fold recorders are merged back into
+/// `rec` in fold order — so the merged metrics are byte-identical under
+/// any thread policy as well.
 ///
 /// # Errors
 ///
 /// Propagates split and classifier errors; on multiple fold failures the
 /// error of the lowest-numbered fold is returned, matching a serial run.
-pub fn cross_validate_with<C, F>(
-    ds: &Dataset,
-    k: usize,
-    seed: u64,
-    threads: parkit::Threads,
-    factory: F,
-) -> Result<CrossValScores>
-where
-    C: Classifier,
-    F: Fn() -> C + Sync,
-{
-    let folds = stratified_k_fold(ds, k, seed)?;
-    let out = parkit::try_par_map(threads, &folds, |(train_idx, test_idx)| {
-        let mut factory = &factory;
-        run_fold(ds, train_idx, test_idx, &mut factory)
-    })?;
-    Ok(CrossValScores { folds: out })
-}
-
-/// Like [`cross_validate_with`], but records per-fold training metrics.
-///
-/// Each fold trains against its own [`obskit::Recorder::fork`] under a
-/// `"mlkit.cv.fold"` span, and the per-fold recorders are merged back in
-/// fold order — so the merged metrics are byte-identical under any thread
-/// policy, serial included. The scores themselves are unchanged from
-/// [`cross_validate_with`].
-///
-/// # Errors
-///
-/// Same contract as [`cross_validate_with`].
-pub fn cross_validate_observed<C, F>(
+pub fn cross_validate<C, F>(
     ds: &Dataset,
     k: usize,
     seed: u64,
@@ -191,10 +140,9 @@ where
     let folds = stratified_k_fold(ds, k, seed)?;
     let parent = &*rec;
     let out = parkit::try_par_map(threads, &folds, |(train_idx, test_idx)| {
-        let mut factory = &factory;
         let mut fold_rec = parent.fork();
         let span = fold_rec.span_start("mlkit.cv.fold");
-        let cm = run_fold_observed(ds, train_idx, test_idx, &mut factory, &mut fold_rec);
+        let cm = run_fold(ds, train_idx, test_idx, &factory, &mut fold_rec);
         fold_rec.span_end(span);
         cm.map(|cm| (cm, fold_rec))
     })?;
@@ -207,28 +155,12 @@ where
     Ok(CrossValScores { folds: scores })
 }
 
-/// Trains and scores one fold.
+/// Trains and scores one fold, recording training-loop metrics.
 fn run_fold<C: Classifier>(
     ds: &Dataset,
     train_idx: &[usize],
     test_idx: &[usize],
-    factory: &mut impl FnMut() -> C,
-) -> Result<ConfusionMatrix> {
-    run_fold_observed(
-        ds,
-        train_idx,
-        test_idx,
-        factory,
-        &mut obskit::Recorder::null(),
-    )
-}
-
-/// Trains and scores one fold, recording training-loop metrics.
-fn run_fold_observed<C: Classifier>(
-    ds: &Dataset,
-    train_idx: &[usize],
-    test_idx: &[usize],
-    factory: &mut impl FnMut() -> C,
+    factory: &impl Fn() -> C,
     rec: &mut obskit::Recorder,
 ) -> Result<ConfusionMatrix> {
     let train = ds.select(train_idx);
@@ -302,9 +234,14 @@ mod tests {
     #[test]
     fn cross_validation_scores_a_learnable_problem() {
         let ds = dataset(200);
-        let scores = cross_validate(&ds, 4, 3, || {
-            LogisticRegression::new().learning_rate(1.0).epochs(150)
-        })
+        let scores = cross_validate(
+            &ds,
+            4,
+            3,
+            parkit::Threads::Serial,
+            &mut obskit::Recorder::null(),
+            || LogisticRegression::new().learning_rate(1.0).epochs(150),
+        )
         .unwrap();
         assert_eq!(scores.folds.len(), 4);
         assert!(scores.mean_f1() > 0.8, "mean f1 {}", scores.mean_f1());
@@ -316,8 +253,15 @@ mod tests {
     #[test]
     fn gbdt_cross_validates_too() {
         let ds = dataset(160);
-        let scores =
-            cross_validate(&ds, 4, 5, || Gbdt::new().n_trees(15).min_samples_leaf(2)).unwrap();
+        let scores = cross_validate(
+            &ds,
+            4,
+            5,
+            parkit::Threads::Serial,
+            &mut obskit::Recorder::null(),
+            || Gbdt::new().n_trees(15).min_samples_leaf(2),
+        )
+        .unwrap();
         assert!(scores.mean_f1() > 0.85, "mean f1 {}", scores.mean_f1());
     }
 
@@ -331,16 +275,22 @@ mod tests {
                 .min_samples_leaf(2)
                 .seed(7)
         };
-        let plain = cross_validate_with(&ds, 4, 5, parkit::Threads::Serial, factory).unwrap();
+        let plain = cross_validate(
+            &ds,
+            4,
+            5,
+            parkit::Threads::Serial,
+            &mut obskit::Recorder::null(),
+            factory,
+        )
+        .unwrap();
 
         let mut rec_serial = obskit::Recorder::new();
         let serial =
-            cross_validate_observed(&ds, 4, 5, parkit::Threads::Serial, &mut rec_serial, factory)
-                .unwrap();
+            cross_validate(&ds, 4, 5, parkit::Threads::Serial, &mut rec_serial, factory).unwrap();
         let mut rec_par = obskit::Recorder::new();
         let par =
-            cross_validate_observed(&ds, 4, 5, parkit::Threads::Fixed(4), &mut rec_par, factory)
-                .unwrap();
+            cross_validate(&ds, 4, 5, parkit::Threads::Fixed(4), &mut rec_par, factory).unwrap();
 
         assert_eq!(serial.folds, plain.folds);
         assert_eq!(par.folds, plain.folds);

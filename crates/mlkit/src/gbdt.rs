@@ -184,11 +184,6 @@ impl Gbdt {
         self
     }
 
-    /// Number of fitted trees (0 before fitting).
-    pub fn n_fitted_trees(&self) -> usize {
-        self.trees.len()
-    }
-
     /// Flattens the fitted ensemble into a branch-free
     /// [`CompiledGbdt`](crate::fastpath::CompiledGbdt) whose
     /// probabilities are bit-identical to
@@ -346,7 +341,7 @@ impl Gbdt {
             } else {
                 &all_idx
             };
-            let tree = RegressionTree::fit_with_scratch(
+            let tree = RegressionTree::fit(
                 &binned,
                 &binner,
                 &grad,

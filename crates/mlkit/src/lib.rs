@@ -12,9 +12,7 @@
 //!   [`SvmRbf`](svm::SvmRbf) / [`LinearSvm`](svm::LinearSvm), and
 //!   [`MlpClassifier`](nn::MlpClassifier),
 //! * evaluation [`metrics`] (precision, recall, F1, confusion matrices),
-//! * probability [`calibration`] (Platt scaling, expected calibration
-//!   error), stratified [`crossval`]idation, and soft-voting
-//!   [`ensemble`]s,
+//! * stratified [`crossval`]idation,
 //! * class-imbalance [`sampling`] utilities (random over/under-sampling,
 //!   SMOTE, k-means-based under-sampling),
 //! * descriptive [`stats`] (Spearman/Pearson correlation, percentiles,
@@ -43,10 +41,8 @@
 //! ```
 
 pub mod artifact;
-pub mod calibration;
 pub mod crossval;
 pub mod dataset;
-pub mod ensemble;
 pub mod fastpath;
 pub mod gbdt;
 pub mod hash;

@@ -162,11 +162,6 @@ impl Matrix {
         &self.data
     }
 
-    /// Consumes the matrix and returns the underlying buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Matrix-vector product `self * v`.
     ///
     /// # Errors

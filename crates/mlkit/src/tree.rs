@@ -256,77 +256,21 @@ impl RegressionTree {
     ///
     /// `grad`/`hess` are the per-sample first/second derivatives of the
     /// boosting loss; `indices` selects the (possibly subsampled) rows.
+    /// The number of candidate cut points the split finder scanned is
+    /// counted into `rec` (`mlkit.tree.split_candidates`); it is an exact
+    /// property of the data and hyper-parameters, identical under any
+    /// thread policy. `scratch` is a caller-owned
+    /// [`TrainScratch`](crate::hist::TrainScratch), so a boosting loop
+    /// pays histogram/gather allocations once (first tree) instead of per
+    /// tree.
     ///
     /// # Errors
     ///
     /// Returns [`MlError::EmptyDataset`] when `indices` is empty and
     /// [`MlError::DimensionMismatch`] when gradient lengths differ from the
     /// binned matrix.
+    #[allow(clippy::too_many_arguments)]
     pub fn fit(
-        binned: &BinnedMatrix,
-        binner: &QuantileBinner,
-        grad: &[f32],
-        hess: &[f32],
-        indices: &[usize],
-        params: TreeParams,
-        rng: &mut StdRng,
-    ) -> Result<RegressionTree> {
-        RegressionTree::fit_observed(
-            binned,
-            binner,
-            grad,
-            hess,
-            indices,
-            params,
-            rng,
-            &mut obskit::Recorder::null(),
-        )
-    }
-
-    /// Like [`RegressionTree::fit`], but counts the candidate cut points
-    /// the split finder scanned into `rec` (`mlkit.tree.split_candidates`).
-    /// The count is an exact property of the data and hyper-parameters —
-    /// identical under any thread policy — and fitting with a null
-    /// recorder is behaviourally identical to [`RegressionTree::fit`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`RegressionTree::fit`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn fit_observed(
-        binned: &BinnedMatrix,
-        binner: &QuantileBinner,
-        grad: &[f32],
-        hess: &[f32],
-        indices: &[usize],
-        params: TreeParams,
-        rng: &mut StdRng,
-        rec: &mut obskit::Recorder,
-    ) -> Result<RegressionTree> {
-        let mut scratch = crate::hist::TrainScratch::for_binner(binner);
-        RegressionTree::fit_with_scratch(
-            binned,
-            binner,
-            grad,
-            hess,
-            indices,
-            params,
-            rng,
-            rec,
-            &mut scratch,
-        )
-    }
-
-    /// Like [`RegressionTree::fit_observed`], but reusing a caller-owned
-    /// [`TrainScratch`](crate::hist::TrainScratch) so a boosting loop
-    /// pays histogram/gather allocations once (first tree) instead of
-    /// per tree.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`RegressionTree::fit`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn fit_with_scratch(
         binned: &BinnedMatrix,
         binner: &QuantileBinner,
         grad: &[f32],
@@ -794,8 +738,18 @@ mod tests {
             lambda: 0.0,
             ..TreeParams::default()
         };
-        let tree =
-            RegressionTree::fit(&binned, &binner, &grad, &hess, &idx, params, &mut rng).unwrap();
+        let tree = RegressionTree::fit(
+            &binned,
+            &binner,
+            &grad,
+            &hess,
+            &idx,
+            params,
+            &mut rng,
+            &mut obskit::Recorder::null(),
+            &mut crate::hist::TrainScratch::for_binner(&binner),
+        )
+        .unwrap();
         // Predictions should be close to +-1 on the two plateaus.
         assert!(tree.predict_row(&[0.1]) < -0.8);
         assert!(tree.predict_row(&[0.9]) > 0.8);
@@ -815,8 +769,18 @@ mod tests {
             min_samples_leaf: 30, // cannot split 40 into two sides of >= 30
             ..TreeParams::default()
         };
-        let tree =
-            RegressionTree::fit(&binned, &binner, &grad, &hess, &idx, params, &mut rng).unwrap();
+        let tree = RegressionTree::fit(
+            &binned,
+            &binner,
+            &grad,
+            &hess,
+            &idx,
+            params,
+            &mut rng,
+            &mut obskit::Recorder::null(),
+            &mut crate::hist::TrainScratch::for_binner(&binner),
+        )
+        .unwrap();
         assert_eq!(tree.n_leaves(), 1);
     }
 
@@ -834,6 +798,8 @@ mod tests {
             &[],
             TreeParams::default(),
             &mut rng,
+            &mut obskit::Recorder::null(),
+            &mut crate::hist::TrainScratch::for_binner(&binner),
         );
         assert!(matches!(err, Err(MlError::EmptyDataset)));
     }
@@ -865,6 +831,8 @@ mod tests {
             &idx,
             TreeParams::default(),
             &mut rng,
+            &mut obskit::Recorder::null(),
+            &mut crate::hist::TrainScratch::for_binner(&binner),
         )
         .unwrap();
         let mut counts = vec![0u32; 1];

@@ -151,18 +151,6 @@ pub fn feature_schema_hash(spec: &FeatureSpec) -> u64 {
     fnv1a64(joined.as_bytes())
 }
 
-/// The checksum by which an artifact is referenced in lineage headers:
-/// FNV-1a 64 over its full encoded envelope bytes (header included), so
-/// two artifacts differing only in lineage hash differently. Producer
-/// and consumer of a succession link must both use this function.
-///
-/// # Errors
-///
-/// Propagates envelope-encoding errors.
-pub fn artifact_checksum(art: &PipelineArtifact, lineage: Lineage) -> Result<u64> {
-    Ok(fnv1a64(&art.to_bytes_with_lineage(lineage)?))
-}
-
 /// A trained, shippable TwoStage pipeline.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PipelineArtifact {

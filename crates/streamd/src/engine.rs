@@ -21,7 +21,6 @@ use sbepred::features::{FeatureSpec, HistCounts};
 use sbepred::history::IncrementalHistory;
 use std::collections::BTreeMap;
 use titan_sim::apps::AppId;
-use titan_sim::schedule::ApRun;
 use titan_sim::topology::NodeId;
 
 /// Streaming per-(app, node) sliding-window state.
@@ -42,18 +41,10 @@ impl StreamFeatureEngine {
         StreamFeatureEngine::default()
     }
 
-    /// Records a launch: each allocated node's previous-app state will
-    /// point at this run once the current minute ends.
-    pub fn observe_launch(&mut self, run: &ApRun) {
-        self.observe_launch_parts(run.start_min, run.app_id.0, &run.nodes);
-    }
-
-    /// The step-style form of [`StreamFeatureEngine::observe_launch`]:
-    /// feeds one launch from its bare facts (start minute, application,
-    /// allocated nodes) without requiring an [`ApRun`] — the entry point
-    /// network feeders (`sbed`) use, where launches arrive as decoded
-    /// wire frames rather than trace records.
-    pub fn observe_launch_parts(&mut self, start_min: u64, app: u32, nodes: &[NodeId]) {
+    /// Records a launch of `app` at `start_min` on `nodes`: each allocated
+    /// node's previous-app state will point at this run once the current
+    /// minute ends.
+    pub fn observe_launch(&mut self, start_min: u64, app: u32, nodes: &[NodeId]) {
         for &node in nodes {
             self.pending_prev.push((node.0, start_min, app));
         }
@@ -113,23 +104,11 @@ impl StreamFeatureEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use titan_sim::schedule::{ApRunId, JobId};
-
-    fn run(id: u32, app: u32, start: u64, nodes: &[u32]) -> ApRun {
-        ApRun {
-            id: ApRunId(id),
-            job_id: JobId(id),
-            app_id: AppId(app),
-            start_min: start,
-            end_min: start + 10,
-            nodes: nodes.iter().map(|&n| NodeId(n)).collect(),
-        }
-    }
 
     #[test]
     fn prev_app_defers_to_minute_end() {
         let mut eng = StreamFeatureEngine::new();
-        eng.observe_launch(&run(1, 42, 5, &[0, 1]));
+        eng.observe_launch(5, 42, &[NodeId(0), NodeId(1)]);
         // Same minute: launches must not see each other.
         assert_eq!(eng.previous_app(0), None);
         eng.end_minute();
@@ -137,25 +116,11 @@ mod tests {
         assert_eq!(eng.previous_app(1), Some(42));
         assert_eq!(eng.previous_app(2), None);
         // A later run supersedes.
-        eng.observe_launch(&run(2, 7, 9, &[1]));
+        eng.observe_launch(9, 7, &[NodeId(1)]);
         assert_eq!(eng.previous_app(1), Some(42));
         eng.end_minute();
         assert_eq!(eng.previous_app(1), Some(7));
         assert_eq!(eng.previous_app(0), Some(42));
-    }
-
-    #[test]
-    fn observe_launch_parts_matches_observe_launch() {
-        let r = run(1, 42, 5, &[0, 1, 3]);
-        let mut a = StreamFeatureEngine::new();
-        let mut b = StreamFeatureEngine::new();
-        a.observe_launch(&r);
-        b.observe_launch_parts(r.start_min, r.app_id.0, &r.nodes);
-        a.end_minute();
-        b.end_minute();
-        for n in [0u32, 1, 2, 3] {
-            assert_eq!(a.previous_app(n), b.previous_app(n));
-        }
     }
 
     #[test]

@@ -572,7 +572,7 @@ impl<'a> StepScorer<'a> {
         rec: &mut Recorder,
     ) -> Result<()> {
         self.engine
-            .observe_launch_parts(launch.minute, launch.app, launch.nodes);
+            .observe_launch(launch.minute, launch.app, launch.nodes);
         self.issued.clear();
         if !self.in_window(launch.minute) {
             return Ok(());

@@ -9,7 +9,8 @@ use titan_sim::engine::generate_full;
 
 fn report(name: &str, cfg: &SimConfig) {
     let t0 = std::time::Instant::now();
-    let (trace, faults) = generate_full(cfg).expect("generation succeeds");
+    let (trace, faults) =
+        generate_full(cfg, &mut obskit::Recorder::null()).expect("generation succeeds");
     let elapsed = t0.elapsed();
     let samples = trace.samples();
     let positives = samples.iter().filter(|s| s.is_affected()).count();

@@ -50,40 +50,22 @@ pub const DBE_RELATIVE_RATE: f64 = 0.01;
 /// # Ok::<(), titan_sim::SimError>(())
 /// ```
 pub fn generate(cfg: &SimConfig) -> Result<TraceSet> {
-    Ok(generate_full(cfg)?.0)
-}
-
-/// Like [`generate`], but records generation metrics: samples and
-/// SBE/DBE totals per cabinet, per-slot event histograms, and a
-/// `"titan_sim.generate"` span. Per-slot recorders are forked from `rec`
-/// and merged back in slot order, so the recorded metrics are
-/// byte-identical under any thread policy — and passing
-/// [`obskit::Recorder::null`] is exactly [`generate`].
-///
-/// # Errors
-///
-/// Propagates configuration validation and internal consistency errors.
-pub fn generate_observed(cfg: &SimConfig, rec: &mut obskit::Recorder) -> Result<TraceSet> {
-    Ok(generate_full_observed(cfg, rec)?.0)
+    Ok(generate_full(cfg, &mut obskit::Recorder::null())?.0)
 }
 
 /// Like [`generate`], but also returns the hidden [`FaultModel`] — ground
 /// truth that a real operator never observes, useful for calibration
-/// tests and oracle comparisons.
+/// tests and oracle comparisons — and records generation metrics into
+/// `rec`: samples and SBE/DBE totals per cabinet, per-slot event
+/// histograms, and a `"titan_sim.generate"` span. Per-slot recorders are
+/// forked from `rec` and merged back in slot order, so the recorded
+/// metrics are byte-identical under any thread policy, and passing
+/// [`obskit::Recorder::null`] records nothing.
 ///
 /// # Errors
 ///
 /// Propagates configuration validation and internal consistency errors.
-pub fn generate_full(cfg: &SimConfig) -> Result<(TraceSet, FaultModel)> {
-    generate_full_observed(cfg, &mut obskit::Recorder::null())
-}
-
-/// [`generate_full`] with generation metrics (see [`generate_observed`]).
-///
-/// # Errors
-///
-/// Propagates configuration validation and internal consistency errors.
-pub fn generate_full_observed(
+pub fn generate_full(
     cfg: &SimConfig,
     rec: &mut obskit::Recorder,
 ) -> Result<(TraceSet, FaultModel)> {
@@ -530,7 +512,7 @@ mod tests {
         let cfg = SimConfig::tiny(2);
         let plain = generate(&cfg).unwrap();
         let mut rec = obskit::Recorder::new();
-        let observed = generate_observed(&cfg, &mut rec).unwrap();
+        let observed = generate_full(&cfg, &mut rec).unwrap().0;
         assert_eq!(plain.samples(), observed.samples());
 
         assert_eq!(
@@ -556,13 +538,13 @@ mod tests {
         let reference = {
             let mut rec = obskit::Recorder::new();
             let cfg = SimConfig::tiny(5).with_threads(parkit::Threads::Serial);
-            generate_observed(&cfg, &mut rec).unwrap();
+            generate_full(&cfg, &mut rec).unwrap();
             rec.snapshot_json()
         };
         for n in [2usize, 8] {
             let mut rec = obskit::Recorder::new();
             let cfg = SimConfig::tiny(5).with_threads(parkit::Threads::Fixed(n));
-            generate_observed(&cfg, &mut rec).unwrap();
+            generate_full(&cfg, &mut rec).unwrap();
             assert_eq!(rec.snapshot_json(), reference, "metrics diverged at {n}");
         }
     }

@@ -138,23 +138,6 @@ impl FaultModel {
             })
     }
 
-    /// The `[from_day, until_day)` window in which a node's weakness is
-    /// active (`[0, days)` for stable cards).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::UnknownEntity`] for out-of-range nodes.
-    pub fn active_window(&self, node: NodeId) -> Result<(u32, u32)> {
-        let idx = node.0 as usize;
-        if idx >= self.weak.len() {
-            return Err(SimError::UnknownEntity {
-                kind: "node",
-                id: node.0 as u64,
-            });
-        }
-        Ok((self.active_from_day[idx], self.active_until_day[idx]))
-    }
-
     /// Number of weak GPUs.
     pub fn n_weak(&self) -> usize {
         self.weak.iter().filter(|&&w| w).count()

@@ -4,6 +4,7 @@
 
 use gpu_error_prediction::mlkit::gbdt::Gbdt;
 use gpu_error_prediction::mlkit::model::Classifier;
+use gpu_error_prediction::obskit::Recorder;
 use gpu_error_prediction::sbepred::datasets::DsSplit;
 use gpu_error_prediction::sbepred::features::{FeatureExtractor, FeatureSpec};
 use gpu_error_prediction::sbepred::samples::build_samples;
@@ -109,8 +110,12 @@ fn feature_extraction_is_reproducible() {
     let samples = build_samples(&t).expect("samples build");
     let fx = FeatureExtractor::new(&t, &samples).expect("extractor builds");
     let spec = FeatureSpec::all();
-    let a = fx.extract(&samples[..50], &spec).expect("extracts");
-    let b = fx.extract(&samples[..50], &spec).expect("extracts");
+    let a = fx
+        .extract(&samples[..50], &spec, &mut Recorder::null())
+        .expect("extracts");
+    let b = fx
+        .extract(&samples[..50], &spec, &mut Recorder::null())
+        .expect("extracts");
     assert_eq!(a.x().as_slice(), b.x().as_slice());
 }
 

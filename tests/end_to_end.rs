@@ -4,6 +4,7 @@
 
 use gpu_error_prediction::mlkit::gbdt::Gbdt;
 use gpu_error_prediction::mlkit::linear::LogisticRegression;
+use gpu_error_prediction::obskit::Recorder;
 use gpu_error_prediction::sbepred::baselines::{evaluate_scheme, BasicScheme};
 use gpu_error_prediction::sbepred::datasets::DsSplit;
 use gpu_error_prediction::sbepred::experiments::{characterization, prediction, Lab};
@@ -37,7 +38,8 @@ fn positive_rate_is_a_small_minority() {
 
 #[test]
 fn offender_nodes_are_a_small_subset_dominated_by_weak_gpus() {
-    let (t, faults) = generate_full(&SimConfig::tiny(3)).expect("trace generates");
+    let (t, faults) =
+        generate_full(&SimConfig::tiny(3), &mut Recorder::null()).expect("trace generates");
     let offenders = t.offender_nodes();
     let n = t.config().topology.n_nodes() as usize;
     assert!(

@@ -39,7 +39,7 @@ use gpu_error_prediction::streamd::serve::{
     serve_observed, Alert, NullSink, ScoredLaunch, ServeConfig,
 };
 use gpu_error_prediction::titan_sim::config::SimConfig;
-use gpu_error_prediction::titan_sim::engine::{generate, generate_observed};
+use gpu_error_prediction::titan_sim::engine::{generate, generate_full};
 use serde_json::Value;
 
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/results/golden_tiny.json");
@@ -128,7 +128,7 @@ fn assert_close(path: &str, got: &Value, want: &Value) {
 fn compute_metrics() -> String {
     let mut rec = Recorder::new();
     let cfg = SimConfig::tiny(13).with_threads(Threads::Serial);
-    let trace = generate_observed(&cfg, &mut rec).expect("trace generates");
+    let (trace, _) = generate_full(&cfg, &mut rec).expect("trace generates");
     let lab = Lab::with_threads(&trace, Threads::Serial).expect("lab builds");
     let split = DsSplit::ds1(&trace).expect("ds1 splits");
     let prepared = prepare_with_extractor_observed(

@@ -23,7 +23,7 @@ use gpu_error_prediction::sbepred::twostage::{
     prepare_with_extractor_observed, run_classifier_observed,
 };
 use gpu_error_prediction::titan_sim::config::SimConfig;
-use gpu_error_prediction::titan_sim::engine::generate_observed;
+use gpu_error_prediction::titan_sim::engine::generate_full;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -36,7 +36,7 @@ const EMPTY_SNAPSHOT: &str =
 /// stage-wise predictions and the headline metrics.
 fn run_pipeline(threads: Threads, rec: &mut Recorder) -> (Vec<f32>, [f64; 3]) {
     let cfg = SimConfig::tiny(13).with_threads(threads);
-    let trace = generate_observed(&cfg, rec).expect("trace generates");
+    let (trace, _) = generate_full(&cfg, rec).expect("trace generates");
     let lab = Lab::with_threads(&trace, threads).expect("lab builds");
     let split = DsSplit::ds1(&trace).expect("ds1 splits");
     let prepared = prepare_with_extractor_observed(

@@ -8,10 +8,11 @@
 //! training/prediction, and cross-validation — by running each at
 //! 1, 2, and 8 threads and demanding byte- or value-identical output.
 
-use gpu_error_prediction::mlkit::crossval::{cross_validate, cross_validate_with};
+use gpu_error_prediction::mlkit::crossval::cross_validate;
 use gpu_error_prediction::mlkit::dataset::Dataset;
 use gpu_error_prediction::mlkit::gbdt::Gbdt;
 use gpu_error_prediction::mlkit::model::Classifier;
+use gpu_error_prediction::obskit::Recorder;
 use gpu_error_prediction::parkit::Threads;
 use gpu_error_prediction::titan_sim::config::SimConfig;
 use gpu_error_prediction::titan_sim::engine::generate;
@@ -91,13 +92,20 @@ fn cross_validation_folds_are_thread_count_invariant() {
             .seed(7)
     };
 
-    let reference = cross_validate(&ds, 5, 11, factory)
+    let reference = cross_validate(&ds, 5, 11, Threads::Serial, &mut Recorder::null(), factory)
         .expect("serial cv runs")
         .folds;
     for n in THREAD_COUNTS {
-        let folds = cross_validate_with(&ds, 5, 11, Threads::Fixed(n), factory)
-            .expect("parallel cv runs")
-            .folds;
+        let folds = cross_validate(
+            &ds,
+            5,
+            11,
+            Threads::Fixed(n),
+            &mut Recorder::null(),
+            factory,
+        )
+        .expect("parallel cv runs")
+        .folds;
         // Per-fold confusion matrices in fold order, not just aggregates.
         assert_eq!(folds, reference, "cv folds diverged at {n} threads");
     }

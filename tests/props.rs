@@ -1,16 +1,25 @@
 //! Property-based tests (proptest) on core invariants across the
-//! workspace: topology coordinate algebra, statistics, metrics, history
-//! accounting, sampling ratios, and forecasting stability.
+//! workspace: topology coordinate algebra, statistics, metrics, the
+//! streaming SBE-history index against a naive event sum, sampling
+//! ratios, and forecasting stability.
 
 use gpu_error_prediction::mlkit::dataset::Dataset;
 use gpu_error_prediction::mlkit::metrics::ConfusionMatrix;
 use gpu_error_prediction::mlkit::sampling::{random_oversample, random_undersample};
 use gpu_error_prediction::mlkit::stats::{mean, percentile, ranks, spearman, std_dev, Ecdf};
+use gpu_error_prediction::sbepred::history::{HistoryView, IncrementalHistory};
+use gpu_error_prediction::titan_sim::apps::AppId;
 use gpu_error_prediction::titan_sim::telemetry::window_stats;
 use gpu_error_prediction::titan_sim::topology::{NodeId, Topology};
 use gpu_error_prediction::tscast::ar::ArModel;
 use gpu_error_prediction::tscast::Forecaster;
 use proptest::prelude::*;
+
+/// A history query bound: a minute up to a little past the last event
+/// an event list can reach, or now and then `u64::MAX`.
+fn history_bound() -> impl Strategy<Value = u64> {
+    (0u32..10, 0u64..1_250).prop_map(|(pick, t)| if pick == 0 { u64::MAX } else { t })
+}
 
 proptest! {
     #[test]
@@ -173,6 +182,55 @@ proptest! {
                 prop_assert!(v.is_finite());
                 prop_assert!(v.abs() < 1e6);
             }
+        }
+    }
+
+    #[test]
+    fn incremental_history_matches_a_naive_event_sum(
+        steps in prop::collection::vec((0u64..4, 0u32..6, 0u32..4, 0u32..3, 0u32..8), 0..400),
+        queries in prop::collection::vec(
+            (history_bound(), history_bound(), 0u32..7, 0u32..5),
+            1..40,
+        ),
+    ) {
+        // Each step advances the minute by 0..=3, so repeated minutes are
+        // common, and ~400 events fill many 8-point arena chunks per series.
+        let mut history = IncrementalHistory::new();
+        let mut events: Vec<(u64, u32, u32, u32)> = Vec::with_capacity(steps.len());
+        let mut minute = 0u64;
+        for &(gap, node, app, count, stale) in &steps {
+            minute += gap;
+            prop_assert!(history.ingest(minute, NodeId(node), AppId(app), count).is_ok());
+            events.push((minute, node, app, count));
+            // Now and then, offer an event behind the frontier: it must be
+            // refused, and the answers below prove it left no trace.
+            if stale == 0 && minute > 0 {
+                let behind = minute - 1 - u64::from(app) % minute;
+                prop_assert!(history.ingest(behind, NodeId(node), AppId(app), count + 1).is_err());
+            }
+        }
+        let naive = |a: u64, b: u64, keep: &dyn Fn(u32, u32) -> bool| -> u64 {
+            events
+                .iter()
+                .filter(|&&(t, node, app, _)| a <= t && t < b && keep(node, app))
+                .map(|&(_, _, _, count)| u64::from(count))
+                .sum()
+        };
+        prop_assert_eq!(history.frontier(), minute);
+        prop_assert_eq!(history.total(), naive(0, u64::MAX, &|_, _| true));
+        // Node 6 and app 4 never occur; `a > b` ranges are empty.
+        for &(a, b, node, app) in &queries {
+            prop_assert_eq!(
+                history.node_between(NodeId(node), a, b),
+                naive(a, b, &|n, _| n == node)
+            );
+            prop_assert_eq!(history.node_before(NodeId(node), b), naive(0, b, &|n, _| n == node));
+            prop_assert_eq!(
+                history.app_between(AppId(app), a, b),
+                naive(a, b, &|_, p| p == app)
+            );
+            prop_assert_eq!(history.machine_between(a, b), naive(a, b, &|_, _| true));
+            prop_assert_eq!(history.machine_before(b), naive(0, b, &|_, _| true));
         }
     }
 }
