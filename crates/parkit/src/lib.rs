@@ -20,11 +20,13 @@
 //!   contiguous chunks (static partition, deterministic by
 //!   construction).
 //!
-//! The [`Threads`] policy picks the worker count: [`Threads::Serial`]
-//! runs inline on the calling thread (no pool, no spawn), so a
-//! `Serial` run and an N-thread run of any `parkit` primitive are
-//! bit-for-bit identical as long as the mapped function is pure. The
-//! `SBE_THREADS` environment variable overrides [`Threads::Auto`].
+//! The [`Threads`] policy picks the worker count, and the calling thread
+//! is always one of the workers: [`Threads::Serial`] runs inline on it
+//! (no pool, no spawn), and `Fixed(n)` spawns `n - 1` scoped threads
+//! beside it. A `Serial` run and an N-thread run of any `parkit`
+//! primitive are bit-for-bit identical as long as the mapped function
+//! is pure. The `SBE_THREADS` environment variable overrides
+//! [`Threads::Auto`].
 //!
 //! ```
 //! use parkit::{par_map, Threads};
@@ -45,7 +47,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 pub enum Threads {
     /// Run inline on the calling thread; never spawns.
     Serial,
-    /// Exactly this many workers (clamped to at least 1).
+    /// Exactly this many workers, the calling thread included (clamped
+    /// to at least 1).
     Fixed(usize),
     /// `SBE_THREADS` if set and valid, else all available cores.
     #[default]
@@ -177,34 +180,36 @@ where
     let cursor = AtomicUsize::new(0);
     let f = &f;
     let cursor = &cursor;
+    // One worker's loop: take chunks off the shared cursor until none is
+    // left. It captures only references, so every worker gets a copy.
+    let work = move || {
+        let mut local = Vec::new();
+        loop {
+            let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+            if start >= n {
+                break;
+            }
+            let end = (start + chunk).min(n);
+            for (k, item) in items[start..end].iter().enumerate() {
+                let i = start + k;
+                local.push((i, f(i, item)));
+            }
+        }
+        local
+    };
 
+    // The calling thread is one of the workers, so only `workers - 1`
+    // threads are spawned.
     let locals: Vec<Vec<(usize, Result<U, E>)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= n {
-                            break;
-                        }
-                        let end = (start + chunk).min(n);
-                        for (k, item) in items[start..end].iter().enumerate() {
-                            let i = start + k;
-                            local.push((i, f(i, item)));
-                        }
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(local) => local,
+        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        let mut locals = vec![work()];
+        for h in handles {
+            match h.join() {
+                Ok(local) => locals.push(local),
                 Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
+            }
+        }
+        locals
     });
 
     let mut out: Vec<Option<U>> = std::iter::repeat_with(|| None).take(n).collect();
@@ -235,8 +240,8 @@ where
 ///
 /// `f` receives the chunk's starting offset into `data` and the mutable
 /// chunk itself. The partition is static (one contiguous region per
-/// worker), so for a pure-per-element `f` the result is identical to a
-/// serial pass.
+/// worker, the first worked by the calling thread), so for a
+/// pure-per-element `f` the result is identical to a serial pass.
 pub fn par_apply_chunks<T, F>(threads: Threads, data: &mut [T], f: F)
 where
     T: Send,
@@ -251,9 +256,11 @@ where
     let chunk_len = n.div_ceil(workers);
     let f = &f;
     std::thread::scope(|scope| {
-        for (k, chunk) in data.chunks_mut(chunk_len).enumerate() {
-            scope.spawn(move || f(k * chunk_len, chunk));
+        let (first, rest) = data.split_at_mut(chunk_len);
+        for (k, chunk) in rest.chunks_mut(chunk_len).enumerate() {
+            scope.spawn(move || f((k + 1) * chunk_len, chunk));
         }
+        f(0, first);
     });
 }
 
@@ -386,5 +393,57 @@ mod tests {
             })
         });
         assert!(result.is_err());
+        // Item 0 is the calling thread's first chunk unless a spawned
+        // worker beats it to the cursor; either way the panic surfaces.
+        let result = std::panic::catch_unwind(|| {
+            par_map(Threads::Fixed(2), &[0u8, 1, 2, 3], |&x| {
+                assert!(x != 0, "boom");
+                x
+            })
+        });
+        assert!(result.is_err());
+    }
+
+    #[test]
+    fn apply_chunks_runs_chunk_zero_on_the_caller() {
+        let caller = std::thread::current().id();
+        let seen = std::sync::Mutex::new(Vec::new());
+        let mut data = vec![0u8; 64];
+        par_apply_chunks(Threads::Fixed(4), &mut data, |offset, _| {
+            let id = std::thread::current().id();
+            seen.lock().unwrap().push((offset, id));
+        });
+        let mut seen = seen.into_inner().unwrap();
+        seen.sort_by_key(|&(offset, _)| offset);
+        let offsets: Vec<usize> = seen.iter().map(|&(offset, _)| offset).collect();
+        assert_eq!(offsets, vec![0, 16, 32, 48]);
+        assert_eq!(seen[0].1, caller);
+        assert!(seen[1..].iter().all(|&(_, id)| id != caller));
+    }
+
+    #[test]
+    fn fixed_n_spawns_at_most_n_minus_one_threads() {
+        let caller = std::thread::current().id();
+        for n in [2usize, 3, 5] {
+            let items: Vec<u32> = (0..64).collect();
+            let out = try_par_map(Threads::Fixed(n), &items, |&x| {
+                // Long enough that every worker takes a chunk.
+                std::thread::sleep(std::time::Duration::from_millis(1));
+                Ok::<_, ()>((x, std::thread::current().id()))
+            })
+            .unwrap();
+            let mut others = Vec::new();
+            for (i, &(x, id)) in out.iter().enumerate() {
+                assert_eq!(x as usize, i);
+                if id != caller && !others.contains(&id) {
+                    others.push(id);
+                }
+            }
+            assert!(
+                others.len() < n,
+                "{} threads besides the caller at Fixed({n})",
+                others.len()
+            );
+        }
     }
 }

@@ -8,16 +8,21 @@
 //! arbitrary (aprun, node) pairs after the fact, producing the window
 //! statistics the prediction features need (run window, the four
 //! look-back windows, CPU temperature, and slot-neighbour aggregates)
-//! without the trace ever storing minute-level series. It resumes each
-//! slot from the simulation state of the slot's last window, so queries
-//! that move forward in time simulate each slot's history once.
+//! without the trace ever storing minute-level series. The generation
+//! sweep leaves a fixed number of compact checkpoints per slot in the
+//! trace, and the engine resumes each slot from the later of the state
+//! its last window kept and the last checkpoint before the window, so
+//! no query replays a slot's past further back than one checkpoint
+//! stride.
 
 use crate::apps::AppCatalog;
 use crate::config::SimConfig;
 use crate::faults::FaultModel;
 use crate::rng::stream_rng_indexed;
 use crate::schedule::{ApRun, ApRunId, Schedule};
-use crate::telemetry::{SeriesKind, SlotSeries, SlotState, TelemetrySimulator, WindowStats};
+use crate::telemetry::{
+    SeriesKind, SlotCheckpoints, SlotSeries, SlotState, TelemetrySimulator, WindowStats,
+};
 use crate::topology::{NodeId, SlotId};
 use crate::trace::{SampleRecord, TraceSet};
 use crate::{Result, SimError};
@@ -60,7 +65,9 @@ pub fn generate(cfg: &SimConfig) -> Result<TraceSet> {
 /// histograms, and a `"titan_sim.generate"` span. Per-slot recorders are
 /// forked from `rec` and merged back in slot order, so the recorded
 /// metrics are byte-identical under any thread policy, and passing
-/// [`obskit::Recorder::null`] records nothing.
+/// [`obskit::Recorder::null`] records nothing. The telemetry sweep also
+/// leaves each slot's checkpoints in the trace, for
+/// [`TelemetryQueryEngine`] to resume from.
 ///
 /// # Errors
 ///
@@ -84,11 +91,13 @@ pub fn generate_full(
         samples: Vec<SampleRecord>,
         cum_temp: Vec<(NodeId, f64)>,
         cum_power: Vec<(NodeId, f64)>,
+        checkpoints: SlotCheckpoints,
         rec: obskit::Recorder,
     }
 
     let process_slot = |slot: SlotId, shard: &mut Shard| -> Result<()> {
-        let series = sim.simulate_slot(slot)?;
+        let (series, checkpoints) = sim.simulate_slot_checkpointed(slot)?;
+        shard.checkpoints = checkpoints;
         let horizon = cfg.total_minutes();
         // Per-slot RNG draws: two streams (SBE + DBE) sample once per
         // busy interval on each member node.
@@ -172,6 +181,7 @@ pub fn generate_full(
             samples: Vec::new(),
             cum_temp: Vec::new(),
             cum_power: Vec::new(),
+            checkpoints: SlotCheckpoints::default(),
             rec: parent_rec.fork(),
         };
         process_slot(SlotId(slot), &mut shard)?;
@@ -181,8 +191,10 @@ pub fn generate_full(
     let mut samples = Vec::new();
     let mut cum_temp = vec![0.0f64; n_nodes];
     let mut cum_power = vec![0.0f64; n_nodes];
+    let mut checkpoints = Vec::with_capacity(shards.len());
     for shard in shards {
         samples.extend(shard.samples);
+        checkpoints.push(shard.checkpoints);
         for (node, v) in shard.cum_temp {
             cum_temp[node.0 as usize] = v;
         }
@@ -193,7 +205,15 @@ pub fn generate_full(
         rec.merge(shard.rec);
     }
 
-    let trace = TraceSet::assemble(cfg.clone(), catalog, schedule, samples, cum_temp, cum_power)?;
+    let trace = TraceSet::assemble(
+        cfg.clone(),
+        catalog,
+        schedule,
+        samples,
+        cum_temp,
+        cum_power,
+        checkpoints,
+    )?;
     rec.gauge("titan_sim.positive_rate", trace.positive_rate());
     rec.span_end(span);
     Ok((trace, faults))
@@ -225,16 +245,20 @@ pub struct SampleTelemetry {
 /// Recomputes telemetry statistics on demand, slot by slot.
 ///
 /// Every window is re-simulated from the trace's seed, but not from
-/// minute 0 each time: the engine keeps, per touched slot, the
-/// simulation state at the largest window start the slot has served. A
-/// slot's next window resumes from it when the window starts at or after
-/// it, and restarts at minute 0 otherwise; either way only the minutes
-/// the window needs are recorded. A query stream that moves forward in
-/// time, like a stream scorer's flushes, so pays each slot's catch-up
-/// from minute 0 once. The kept states are exact snapshots of the
-/// deterministic per-slot simulation, so any query order, interleaving or
-/// thread count returns the same bits; memory grows by one small state
-/// per touched slot.
+/// minute 0: a slot's window resumes from the later of two exact
+/// snapshots standing at or before its start. One is the state the
+/// engine kept at the largest window start the slot has served; the
+/// other is the last of the checkpoints [`generate_full`] captured in
+/// the trace, a fixed number per slot evenly spaced over the horizon.
+/// Either way only the minutes the window needs are recorded, and the
+/// catch-up before them is shorter than one checkpoint stride, whether
+/// the window moves forward or backward, so a query's cost does not
+/// grow with the trace's length. A trace loaded from its serialized
+/// form carries no checkpoints: its first window per slot, and any
+/// window before the slot's kept state, replays from minute 0. The
+/// snapshots are exact, so any query order, interleaving, thread count
+/// or checkpoint set returns the same bits; the engine's own memory
+/// grows by one small state per touched slot.
 #[derive(Debug)]
 pub struct TelemetryQueryEngine<'a> {
     trace: &'a TraceSet,
@@ -439,9 +463,10 @@ impl<'a> TelemetryQueryEngine<'a> {
 
     /// Simulates `slot` over `[lo, hi)` and keeps its state at minute
     /// `keep` (`lo <= keep <= hi`) for the slot's next window. The
-    /// simulation resumes from the kept state when that stands at or
-    /// before `lo` and restarts at minute 0 otherwise; a kept state is
-    /// only replaced by one at a later minute.
+    /// simulation resumes from the later of the kept state and the
+    /// trace's last checkpoint at or before `lo`, and from minute 0 when
+    /// neither stands there; a kept state is only replaced by one at a
+    /// later minute.
     ///
     /// # Errors
     ///
@@ -465,9 +490,14 @@ impl<'a> TelemetryQueryEngine<'a> {
                 _ => None,
             }
         };
-        let mut state = match resumed {
-            Some(state) => state,
-            None => self.sim.slot_state(slot)?,
+        let checkpoint = self
+            .trace
+            .checkpoints(slot)
+            .and_then(|c| c.at_or_before(lo));
+        let mut state = match (resumed, checkpoint) {
+            (Some(state), c) if c.is_none_or(|c| c.minute() <= state.minute()) => state,
+            (_, Some(c)) => self.sim.restore(slot, c)?,
+            _ => self.sim.slot_state(slot)?,
         };
         self.sim.advance(&mut state, lo);
         let mut series = state.empty_series((hi - lo) as usize);

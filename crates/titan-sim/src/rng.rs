@@ -126,6 +126,11 @@ impl OuProcess {
         self.value
     }
 
+    /// Moves the process to `value`, as a restored snapshot does.
+    pub(crate) fn set_value(&mut self, value: f64) {
+        self.value = value;
+    }
+
     /// Advances one step using `rng` for the innovation; returns the new
     /// value.
     #[inline]

@@ -172,14 +172,40 @@ impl<'a> TelemetrySimulator<'a> {
         self.simulate_slot_range(slot, 0, self.cfg.total_minutes())
     }
 
+    /// Like [`TelemetrySimulator::simulate_slot`], and also captures the
+    /// slot's [`SlotCheckpoints`] on the way: the sweep pauses at each
+    /// [`checkpoint_minutes`] minute to snapshot its state, which changes
+    /// no simulated bit.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::UnknownEntity`] for an out-of-range slot.
+    pub(crate) fn simulate_slot_checkpointed(
+        &self,
+        slot: SlotId,
+    ) -> Result<(SlotSeries, SlotCheckpoints)> {
+        let horizon = self.cfg.total_minutes();
+        let mut state = self.slot_state(slot)?;
+        let mut series = state.empty_series(horizon as usize);
+        let mut checkpoints = SlotCheckpoints::default();
+        for minute in checkpoint_minutes(horizon) {
+            self.record(&mut state, minute, &mut series);
+            checkpoints.capture(&state);
+        }
+        self.record(&mut state, horizon, &mut series);
+        Ok((series, checkpoints))
+    }
+
     /// Simulates minutes `[start, end)` for one slot.
     ///
     /// Note: the noise and thermal state is evolved from minute 0
     /// regardless of `start` so that any sub-range is consistent with the
     /// full-horizon simulation. The cost of a range query is therefore
-    /// proportional to `end`, not `end - start`; a caller that queries one
-    /// slot repeatedly resumes a kept slot state instead, as
-    /// [`crate::engine::TelemetryQueryEngine`] does.
+    /// proportional to `end`, not `end - start`.
+    /// [`crate::engine::TelemetryQueryEngine`] instead resumes a slot from
+    /// its own kept state or from the nearest checkpoint the trace
+    /// captured at generation, so its cost is bounded by the checkpoint
+    /// stride rather than by `end`.
     ///
     /// # Errors
     ///
@@ -246,6 +272,29 @@ impl<'a> TelemetrySimulator<'a> {
             cabinet,
             members,
         })
+    }
+
+    /// The state of `slot` at `checkpoint`, one of the slot's own: a fresh
+    /// [`TelemetrySimulator::slot_state`] with everything that changes
+    /// between minutes restored from the snapshot.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::UnknownEntity`] for an out-of-range slot.
+    pub(crate) fn restore(&self, slot: SlotId, checkpoint: Checkpoint<'_>) -> Result<SlotState> {
+        let mut state = self.slot_state(slot)?;
+        debug_assert_eq!(state.members.len(), checkpoint.members.len());
+        state.minute = checkpoint.minute;
+        for (m, c) in state.members.iter_mut().zip(checkpoint.members) {
+            m.rng = c.rng.clone();
+            m.power_noise.set_value(c.power_noise);
+            m.temp_noise.set_value(c.temp_noise);
+            m.cpu_noise.set_value(c.cpu_noise);
+            m.gpu_temp = c.gpu_temp;
+            m.cpu_temp = c.cpu_temp;
+            m.cursor = c.cursor;
+        }
+        Ok(state)
     }
 
     /// Steps `state` up to minute `to_min` without recording; a state at
@@ -387,6 +436,94 @@ impl SlotState {
             slot_temp_sum: Vec::with_capacity(len),
             slot_power_sum: Vec::with_capacity(len),
         }
+    }
+}
+
+/// Checkpoints captured per slot during generation. The count, not the
+/// horizon, bounds their memory: this many × slots × members × 56 B.
+pub(crate) const CHECKPOINTS_PER_SLOT: usize = 8;
+
+/// The minutes a slot's checkpoints stand at: multiples of the stride
+/// `⌈horizon / (CHECKPOINTS_PER_SLOT + 1)⌉` strictly inside
+/// `(0, horizon)`, so every minute lies less than one stride past
+/// minute 0 or a checkpoint.
+pub(crate) fn checkpoint_minutes(horizon: u64) -> impl Iterator<Item = u64> {
+    let stride = horizon.div_ceil(CHECKPOINTS_PER_SLOT as u64 + 1).max(1);
+    (1..=CHECKPOINTS_PER_SLOT as u64)
+        .map(move |i| i * stride)
+        .take_while(move |&m| m < horizon)
+}
+
+/// The part of a [`MemberState`] that changes between minutes. The rest
+/// (node id, OU parameters, static ambient) is rebuilt by
+/// [`TelemetrySimulator::slot_state`], and the power of the minute last
+/// stepped is overwritten before the next step reads it.
+#[derive(Debug, Clone)]
+struct MemberCheckpoint {
+    rng: XorShift64,
+    power_noise: f64,
+    temp_noise: f64,
+    cpu_noise: f64,
+    gpu_temp: f64,
+    cpu_temp: f64,
+    cursor: usize,
+}
+
+/// Exact snapshots of one slot's simulation at [`checkpoint_minutes`],
+/// captured by [`TelemetrySimulator::simulate_slot_checkpointed`] so that
+/// a telemetry query can resume near any minute instead of replaying the
+/// slot from minute 0.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SlotCheckpoints {
+    /// The minutes the snapshots stand at, strictly increasing.
+    minutes: Vec<u64>,
+    /// Every member's snapshot, snapshot-major: `minutes.len()` runs of
+    /// one entry per member.
+    members: Vec<MemberCheckpoint>,
+}
+
+/// One snapshot of a [`SlotCheckpoints`], borrowed.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Checkpoint<'a> {
+    minute: u64,
+    members: &'a [MemberCheckpoint],
+}
+
+impl Checkpoint<'_> {
+    /// The next minute the restored state simulates.
+    pub(crate) fn minute(&self) -> u64 {
+        self.minute
+    }
+}
+
+impl SlotCheckpoints {
+    /// Appends a snapshot of `state`, which stands past every earlier one.
+    fn capture(&mut self, state: &SlotState) {
+        debug_assert!(self.minutes.last().is_none_or(|&m| m < state.minute));
+        self.minutes.push(state.minute);
+        self.members
+            .extend(state.members.iter().map(|m| MemberCheckpoint {
+                rng: m.rng.clone(),
+                power_noise: m.power_noise.value(),
+                temp_noise: m.temp_noise.value(),
+                cpu_noise: m.cpu_noise.value(),
+                gpu_temp: m.gpu_temp,
+                cpu_temp: m.cpu_temp,
+                cursor: m.cursor,
+            }));
+    }
+
+    /// The last snapshot at or before `minute`, if any.
+    pub(crate) fn at_or_before(&self, minute: u64) -> Option<Checkpoint<'_>> {
+        let i = self
+            .minutes
+            .partition_point(|&m| m <= minute)
+            .checked_sub(1)?;
+        let k = self.members.len() / self.minutes.len();
+        Some(Checkpoint {
+            minute: self.minutes[i],
+            members: self.members.get(i * k..(i + 1) * k)?,
+        })
     }
 }
 
@@ -603,9 +740,26 @@ mod tests {
         let (cfg, sched, catalog) = setup();
         let sim = TelemetrySimulator::new(&cfg, &sched, &catalog).unwrap();
         let slot = SlotId(1);
-        let end = 1_500u64;
-        let full = sim.simulate_slot_range(slot, 0, end).unwrap();
+        let horizon = cfg.total_minutes();
+        let full = sim.simulate_slot(slot).unwrap();
         let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // `part` must equal `full` from its first minute on, bit for bit.
+        let assert_tail = |part: &SlotSeries| {
+            let lo = part.start_min() as usize;
+            let hi = lo + part.len();
+            assert_eq!(part.nodes(), full.nodes());
+            for i in 0..full.nodes().len() {
+                assert_eq!(bits(&part.gpu_temp[i]), bits(&full.gpu_temp[i][lo..hi]));
+                assert_eq!(bits(&part.gpu_power[i]), bits(&full.gpu_power[i][lo..hi]));
+                assert_eq!(bits(&part.cpu_temp[i]), bits(&full.cpu_temp[i][lo..hi]));
+            }
+            assert_eq!(bits(&part.slot_temp_sum), bits(&full.slot_temp_sum[lo..hi]));
+            assert_eq!(
+                bits(&part.slot_power_sum),
+                bits(&full.slot_power_sum[lo..hi])
+            );
+        };
+        let end = 1_500u64;
         for m in [0, 1, end / 2, end - 1] {
             let mut state = sim.slot_state(slot).unwrap();
             sim.advance(&mut state, m);
@@ -613,16 +767,77 @@ mod tests {
             let mut part = state.empty_series((end - m) as usize);
             sim.record(&mut state, end, &mut part);
             assert_eq!(part.start_min(), m);
-            assert_eq!(part.nodes(), full.nodes());
-            let lo = m as usize;
-            for i in 0..full.nodes().len() {
-                assert_eq!(bits(&part.gpu_temp[i]), bits(&full.gpu_temp[i][lo..]));
-                assert_eq!(bits(&part.gpu_power[i]), bits(&full.gpu_power[i][lo..]));
-                assert_eq!(bits(&part.cpu_temp[i]), bits(&full.cpu_temp[i][lo..]));
-            }
-            assert_eq!(bits(&part.slot_temp_sum), bits(&full.slot_temp_sum[lo..]));
-            assert_eq!(bits(&part.slot_power_sum), bits(&full.slot_power_sum[lo..]));
+            assert_eq!(part.len() as u64, end - m);
+            assert_tail(&part);
         }
+
+        // Capturing checkpoints moves no bit of the sweep, and each one,
+        // restored onto a fresh state, records the rest of the full run.
+        let (swept, checkpoints) = sim.simulate_slot_checkpointed(slot).unwrap();
+        assert_eq!(swept.len() as u64, horizon);
+        assert_tail(&swept);
+        assert_eq!(checkpoints.minutes.len(), CHECKPOINTS_PER_SLOT);
+        for &m in &checkpoints.minutes {
+            let c = checkpoints.at_or_before(m).unwrap();
+            assert_eq!(c.minute(), m);
+            let mut state = sim.restore(slot, c).unwrap();
+            assert_eq!(state.minute(), m);
+            let mut part = state.empty_series((horizon - m) as usize);
+            sim.record(&mut state, horizon, &mut part);
+            assert_eq!(part.start_min(), m);
+            assert_tail(&part);
+        }
+    }
+
+    #[test]
+    fn checkpoint_lookup_picks_the_last_at_or_before() {
+        let (cfg, sched, catalog) = setup();
+        let sim = TelemetrySimulator::new(&cfg, &sched, &catalog).unwrap();
+        let (_, checkpoints) = sim.simulate_slot_checkpointed(SlotId(0)).unwrap();
+        let minutes = &checkpoints.minutes;
+        assert!(checkpoints.at_or_before(0).is_none());
+        assert!(checkpoints.at_or_before(minutes[0] - 1).is_none());
+        for (i, &m) in minutes.iter().enumerate() {
+            let next = minutes.get(i + 1).copied().unwrap_or(cfg.total_minutes());
+            for probe in [m, m + 1, next - 1] {
+                assert_eq!(checkpoints.at_or_before(probe).unwrap().minute(), m);
+            }
+        }
+        assert!(SlotCheckpoints::default().at_or_before(u64::MAX).is_none());
+    }
+
+    /// The checkpoint count, not the horizon, bounds their memory: at
+    /// most [`CHECKPOINTS_PER_SLOT`] per slot, about 1.9 KB for a 4-node
+    /// slot (0.75 MB for the 400-slot scaled machine, 9 MB for Titan's
+    /// 4,800 slots), however long the trace.
+    #[test]
+    fn checkpoints_are_bounded_whatever_the_horizon() {
+        let mut bytes_per_trace = Vec::new();
+        for days in [1, 30] {
+            let mut cfg = SimConfig::tiny(11);
+            cfg.days = days;
+            let horizon = cfg.total_minutes();
+            let trace = crate::engine::generate(&cfg).unwrap();
+            let mut bytes = 0;
+            for slot in (0..cfg.topology.n_slots()).map(SlotId) {
+                let c = trace.checkpoints(slot).unwrap();
+                let k = cfg.topology.slot_members(slot).unwrap().len();
+                // Both horizons are long enough for every checkpoint.
+                assert_eq!(c.minutes.len(), CHECKPOINTS_PER_SLOT);
+                assert!(c.minutes.windows(2).all(|w| w[0] < w[1]));
+                assert!(c.minutes.iter().all(|&m| 0 < m && m < horizon));
+                assert_eq!(c.members.len(), c.minutes.len() * k);
+                let slot_bytes = std::mem::size_of_val(c.minutes.as_slice())
+                    + std::mem::size_of_val(c.members.as_slice());
+                assert!(slot_bytes <= CHECKPOINTS_PER_SLOT * (8 + 56 * k));
+                // Tiny slots have four nodes: 8 × (8 + 4 × 56) = 1,856 B.
+                assert_eq!(k, 4);
+                assert!(slot_bytes <= 1_900, "{slot_bytes} B per slot");
+                bytes += slot_bytes;
+            }
+            bytes_per_trace.push(bytes);
+        }
+        assert_eq!(bytes_per_trace[0], bytes_per_trace[1]);
     }
 
     #[test]

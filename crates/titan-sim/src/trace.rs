@@ -11,7 +11,8 @@
 use crate::apps::{AppCatalog, AppId};
 use crate::config::SimConfig;
 use crate::schedule::{ApRun, ApRunId, Job, Schedule};
-use crate::topology::NodeId;
+use crate::telemetry::SlotCheckpoints;
+use crate::topology::{NodeId, SlotId};
 use crate::{Result, SimError};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -60,12 +61,19 @@ pub struct TraceSet {
     node_cum_temp: Vec<f64>,
     /// Per-node sum of GPU power over every simulated minute.
     node_cum_power: Vec<f64>,
+    /// Per slot, the telemetry checkpoints captured during generation.
+    /// An execution aid, not trace data: skipped by serde, so the
+    /// serialized trace does not change and a trace loaded from JSON has
+    /// none, its telemetry queries replaying each slot from minute 0.
+    #[serde(skip)]
+    checkpoints: Vec<SlotCheckpoints>,
 }
 
 impl TraceSet {
     /// Assembles a trace set; used by [`crate::engine::generate`].
     ///
-    /// `samples` must be sorted by `(aprun, node)`.
+    /// `samples` must be sorted by `(aprun, node)`; `checkpoints` holds
+    /// one entry per slot, in slot order.
     ///
     /// # Errors
     ///
@@ -78,6 +86,7 @@ impl TraceSet {
         mut samples: Vec<SampleRecord>,
         node_cum_temp: Vec<f64>,
         node_cum_power: Vec<f64>,
+        checkpoints: Vec<SlotCheckpoints>,
     ) -> Result<TraceSet> {
         let n_nodes = config.topology.n_nodes() as usize;
         if node_cum_temp.len() != n_nodes || node_cum_power.len() != n_nodes {
@@ -124,7 +133,14 @@ impl TraceSet {
             sample_ranges,
             node_cum_temp,
             node_cum_power,
+            checkpoints,
         })
+    }
+
+    /// The telemetry checkpoints of `slot`; `None` for a trace loaded
+    /// from its serialized form, which carries none.
+    pub(crate) fn checkpoints(&self, slot: SlotId) -> Option<&SlotCheckpoints> {
+        self.checkpoints.get(slot.0 as usize)
     }
 
     /// The configuration the trace was generated from.

@@ -7,7 +7,7 @@ use titan_sim::config::SimConfig;
 use titan_sim::engine::{generate, SampleTelemetry, TelemetryQueryEngine};
 use titan_sim::rng::{derive_seed_indexed, OuProcess, XorShift64};
 use titan_sim::schedule::ApRunId;
-use titan_sim::telemetry::window_stats;
+use titan_sim::telemetry::{window_stats, SeriesKind};
 use titan_sim::topology::{NodeId, SlotId, Topology};
 use titan_sim::trace::TraceSet;
 
@@ -23,6 +23,27 @@ fn policy_traces() -> &'static [TraceSet; 3] {
             generate(&cfg).expect("generates")
         })
     })
+}
+
+/// The policy traces' data after a `serde_json` round trip. Checkpoints
+/// are not serialized, so an engine over this trace replays every slot
+/// from minute 0: the reference the resumed engines are held to.
+fn loaded_trace() -> &'static TraceSet {
+    static LOADED: OnceLock<TraceSet> = OnceLock::new();
+    LOADED.get_or_init(|| {
+        let json = serde_json::to_string(&policy_traces()[0]).expect("serializes");
+        serde_json::from_str(&json).expect("deserializes")
+    })
+}
+
+/// Minutes at, one before and one after each of the eight telemetry
+/// checkpoints a generated trace holds per slot, which stand evenly
+/// spaced at stride `⌈horizon / 9⌉`.
+fn checkpoint_edges(horizon: u64) -> Vec<u64> {
+    let stride = horizon.div_ceil(9);
+    (1..=8)
+        .flat_map(|i| [i * stride - 1, i * stride, i * stride + 1])
+        .collect()
 }
 
 /// Every field of a telemetry answer, floats as raw bits.
@@ -135,8 +156,11 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The query engine keeps a resumable state per slot; whatever order
-    /// batches arrive in, each answer must equal a fresh engine's.
+    /// The query engine resumes each slot from a kept state or from the
+    /// trace's checkpoints; whatever order batches arrive in, each answer
+    /// must equal that of a fresh engine over the checkpoint-free loaded
+    /// trace, which replays from minute 0. Probes between batches start
+    /// on a checkpoint minute or one minute either side of it.
     #[test]
     fn resumed_queries_equal_a_fresh_engine_per_call(
         picks in prop::collection::vec(
@@ -144,7 +168,10 @@ proptest! {
             1..5,
         ),
         order in 0u8..4,
+        probes in prop::collection::vec((0usize..24, 1u64..200), 1..5),
     ) {
+        let loaded = loaded_trace();
+        let edges = checkpoint_edges(loaded.config().total_minutes());
         for trace in policy_traces() {
             let samples = trace.samples();
             let mut batches: Vec<Vec<(ApRunId, NodeId)>> = picks
@@ -187,13 +214,21 @@ proptest! {
                 _ => batches = batches.iter().flat_map(|b| [b.clone(), b.clone()]).collect(),
             }
             let engine = TelemetryQueryEngine::new(trace).expect("engine builds");
-            for batch in &batches {
+            let fresh = || TelemetryQueryEngine::new(loaded).expect("engine builds");
+            for (i, batch) in batches.iter().enumerate() {
                 let resumed = engine.query(batch).expect("queries");
-                let fresh = TelemetryQueryEngine::new(trace)
-                    .expect("engine builds")
-                    .query(batch)
-                    .expect("queries");
-                prop_assert_eq!(telemetry_bits(&resumed), telemetry_bits(&fresh));
+                let reference = fresh().query(batch).expect("queries");
+                prop_assert_eq!(telemetry_bits(&resumed), telemetry_bits(&reference));
+                if let Some(&(edge, len)) = probes.get(i) {
+                    let lo = edges[edge];
+                    let node = batch[0].1;
+                    for kind in [SeriesKind::GpuTemp, SeriesKind::GpuPower, SeriesKind::CpuTemp] {
+                        let resumed = engine.node_series(node, kind, lo, lo + len).expect("probes");
+                        let reference = fresh().node_series(node, kind, lo, lo + len).expect("probes");
+                        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        prop_assert_eq!(bits(&resumed), bits(&reference));
+                    }
+                }
             }
         }
     }

@@ -13,6 +13,7 @@ use gpu_error_prediction::titan_sim::config::SimConfig;
 use gpu_error_prediction::titan_sim::engine::{generate, SampleTelemetry, TelemetryQueryEngine};
 use gpu_error_prediction::titan_sim::telemetry::SeriesKind;
 use gpu_error_prediction::titan_sim::topology::NodeId;
+use gpu_error_prediction::titan_sim::trace::TraceSet;
 
 #[test]
 fn trace_generation_is_reproducible() {
@@ -50,13 +51,18 @@ fn telemetry_requeries_are_bit_identical() {
     assert_eq!(a, c);
 }
 
-/// The query engine resumes each slot from the state of its last window;
-/// single-pair calls in stream order (which resume) and in reverse order
-/// (which restart) must answer exactly what one bulk call on a fresh
-/// engine answers.
+/// The query engine resumes each slot from the state of its last window
+/// or from the trace's generation checkpoints; single-pair calls in
+/// stream order (which resume) and in reverse order (which go back to a
+/// checkpoint) must answer exactly what one bulk call answers on an
+/// engine over the trace's `serde_json` round trip, which carries no
+/// checkpoints and replays from minute 0. So must probes that start on a
+/// checkpoint minute or one minute either side of it.
 #[test]
 fn resumed_telemetry_queries_match_one_bulk_query() {
     let t = generate(&SimConfig::tiny(5)).expect("generates");
+    let loaded: TraceSet =
+        serde_json::from_str(&serde_json::to_string(&t).expect("serializes")).expect("loads");
     let start = |aprun| t.aprun(aprun).expect("valid id").start_min;
     let mut pairs: Vec<_> = t
         .samples()
@@ -83,14 +89,14 @@ fn resumed_telemetry_queries_match_one_bulk_query() {
         let bits: Vec<u32> = temp.iter().chain(power).map(|x| x.to_bits()).collect();
         (temp.len(), bits)
     };
-    let fresh = || TelemetryQueryEngine::new(&t).expect("engine builds");
-    let bulk = fresh().query(&pairs).expect("queries");
-    let bulk_pre = fresh().query_preseries(&pairs, 60).expect("queries");
+    let reference = TelemetryQueryEngine::new(&loaded).expect("engine builds");
+    let bulk = reference.query(&pairs).expect("queries");
+    let bulk_pre = reference.query_preseries(&pairs, 60).expect("queries");
 
     let forward: Vec<usize> = (0..pairs.len()).collect();
     let reverse: Vec<usize> = forward.iter().rev().copied().collect();
     for order in [forward, reverse] {
-        let engine = fresh();
+        let engine = TelemetryQueryEngine::new(&t).expect("engine builds");
         for i in order {
             let one = engine.query(&pairs[i..=i]).expect("queries");
             assert_eq!(stats_bits(&one[0]), stats_bits(&bulk[i]), "query {i}");
@@ -99,6 +105,47 @@ fn resumed_telemetry_queries_match_one_bulk_query() {
                 series_bits(&pre[0]),
                 series_bits(&bulk_pre[i]),
                 "preseries {i}"
+            );
+        }
+    }
+
+    // Eight checkpoints per slot stand at multiples of ⌈horizon / 9⌉.
+    let stride = t.config().total_minutes().div_ceil(9);
+    let edges: Vec<u64> = (1..=8)
+        .flat_map(|i| [i * stride - 1, i * stride, i * stride + 1])
+        .collect();
+    let node = NodeId(7);
+    let probe = |engine: &TelemetryQueryEngine<'_>, lo: u64| {
+        let bits = [
+            SeriesKind::GpuTemp,
+            SeriesKind::GpuPower,
+            SeriesKind::CpuTemp,
+        ]
+        .map(|kind| {
+            let xs = engine.node_series(node, kind, lo, lo + 90).expect("probes");
+            xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+        });
+        bits.concat()
+    };
+    let expected: Vec<Vec<u32>> = edges
+        .iter()
+        .map(|&lo| {
+            probe(
+                &TelemetryQueryEngine::new(&loaded).expect("engine builds"),
+                lo,
+            )
+        })
+        .collect();
+    let forward: Vec<usize> = (0..edges.len()).collect();
+    let reverse: Vec<usize> = forward.iter().rev().copied().collect();
+    for order in [forward, reverse] {
+        let engine = TelemetryQueryEngine::new(&t).expect("engine builds");
+        for i in order {
+            assert_eq!(
+                probe(&engine, edges[i]),
+                expected[i],
+                "probe at {}",
+                edges[i]
             );
         }
     }

@@ -179,3 +179,39 @@ fn artifact_round_trip_preserves_parity() {
     let report = serve(&trace, &shipped, &cfg, &mut sink).expect("serve");
     assert_parity(&report, &reference);
 }
+
+#[test]
+fn checkpointed_and_loaded_traces_serve_the_same_bits() {
+    let (trace, artifact, reference, (from, until)) = train_reference();
+    // A generated trace carries telemetry checkpoints that flush-time
+    // queries resume from; its serde_json round trip carries none and
+    // replays each slot from minute 0. Both must serve the same bits.
+    let loaded: TraceSet =
+        serde_json::from_str(&serde_json::to_string(&trace).expect("serializes")).expect("loads");
+    let cfg = ServeConfig::window(from, until);
+    let run = |trace: &TraceSet| {
+        let mut alerts: Vec<streamd::serve::Alert> = Vec::new();
+        let mut rec = obskit::Recorder::new();
+        let report = serve_observed(trace, &artifact, &cfg, &mut alerts, &mut rec).expect("serve");
+        assert_parity(&report, &reference);
+        let scored: Vec<_> = report
+            .scored
+            .iter()
+            .map(|s| {
+                let bits = s.probability.to_bits();
+                (
+                    s.minute,
+                    s.aprun,
+                    s.app,
+                    s.node,
+                    bits,
+                    s.predicted,
+                    s.stage2,
+                )
+            })
+            .collect();
+        assert!(report.n_stage2 > 0, "no stage-2 row queried telemetry");
+        (scored, alerts.len(), rec.snapshot_json())
+    };
+    assert_eq!(run(&trace), run(&loaded));
+}
