@@ -1,5 +1,5 @@
 //! sbed saturation — end-to-end requests/sec through the loopback
-//! daemon at 1, 2, and 8 scoring workers.
+//! daemon.
 //!
 //! Each pass spawns a fresh daemon on an ephemeral port, drives it
 //! with the seeded mock fleet (64 connections on the 1,600-node scaled
@@ -8,10 +8,11 @@
 //! the other benches). Latency percentiles come from fleet-side
 //! send→ACK timings under [`sbe_bench::WallClock`].
 //!
-//! Parity is asserted before anything is timed: the response-stream
-//! checksum must be identical at every worker count — a fast wrong
-//! answer is not a result. `BENCH_sbed.json` is written at the
-//! workspace root for `repro check-bench`.
+//! Parity is asserted before anything is timed: two passes, whose
+//! connection threads interleave differently, must answer the same
+//! response-stream checksum — a fast wrong answer is not a result.
+//! `BENCH_sbed.json` is written at the workspace root for
+//! `repro check-bench`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sbe_bench::{BenchReport, Metric, WallClock};
@@ -27,16 +28,11 @@ use titan_sim::topology::Topology;
 const CONNS: usize = 64;
 const MINUTES: u64 = 120;
 const REPS: u32 = 3;
-/// Floors on throughput at every worker count and on worker scaling
-/// (best multi-worker rate over the one-worker rate). The daemon
-/// sequences all scoring through one engine thread, so scaling is a
-/// no-collapse gate, not a speedup claim. A quiet machine pushes
-/// thousands of requests/sec through the loopback daemon; the floors
-/// catch the serving path collapsing (a lock on the hot path, a
-/// per-request allocation storm) without flaking on two-core runners
-/// where extra workers buy little.
+/// Floor on throughput. A quiet machine pushes thousands of
+/// requests/sec through the loopback daemon; the floor catches the
+/// serving path collapsing (a lock on the hot path, a per-request
+/// allocation storm) without flaking on two-core runners.
 const MIN_RPS: f64 = 500.0;
-const MIN_SCALING: f64 = 0.8;
 /// p99 over p50 of one latency sample can only fall below 1 when the
 /// percentiles are inconsistent.
 const MIN_P99_OVER_P50: f64 = 1.0;
@@ -111,16 +107,8 @@ fn fixture() -> Fixture {
     }
 }
 
-fn one_pass(
-    f: &Fixture,
-    workers: usize,
-    clock: &dyn obskit::Clock,
-) -> (FleetOutcome, DaemonReport) {
-    let serve_cfg = ServeConfig {
-        threads: parkit::Threads::Fixed(workers),
-        ..ServeConfig::window(0, MINUTES)
-    };
-    let cfg = DaemonConfig::new("127.0.0.1:0", serve_cfg, f.topology);
+fn one_pass(f: &Fixture, clock: &dyn obskit::Clock) -> (FleetOutcome, DaemonReport) {
+    let cfg = DaemonConfig::new("127.0.0.1:0", ServeConfig::window(0, MINUTES), f.topology);
     let daemon = Daemon::spawn(Arc::clone(&f.artifact), cfg).expect("daemon spawns");
     let outcome = run_fleet(
         daemon.addr(),
@@ -148,43 +136,32 @@ fn bench_sbed(c: &mut Criterion) {
     let n_requests = f.events.len() as u64 + 1; // + FINISH
     let clock = WallClock::new();
 
-    // Parity gate: one pass per worker count, identical response
-    // streams required before any timing is published.
-    let fnvs: Vec<u64> = [1usize, 2, 8]
-        .iter()
-        .map(|&w| one_pass(&f, w, &obskit::NullClock).1.response_fnv)
+    // Parity gate: two untimed passes must answer identical response
+    // streams before any timing is published.
+    let fnvs: Vec<u64> = (0..2)
+        .map(|_| one_pass(&f, &obskit::NullClock).1.response_fnv)
         .collect();
     assert!(
         fnvs.iter().all(|&x| x == fnvs[0]),
-        "response streams diverged across worker counts: {fnvs:?}"
+        "response streams diverged across passes: {fnvs:?}"
     );
 
-    // Saturation rates: fastest of REPS passes per worker count.
-    let mut metrics = Vec::new();
-    let mut rates = Vec::new();
+    // Saturation rate: fastest of REPS passes; latencies from the last.
+    let mut best = f64::INFINITY;
     let mut latencies: Vec<u64> = Vec::new();
-    for workers in [1usize, 2, 8] {
-        let mut best = f64::INFINITY;
-        for _ in 0..REPS {
-            let t0 = std::time::Instant::now();
-            let (outcome, _) = one_pass(&f, workers, &clock);
-            best = best.min(t0.elapsed().as_secs_f64());
-            if workers == 8 {
-                latencies = outcome
-                    .stats
-                    .iter()
-                    .flat_map(|s| s.latencies_ns.iter().copied())
-                    .collect();
-            }
-        }
-        let rps = n_requests as f64 / best.max(1e-9);
-        eprintln!("{workers} workers: {rps:.0} req/s ({n_requests} requests, best of {REPS})");
-        metrics
-            .push(Metric::higher(&format!("rps_{workers}_workers"), "req/s", rps).limit(MIN_RPS));
-        rates.push(rps);
+    for _ in 0..REPS {
+        let t0 = std::time::Instant::now();
+        let (outcome, _) = one_pass(&f, &clock);
+        best = best.min(t0.elapsed().as_secs_f64());
+        latencies = outcome
+            .stats
+            .iter()
+            .flat_map(|s| s.latencies_ns.iter().copied())
+            .collect();
     }
-    let scaling = rates[1].max(rates[2]) / rates[0];
-    metrics.push(Metric::higher("scaling", "ratio", scaling).limit(MIN_SCALING));
+    let rps = n_requests as f64 / best.max(1e-9);
+    eprintln!("{rps:.0} req/s ({n_requests} requests, best of {REPS})");
+    let mut metrics = vec![Metric::higher("rps", "req/s", rps).limit(MIN_RPS)];
 
     let p50_ns = percentile_ns(&mut latencies, 0.50) as f64;
     let p99_ns = percentile_ns(&mut latencies, 0.99) as f64;
@@ -206,11 +183,9 @@ fn bench_sbed(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("sbed");
     group.sample_size(10);
-    for (name, workers) in [("fleet_1w", 1usize), ("fleet_2w", 2), ("fleet_8w", 8)] {
-        group.bench_function(name, |b| {
-            b.iter(|| std::hint::black_box(one_pass(&f, workers, &obskit::NullClock)))
-        });
-    }
+    group.bench_function("fleet", |b| {
+        b.iter(|| std::hint::black_box(one_pass(&f, &obskit::NullClock)))
+    });
     group.finish();
 }
 

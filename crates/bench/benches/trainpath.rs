@@ -10,9 +10,10 @@
 //!   `Reference` (the default training path);
 //! * `Fast` — sibling subtraction + row-block parallelism.
 //!
-//! Each engine is timed serial and parallel (`Threads::Auto`); the
-//! throughput unit is row-visits/sec (`rows x trees / elapsed`), which
-//! is invariant across engines on a fixed workload. Results go to
+//! Each engine is timed serial and parallel (`Threads::Auto`), each as
+//! the best of three full fits; the throughput unit is row-visits/sec
+//! (`rows x trees / elapsed`), which is invariant across engines on a
+//! fixed workload. Results go to
 //! `BENCH_train.json` at the workspace root, the report
 //! `repro check-bench` gates on in CI. Parity is asserted before
 //! anything is timed: a fast wrong answer is not a result.
@@ -43,9 +44,13 @@ const SEED: u64 = 7;
 const MIN_FAST_SPEEDUP: f64 = 2.0;
 const MIN_EXACT_SPEEDUP: f64 = 1.0;
 
+/// Full-scale fits timed per (engine, policy); the report keeps the
+/// fastest, so one descheduled fit on a shared host does not set a rate.
+const FITS_PER_RATE: usize = 3;
+
 /// Smaller configuration for the Criterion curves: full-scale fits are
-/// hand-timed once per engine for the report; Criterion's repeated
-/// sampling runs on a workload it can afford.
+/// hand-timed for the report; Criterion's repeated sampling runs on a
+/// workload it can afford.
 const CURVE_ROWS: usize = 4_000;
 const CURVE_TREES: usize = 40;
 const CURVE_DEPTH: usize = 6;
@@ -112,11 +117,17 @@ fn assert_parity(train: &Dataset, probe: &Dataset) {
     }
 }
 
-/// Hand-times one full-scale fit and returns row-visits/sec.
+/// Hand-times [`FITS_PER_RATE`] full-scale fits and returns the
+/// fastest one's row-visits/sec.
 fn train_rate(train: &Dataset, mode: TrainMode, threads: Threads) -> f64 {
-    let t0 = std::time::Instant::now();
-    std::hint::black_box(fit(train, N_TREES, MAX_DEPTH, mode, threads));
-    (TRAIN_ROWS * N_TREES) as f64 / t0.elapsed().as_secs_f64().max(1e-9)
+    let best_s = (0..FITS_PER_RATE)
+        .map(|_| {
+            let t0 = std::time::Instant::now();
+            std::hint::black_box(fit(train, N_TREES, MAX_DEPTH, mode, threads));
+            t0.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min);
+    (TRAIN_ROWS * N_TREES) as f64 / best_s.max(1e-9)
 }
 
 fn bench_trainpath(c: &mut Criterion) {
@@ -155,6 +166,15 @@ fn bench_trainpath(c: &mut Criterion) {
             Metric::higher("fast_speedup", "ratio", fast.0 / reference.0).limit(MIN_FAST_SPEEDUP),
             Metric::higher("exact_speedup", "ratio", exact.0 / reference.0)
                 .limit(MIN_EXACT_SPEEDUP),
+            // Parallel over serial per engine: above 1 only where
+            // parallel training pays for its threads on the measuring host.
+            Metric::higher(
+                "reference_parallel_over_serial",
+                "ratio",
+                reference.1 / reference.0,
+            ),
+            Metric::higher("exact_parallel_over_serial", "ratio", exact.1 / exact.0),
+            Metric::higher("fast_parallel_over_serial", "ratio", fast.1 / fast.0),
         ],
     )
     .write();

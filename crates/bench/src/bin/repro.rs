@@ -12,9 +12,8 @@
 //!       [--features all|no-telemetry] --out ARTIFACT
 //! repro serve --model ARTIFACT --trace PATH [--alerts-out FILE]
 //!       [--metrics-out FILE] [--batch N] [--delay N] [--from M] [--until M]
-//!       [--threads N]
 //! repro serve-net --model ARTIFACT [--listen ADDR] [--topology tiny|scaled|titan]
-//!       [--from M] [--until M] [--batch N] [--delay N] [--threads N]
+//!       [--from M] [--until M] [--batch N] [--delay N]
 //!       [--queue-cap N] [--conn-window N] [--record LOG]
 //! repro fleet --addr ADDR [--conns N] [--nodes N] [--minutes N] [--rate N]
 //!       [--sbe-rate N] [--seed N] [--window N] [--failure-conns N]
@@ -59,8 +58,11 @@
 //! to `LOG` and, after the run, replays it through a fresh in-process
 //! session as a determinism self-check — the replayed response
 //! checksum, report, and metrics snapshot must be byte-identical to
-//! the live run. `--threads` falls back to the `SBE_THREADS`
-//! environment variable when unset (the CI parity matrix's knob).
+//! the live run. `adapt --threads N` sets the retraining workers; it
+//! falls back to the `SBE_THREADS` environment variable when unset (the
+//! CI parity matrix's knob). Serving needs no thread count: each batch
+//! is assembled and scored on the calling thread, and telemetry queries
+//! run under the trace's policy (`SBE_THREADS` when set).
 
 use sbe_bench::{persist_json, BenchReport, WallClock, REPORT_SCHEMA};
 use sbepred::experiments::{
@@ -94,9 +96,9 @@ fn usage() -> ExitCode {
          [--model gbdt|lr] [--train-mode reference|exact|fast] \
          [--features all|no-telemetry] --out ARTIFACT\n\
          repro serve --model ARTIFACT --trace PATH [--alerts-out FILE] \
-         [--metrics-out FILE] [--batch N] [--delay N] [--from M] [--until M] [--threads N]\n\
+         [--metrics-out FILE] [--batch N] [--delay N] [--from M] [--until M]\n\
          repro serve-net --model ARTIFACT [--listen ADDR] [--topology tiny|scaled|titan] \
-         [--from M] [--until M] [--batch N] [--delay N] [--threads N] \
+         [--from M] [--until M] [--batch N] [--delay N] \
          [--queue-cap N] [--conn-window N] [--record LOG]\n\
          repro fleet --addr ADDR [--conns N] [--nodes N] [--minutes N] [--rate N] \
          [--sbe-rate N] [--seed N] [--window N] [--failure-conns N] [--corrupt-every N] \
@@ -463,7 +465,6 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     let mut delay = 5u64;
     let mut from: Option<u64> = None;
     let mut until: Option<u64> = None;
-    let mut threads = parkit::Threads::Auto;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -499,10 +500,6 @@ fn cmd_serve(args: &[String]) -> ExitCode {
                 Some(v) => until = Some(v),
                 None => return usage(),
             },
-            "--threads" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => threads = parkit::Threads::Fixed(v),
-                None => return usage(),
-            },
             _ => return usage(),
         }
     }
@@ -535,7 +532,6 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         max_delay_min: delay,
         score_from_min: score_from,
         score_until_min: score_until,
-        threads,
     };
     let mut rec = if metrics_out.is_some() {
         obskit::Recorder::new()
@@ -627,7 +623,7 @@ fn cmd_adapt(args: &[String]) -> ExitCode {
     let mut from: Option<u64> = None;
     let mut until: Option<u64> = None;
     let mut check_every: Option<u64> = None;
-    let mut threads = default_threads();
+    let mut threads = parkit::Threads::Auto;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -683,7 +679,6 @@ fn cmd_adapt(args: &[String]) -> ExitCode {
     let score_from = from.unwrap_or_else(|| artifact.trained_end_min());
     let score_until = until.unwrap_or_else(|| trace.config().total_minutes());
     let mut cfg = AdaptConfig::window(score_from, score_until);
-    cfg.serve.threads = threads;
     cfg.retrain.threads = threads;
     if let Some(every) = check_every {
         cfg.check_every_min = every;
@@ -775,19 +770,6 @@ fn parse_topology(v: &str) -> Option<titan_sim::topology::Topology> {
     }
 }
 
-/// Thread-count default for the network pair: `--threads` wins, then
-/// the `SBE_THREADS` environment variable (the CI parity matrix's
-/// knob), then auto.
-fn default_threads() -> parkit::Threads {
-    match std::env::var("SBE_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-    {
-        Some(n) if n > 0 => parkit::Threads::Fixed(n),
-        _ => parkit::Threads::Auto,
-    }
-}
-
 /// `repro serve-net`: bind the sbed TCP scoring daemon and serve until
 /// a client FINISH frame arrives.
 fn cmd_serve_net(args: &[String]) -> ExitCode {
@@ -802,7 +784,6 @@ fn cmd_serve_net(args: &[String]) -> ExitCode {
     let mut delay = 5u64;
     let mut from: Option<u64> = None;
     let mut until: Option<u64> = None;
-    let mut threads = default_threads();
     let mut queue_cap = 1024usize;
     let mut conn_window = 64usize;
     let mut record: Option<PathBuf> = None;
@@ -835,10 +816,6 @@ fn cmd_serve_net(args: &[String]) -> ExitCode {
             },
             "--until" => match it.next().and_then(|v| v.parse().ok()) {
                 Some(v) => until = Some(v),
-                None => return usage(),
-            },
-            "--threads" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => threads = parkit::Threads::Fixed(v),
                 None => return usage(),
             },
             "--queue-cap" => match it.next().and_then(|v| v.parse().ok()) {
@@ -877,7 +854,6 @@ fn cmd_serve_net(args: &[String]) -> ExitCode {
         max_delay_min: delay,
         score_from_min: score_from,
         score_until_min: score_until,
-        threads,
     };
     let mut cfg = DaemonConfig::new(&listen, serve_cfg, topology);
     cfg.queue_capacity = queue_cap;
@@ -894,8 +870,7 @@ fn cmd_serve_net(args: &[String]) -> ExitCode {
     // with `--listen 127.0.0.1:0`.
     println!("listening {}", daemon.addr());
     eprintln!(
-        "sbed: {} on {} ({} nodes), window [{score_from}, {score_until}), \
-         {threads:?} threads",
+        "sbed: {} on {} ({} nodes), window [{score_from}, {score_until})",
         artifact.model().name(),
         daemon.addr(),
         topology.n_nodes(),

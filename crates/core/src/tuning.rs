@@ -17,8 +17,8 @@ pub struct ThresholdPoint {
     pub metrics: Prf,
 }
 
-/// Minimum tie-group count below which the sweep runs inline — the two
-/// parallel passes only pay off on large curves.
+/// The grain, in tie groups, of the sweep's two parallel passes
+/// ([`parkit::Threads::for_work`]): they only pay off on large curves.
 const PAR_SWEEP_MIN_GROUPS: usize = 4_096;
 
 /// Sweeps every distinct score as a threshold, returning the metric curve
@@ -90,11 +90,7 @@ pub fn threshold_sweep(
     rec.incr("tuning.sweep.samples", total);
     rec.incr("tuning.sweep.points", groups.len() as u64);
 
-    let threads = if groups.len() < PAR_SWEEP_MIN_GROUPS {
-        parkit::Threads::Serial
-    } else {
-        threads
-    };
+    let threads = threads.for_work(groups.len(), PAR_SWEEP_MIN_GROUPS);
 
     // Pass 1 (parallel): per-group positive/total counts — exact integers,
     // so summation order cannot matter.

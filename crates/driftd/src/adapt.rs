@@ -53,7 +53,7 @@ use titan_sim::trace::TraceSet;
 /// pinned rule.
 #[derive(Debug, Clone, Copy)]
 pub struct AdaptConfig {
-    /// Scoring window, batching, threads.
+    /// Scoring window and batching.
     pub serve: ServeConfig,
     /// Drift-decision thresholds.
     pub monitor: MonitorConfig,

@@ -53,8 +53,7 @@ pub struct RetrainConfig {
     /// Positive-class weight (the window inherits the trace's class
     /// imbalance).
     pub pos_weight: f32,
-    /// Worker threads for training (inherit the serving thread config
-    /// so one knob drives the whole subsystem).
+    /// Worker threads for training.
     pub threads: parkit::Threads,
 }
 

@@ -18,6 +18,11 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
+/// The grain, in rows, of the score update after each tree and of batch
+/// prediction ([`parkit::Threads::for_work`]): smaller passes run inline,
+/// where spawning would cost more than the work saves.
+const PAR_ROW_MIN: usize = 4_096;
+
 /// Gradient-boosted decision tree classifier with logistic loss.
 ///
 /// # Example
@@ -256,18 +261,6 @@ impl Gbdt {
         Ok(())
     }
 
-    /// Effective thread policy for an `n`-row pass: small batches run
-    /// inline — spawning would cost more than the work saves. Results are
-    /// identical either way; this is purely a scheduling choice.
-    fn row_pass_threads(&self, n: usize) -> parkit::Threads {
-        const PAR_ROW_MIN: usize = 4_096;
-        if n < PAR_ROW_MIN {
-            parkit::Threads::Serial
-        } else {
-            self.threads
-        }
-    }
-
     /// Raw additive score (log-odds) for one feature row.
     fn raw_score_row(&self, row: &[f32]) -> f32 {
         let mut s = self.base_score;
@@ -355,7 +348,8 @@ impl Gbdt {
             // Update raw scores for every sample (not just the subsample).
             // Each element is touched exactly once, so the chunked
             // parallel pass equals the serial loop bit for bit.
-            parkit::par_apply_chunks(self.row_pass_threads(n), &mut raw, |offset, chunk| {
+            let threads = self.threads.for_work(n, PAR_ROW_MIN);
+            parkit::par_apply_chunks(threads, &mut raw, |offset, chunk| {
                 for (k, r) in chunk.iter_mut().enumerate() {
                     *r += self.learning_rate * tree.predict_row(train.x().row(offset + k));
                 }
@@ -390,7 +384,7 @@ impl Classifier for Gbdt {
         }
         let rows: Vec<usize> = (0..data.len()).collect();
         Ok(parkit::par_map(
-            self.row_pass_threads(rows.len()),
+            self.threads.for_work(rows.len(), PAR_ROW_MIN),
             &rows,
             |&i| sigmoid(self.raw_score_row(data.x().row(i))),
         ))

@@ -431,17 +431,12 @@ fn build_hist_all(
             part,
         );
     };
-    if threads.is_serial() || n * cols < PAR_SPLIT_MIN_WORK {
-        for (blk, part) in partials[..n_blocks].iter_mut().enumerate() {
-            fill(blk, part);
+    let threads = threads.for_work(n * cols, PAR_SPLIT_MIN_WORK);
+    parkit::par_apply_chunks(threads, &mut partials[..n_blocks], |offset, chunk| {
+        for (k, part) in chunk.iter_mut().enumerate() {
+            fill(offset + k, part);
         }
-    } else {
-        parkit::par_apply_chunks(threads, &mut partials[..n_blocks], |offset, chunk| {
-            for (k, part) in chunk.iter_mut().enumerate() {
-                fill(offset + k, part);
-            }
-        });
-    }
+    });
     merge_partials(&partials[..n_blocks], slab);
 }
 
@@ -463,11 +458,8 @@ fn build_hist_subset(
     slab: &mut HistSlab,
 ) {
     slab.fill_zero();
-    let n = gg.len();
-    if threads.is_serial()
-        || n * feats_sorted.len() < PAR_SPLIT_MIN_WORK
-        || feats_sorted.len() <= FEATS_PER_GROUP
-    {
+    let threads = threads.for_work(gg.len() * feats_sorted.len(), PAR_SPLIT_MIN_WORK);
+    if threads.is_serial() || feats_sorted.len() <= FEATS_PER_GROUP {
         accumulate_subset(rows, cols, gg, gh, feats_sorted, offsets, slab);
         return;
     }

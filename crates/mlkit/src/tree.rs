@@ -543,8 +543,9 @@ pub(crate) fn score(g: f64, h: f64, lambda: f64) -> f64 {
     g * g / (h + lambda)
 }
 
-/// Minimum `samples × features` workload below which per-feature split
-/// evaluation stays inline — thread spawns would dominate smaller nodes.
+/// The grain, in `samples × features` of a node, of split evaluation and
+/// histogram builds ([`parkit::Threads::for_work`]): smaller nodes stay
+/// inline, where thread spawns would dominate.
 pub(crate) const PAR_SPLIT_MIN_WORK: usize = 32_768;
 
 /// Best candidate split for a single feature: histogram the node's
@@ -636,18 +637,13 @@ pub(crate) fn find_best_split(
     // enough to pay for it. Either path reduces candidates in feature-list
     // order under the same strict `gain >` comparison, so the chosen split
     // (ties included) is identical to the serial scan.
-    let threads = ctx.params.threads;
-    let candidates: Vec<Option<SplitCandidate>> =
-        if threads.is_serial() || indices.len() * features.len() < PAR_SPLIT_MIN_WORK {
-            features
-                .iter()
-                .map(|&j| best_split_for_feature(ctx, indices, j, g_total, h_total, parent_score))
-                .collect()
-        } else {
-            parkit::par_map(threads, &features, |&j| {
-                best_split_for_feature(ctx, indices, j, g_total, h_total, parent_score)
-            })
-        };
+    let threads = ctx
+        .params
+        .threads
+        .for_work(indices.len() * features.len(), PAR_SPLIT_MIN_WORK);
+    let candidates: Vec<Option<SplitCandidate>> = parkit::par_map(threads, &features, |&j| {
+        best_split_for_feature(ctx, indices, j, g_total, h_total, parent_score)
+    });
 
     let mut best: Option<SplitCandidate> = None;
     for cand in candidates.into_iter().flatten() {

@@ -26,7 +26,21 @@
 //! beside it. A `Serial` run and an N-thread run of any `parkit`
 //! primitive are bit-for-bit identical as long as the mapped function
 //! is pure. The `SBE_THREADS` environment variable overrides
-//! [`Threads::Auto`].
+//! [`Threads::Auto`]; it is read on every call, while the core count
+//! `Auto` falls back to is read once per process.
+//!
+//! # Work and grain
+//!
+//! A scoped spawn and join costs tens of microseconds of CPU, so a job
+//! too small to pay for one runs faster on the calling thread alone.
+//! [`Threads::for_work`] is that rule, shared by every caller: the
+//! caller counts its job in `work` units of its own and names the
+//! `grain`, in the same unit, that one spawned worker needs to pay for
+//! itself. Below one grain the job runs on the calling thread; at or
+//! above it the caller's policy applies unchanged, so the policy stays
+//! the ceiling. Each caller keeps its grain in a constant of its own,
+//! sized so that one grain of work costs at least about 40 times a
+//! spawn and join.
 //!
 //! ```
 //! use parkit::{par_map, Threads};
@@ -36,6 +50,7 @@
 //! ```
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Worker-count policy for `parkit` primitives.
 ///
@@ -61,9 +76,10 @@ impl Threads {
         match self {
             Threads::Serial => 1,
             Threads::Fixed(n) => n.max(1),
-            Threads::Auto => env_override()
-                // detlint: allow(D008) reason=thread-count selection only; par_map merges per-index results in fixed order, so output is thread-count invariant
-                .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from)),
+            Threads::Auto => match env_override() {
+                Some(n) => n,
+                None => cores(),
+            },
         }
     }
 
@@ -71,6 +87,36 @@ impl Threads {
     pub fn is_serial(self) -> bool {
         self.resolve() <= 1
     }
+
+    /// This policy for a job of `work` units, where one spawned worker
+    /// needs `grain` units to pay for its spawn and join:
+    /// [`Threads::Serial`] below one grain, `self` at or above it (see
+    /// the module docs). The choice is scheduling only; results are the
+    /// same either way.
+    ///
+    /// ```
+    /// use parkit::Threads;
+    ///
+    /// assert_eq!(Threads::Fixed(8).for_work(100, 4_096), Threads::Serial);
+    /// assert_eq!(Threads::Fixed(8).for_work(4_096, 4_096), Threads::Fixed(8));
+    /// ```
+    pub fn for_work(self, work: usize, grain: usize) -> Threads {
+        if work < grain {
+            Threads::Serial
+        } else {
+            self
+        }
+    }
+}
+
+/// The cores this process may run on, read once: the query costs
+/// microseconds of CPU, and `Threads::Auto` resolves on every call.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| {
+        // detlint: allow(D008) reason=thread-count selection only; par_map merges per-index results in fixed order, so output is thread-count invariant
+        std::thread::available_parallelism().map_or(1, usize::from)
+    })
 }
 
 /// Parses `SBE_THREADS`; `0`, empty, or garbage means "not set".
@@ -145,7 +191,7 @@ where
     // tail imbalance low.
     let workers = threads.resolve().min(items.len().max(1));
     let chunk = items.len().div_ceil(workers.max(1) * 4).max(1);
-    try_par_map_chunked(threads, chunk, items, f)
+    map_chunked(workers, chunk, items, f)
 }
 
 /// [`try_par_map_indexed`] with an explicit chunk size (the unit of work
@@ -171,8 +217,19 @@ where
     E: Send,
     F: Fn(usize, &T) -> Result<U, E> + Sync,
 {
+    map_chunked(threads.resolve(), chunk, items, f)
+}
+
+/// [`try_par_map_chunked`] over an already resolved worker count.
+fn map_chunked<T, U, E, F>(workers: usize, chunk: usize, items: &[T], f: F) -> Result<Vec<U>, E>
+where
+    T: Sync,
+    U: Send,
+    E: Send,
+    F: Fn(usize, &T) -> Result<U, E> + Sync,
+{
     let n = items.len();
-    let workers = threads.resolve().min(n);
+    let workers = workers.min(n);
     if workers <= 1 {
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
@@ -419,6 +476,89 @@ mod tests {
         assert_eq!(offsets, vec![0, 16, 32, 48]);
         assert_eq!(seen[0].1, caller);
         assert!(seen[1..].iter().all(|&(_, id)| id != caller));
+    }
+
+    /// Holds each thread at its first item until `parties` threads have
+    /// arrived, or a generous timeout has passed, so that every worker
+    /// of a `Fixed(parties)` pool takes a chunk.
+    struct Rendezvous {
+        seen: std::sync::Mutex<Vec<std::thread::ThreadId>>,
+        all_in: std::sync::Condvar,
+        parties: usize,
+    }
+
+    impl Rendezvous {
+        fn new(parties: usize) -> Rendezvous {
+            Rendezvous {
+                seen: std::sync::Mutex::new(Vec::new()),
+                all_in: std::sync::Condvar::new(),
+                parties,
+            }
+        }
+
+        /// Records the calling thread; waits on its first arrival only.
+        fn arrive(&self) -> std::thread::ThreadId {
+            let id = std::thread::current().id();
+            let mut seen = self.seen.lock().unwrap();
+            if !seen.contains(&id) {
+                seen.push(id);
+                self.all_in.notify_all();
+                let timeout = std::time::Duration::from_secs(10);
+                let (_seen, _) = self
+                    .all_in
+                    .wait_timeout_while(seen, timeout, |seen| seen.len() < self.parties)
+                    .unwrap();
+            }
+            id
+        }
+
+        fn threads(self) -> Vec<std::thread::ThreadId> {
+            self.seen.into_inner().unwrap()
+        }
+    }
+
+    #[test]
+    fn below_one_grain_every_item_runs_on_the_caller() {
+        let caller = std::thread::current().id();
+        let threads = Threads::Fixed(8).for_work(4_095, 4_096);
+        assert_eq!(threads, Threads::Serial);
+        let items: Vec<u32> = (0..64).collect();
+
+        let ids = try_par_map(threads, &items, |_| {
+            Ok::<_, ()>(std::thread::current().id())
+        })
+        .unwrap();
+        assert!(ids.iter().all(|&id| id == caller));
+
+        let ids = par_map_indexed(threads, &items, |_, _| std::thread::current().id());
+        assert!(ids.iter().all(|&id| id == caller));
+
+        let mut data = vec![caller; 64];
+        par_apply_chunks(threads, &mut data, |_, chunk| {
+            chunk.fill(std::thread::current().id());
+        });
+        assert!(data.iter().all(|&id| id == caller));
+    }
+
+    #[test]
+    fn at_or_above_one_grain_the_policy_applies() {
+        assert_eq!(Threads::Auto.for_work(4_096, 4_096), Threads::Auto);
+        assert_eq!(Threads::Serial.for_work(usize::MAX, 1), Threads::Serial);
+        // A zero grain never holds a job back.
+        assert_eq!(Threads::Fixed(3).for_work(0, 0), Threads::Fixed(3));
+        let caller = std::thread::current().id();
+        for n in [2usize, 3, 5] {
+            let threads = Threads::Fixed(n).for_work(4_097, 4_096);
+            assert_eq!(threads, Threads::Fixed(n));
+            let items: Vec<u32> = (0..64).collect();
+            let rendezvous = Rendezvous::new(n);
+            let out =
+                try_par_map(threads, &items, |&x| Ok::<_, ()>((x, rendezvous.arrive()))).unwrap();
+            assert!(out.iter().enumerate().all(|(i, &(x, _))| x as usize == i));
+            let ids = rendezvous.threads();
+            assert_eq!(ids.len(), n, "Fixed({n}) ran on {} threads", ids.len());
+            assert!(ids.contains(&caller));
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Property tests for the parkit contract: any thread policy and any
-//! chunk size produce exactly what a serial loop over the same pure
-//! function would — same length, same order, same first error.
+//! Property tests for the parkit contract: any thread policy, any chunk
+//! size and any work grain produce exactly what a serial loop over the
+//! same pure function would — same length, same order, same first error.
 
 use proptest::prelude::*;
 
@@ -56,13 +56,16 @@ proptest! {
         fail_mod in 2usize..7,
         fail_off in 0usize..7,
         chunk in 1usize..16,
+        work in 0usize..20_000,
+        grain in 0usize..20_000,
     ) {
         // Fail every index where i % fail_mod == fail_off; the surfaced
         // error must be the lowest such index, as a serial loop would give,
-        // no matter which worker hits an error first.
+        // no matter which worker hits an error first or which side of
+        // its grain the job falls on.
         let items: Vec<usize> = (0..n).collect();
         let serial_first = (0..n).find(|i| i % fail_mod == fail_off);
-        for threads in policies() {
+        for threads in policies().map(|p| p.for_work(work, grain)) {
             let got = parkit::try_par_map_chunked(threads, chunk, &items, |i, &x| {
                 if i % fail_mod == fail_off {
                     Err(i)
@@ -80,14 +83,17 @@ proptest! {
     #[test]
     fn par_apply_chunks_matches_serial_pass(
         items in prop::collection::vec(-1_000i64..1_000, 0..300),
+        work in 0usize..20_000,
+        grain in 0usize..20_000,
     ) {
         // A pure per-element update through the offset must equal the
-        // serial pass regardless of how the slice is partitioned.
+        // serial pass regardless of how the slice is partitioned, on
+        // either side of the job's grain.
         let mut expected = items.clone();
         for (i, v) in expected.iter_mut().enumerate() {
             *v = v.wrapping_add(i as i64 * 3);
         }
-        for threads in policies() {
+        for threads in policies().map(|p| p.for_work(work, grain)) {
             let mut got = items.clone();
             parkit::par_apply_chunks(threads, &mut got, |offset, chunk| {
                 for (k, v) in chunk.iter_mut().enumerate() {

@@ -15,10 +15,8 @@
 //! bounded reorder buffer and feeds the session strictly in sequence
 //! order, so the session — and with it every score, every metric, and
 //! the rolling response checksum — is a pure function of the frame
-//! sequence, no matter how many connections or worker threads carried
-//! it. Scoring itself still fans out across parkit workers inside a
-//! batch ([`streamd::serve::ServeConfig::threads`]); those fan-outs are
-//! order-preserving, so worker count cannot change a bit either.
+//! sequence, no matter how many connections or threads carried it.
+//! Each batch is assembled and scored on the engine thread.
 //!
 //! Back-pressure is bounded and typed at three points: a per-connection
 //! in-flight window, the engine's bounded request queue, and the
@@ -61,7 +59,7 @@ const READ_TIMEOUT: Duration = Duration::from_millis(100);
 pub struct DaemonConfig {
     /// Address to bind (`"127.0.0.1:0"` for an ephemeral test port).
     pub listen: String,
-    /// Scoring window, batching, threads.
+    /// Scoring window and batching.
     pub serve: ServeConfig,
     /// The node universe events are validated against.
     pub topology: Topology,

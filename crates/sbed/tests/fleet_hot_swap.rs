@@ -11,8 +11,7 @@
 //!   swap and the final generation;
 //! * the recorded request log (which embeds the swap at its admission
 //!   boundary) replays byte-identically — same rolling response
-//!   checksum, report, and metrics snapshot — at 1, 2, and 8 scoring
-//!   workers;
+//!   checksum, report, and metrics snapshot;
 //! * a challenger with a broken succession header is refused without
 //!   perturbing a single score.
 
@@ -166,76 +165,51 @@ fn hot_swap_under_fleet_load_drops_nothing_and_replays_byte_identically() {
     assert_eq!(clean_report.report.n_swaps, 0);
     assert_eq!(clean_report.report.generation, 0);
 
-    let mut runs: Vec<(usize, FleetOutcome, DaemonReport)> = Vec::new();
-    for workers in [1usize, 2, 8] {
-        let serve_cfg = ServeConfig {
-            threads: parkit::Threads::Fixed(workers),
-            ..base_cfg
-        };
-        let log_path = std::env::temp_dir().join(format!(
-            "sbed_hot_swap_{}_{workers}.bin",
-            std::process::id()
-        ));
-        let (outcome, report) = run_with_swaps(
-            &champion,
-            &serve_cfg,
-            topology,
-            &events,
-            &[(swap_at, swap_bytes.clone())],
-            Some(log_path.clone()),
-        );
+    let log_path = std::env::temp_dir().join(format!("sbed_hot_swap_{}.bin", std::process::id()));
+    let (outcome, report) = run_with_swaps(
+        &champion,
+        &base_cfg,
+        topology,
+        &events,
+        &[(swap_at, swap_bytes)],
+        Some(log_path.clone()),
+    );
 
-        // Exactly one committed swap, generation advanced, nothing
-        // rejected, every frame acknowledged.
-        assert_eq!(outcome.n_acks, events.len() as u64);
-        assert_eq!(report.report.n_events, events.len() as u64);
-        assert_eq!(report.n_rejected, 0);
-        assert_eq!(report.n_swaps_rejected, 0);
-        assert_eq!(report.report.n_swaps, 1, "the swap must commit");
-        assert_eq!(report.report.generation, 1);
+    // Exactly one committed swap, generation advanced, nothing
+    // rejected, every frame acknowledged.
+    assert_eq!(outcome.n_acks, events.len() as u64);
+    assert_eq!(report.report.n_events, events.len() as u64);
+    assert_eq!(report.n_rejected, 0);
+    assert_eq!(report.n_swaps_rejected, 0);
+    assert_eq!(report.report.n_swaps, 1, "the swap must commit");
+    assert_eq!(report.report.generation, 1);
 
-        // Zero dropped, zero double-scored: the answered universe is
-        // exactly the no-swap universe (probabilities may differ — a
-        // different model serves the tail).
-        let map = score_map(&outcome);
-        assert_eq!(
-            map.keys().collect::<Vec<_>>(),
-            clean_map.keys().collect::<Vec<_>>(),
-            "swap changed the set of answered (aprun, node) requests"
-        );
-        assert_ne!(
-            map, clean_map,
-            "the challenger must actually change some post-swap score"
-        );
-        assert_eq!(report.report.n_requests, clean_report.report.n_requests);
+    // Zero dropped, zero double-scored: the answered universe is
+    // exactly the no-swap universe (probabilities may differ — a
+    // different model serves the tail).
+    let map = score_map(&outcome);
+    assert_eq!(
+        map.keys().collect::<Vec<_>>(),
+        clean_map.keys().collect::<Vec<_>>(),
+        "swap changed the set of answered (aprun, node) requests"
+    );
+    assert_ne!(
+        map, clean_map,
+        "the challenger must actually change some post-swap score"
+    );
+    assert_eq!(report.report.n_requests, clean_report.report.n_requests);
 
-        // The recorded log embeds the swap at its admission boundary:
-        // replay must reproduce the response stream byte for byte.
-        let replayed = replay_log_file(&log_path, &champion, &serve_cfg, topology).expect("replay");
-        assert_eq!(replayed.n_frames, events.len() as u64 + 2); // + SWAP + FINISH
-        assert_eq!(
-            replayed.response_fnv, report.response_fnv,
-            "replay response stream diverged at {workers} workers"
-        );
-        assert_eq!(replayed.report, report.report);
-        assert_eq!(replayed.snapshot, report.snapshot);
-        std::fs::remove_file(&log_path).ok();
-        runs.push((workers, outcome, report));
-    }
-
-    // Worker-thread invariance across the swap boundary.
-    let (_, first_outcome, first_report) = &runs[0];
-    let first_map = score_map(first_outcome);
-    for (workers, outcome, report) in &runs[1..] {
-        assert_eq!(
-            score_map(outcome),
-            first_map,
-            "swap scores diverged between 1 and {workers} workers"
-        );
-        assert_eq!(report.response_fnv, first_report.response_fnv);
-        assert_eq!(report.report, first_report.report);
-        assert_eq!(report.snapshot, first_report.snapshot);
-    }
+    // The recorded log embeds the swap at its admission boundary:
+    // replay must reproduce the response stream byte for byte.
+    let replayed = replay_log_file(&log_path, &champion, &base_cfg, topology).expect("replay");
+    assert_eq!(replayed.n_frames, events.len() as u64 + 2); // + SWAP + FINISH
+    assert_eq!(
+        replayed.response_fnv, report.response_fnv,
+        "replay response stream diverged"
+    );
+    assert_eq!(replayed.report, report.report);
+    assert_eq!(replayed.snapshot, report.snapshot);
+    std::fs::remove_file(&log_path).ok();
 }
 
 #[test]

@@ -4,16 +4,16 @@
 //! [`PipelineArtifact`]: launches inside the scoring window become score
 //! requests, requests batch up to a bounded capacity (or a maximum
 //! queueing delay in trace minutes), and each flush runs stage 1
-//! (offender-set membership), feature assembly + standardisation across
-//! parkit workers, and the stage-2 classifier. Predicted-SBE launches are
+//! (offender-set membership), feature assembly + standardisation on the
+//! calling thread, and the stage-2 classifier. Predicted-SBE launches are
 //! emitted to an [`AlertSink`] as mitigation decisions.
 //!
 //! Determinism: every obskit measurement is recorded from the driver
 //! thread with values that are pure functions of the trace and config
 //! (batch sizes, queue delays, probabilities), so the metrics snapshot is
-//! byte-identical across thread counts; parallelism lives inside the
-//! telemetry query engine and row assembly — both order-preserving
-//! parkit fan-outs.
+//! byte-identical across thread counts; the only parallelism is inside
+//! the telemetry query engine, an order-preserving parkit fan-out under
+//! the trace's thread policy.
 //!
 //! Parity: feature values are captured at *launch-event time* from the
 //! incremental engine (frozen, strictly-before-launch state), while
@@ -61,21 +61,17 @@ pub struct ServeConfig {
     pub score_from_min: u64,
     /// End of the scoring window (exclusive).
     pub score_until_min: u64,
-    /// Worker threads for row assembly (telemetry queries resolve
-    /// their own, through parkit).
-    pub threads: parkit::Threads,
 }
 
 impl ServeConfig {
     /// A config scoring `[from, until)` with the defaults: batches of 64,
-    /// 5-minute latency bound, auto threads.
+    /// 5-minute latency bound.
     pub fn window(from: u64, until: u64) -> ServeConfig {
         ServeConfig {
             batch_capacity: 64,
             max_delay_min: 5,
             score_from_min: from,
             score_until_min: until,
-            threads: parkit::Threads::Auto,
         }
     }
 
@@ -266,10 +262,10 @@ struct CompiledState {
     scorer: CompiledScorer,
     /// Feature width (the scaler's row length).
     n_features: usize,
-    /// Per-row assembly scratch, one slot per batch row up to the batch
-    /// high-water mark. Slots are disjoint, so assembly can fan out
-    /// across parkit workers without sharing mutable state.
-    slots: Vec<RowSlot>,
+    /// Raw (unscaled) feature row being assembled.
+    raw: Vec<f32>,
+    /// Standardised feature row (fixed width).
+    scaled: Vec<f32>,
     /// Column-major batch buffer, persisted across flushes (capacity is
     /// retained by `reset`).
     frame: FeatureFrame,
@@ -285,21 +281,12 @@ impl CompiledState {
         Ok(CompiledState {
             scorer: artifact.compile()?,
             n_features,
-            slots: Vec::new(),
+            raw: Vec::with_capacity(n_features),
+            scaled: vec![0.0; n_features],
             frame: FeatureFrame::with_capacity(n_features, cfg.batch_capacity.min(1_024)),
             proba: Vec::new(),
         })
     }
-}
-
-/// One row's reusable assembly scratch.
-struct RowSlot {
-    /// Raw (unscaled) feature row.
-    raw: Vec<f32>,
-    /// Standardised feature row (fixed width).
-    scaled: Vec<f32>,
-    /// Assembly failure, surfaced by the driver in batch order.
-    err: Option<StreamError>,
 }
 
 /// The bare facts of one launch event, as a step feeder presents them:
@@ -727,7 +714,7 @@ impl<'a> StepScorer<'a> {
         // obligation.
         let state = &mut self.compiled;
         let scaler = self.artifact.get().scaler();
-        assemble_batch(&self.cfg, &self.spec, scaler, state, &batch, &telemetry)?;
+        assemble_batch(&self.spec, scaler, state, &batch, &telemetry)?;
         rec.span_end(feature_span);
 
         let score_span = rec.span_start("streamd.score");
@@ -870,39 +857,24 @@ pub fn serve_observed(
     Ok(report)
 }
 
-/// Feature assembly: per-row work (`assemble_row`, then the scaler's
-/// `transform_row`, both pure per-row functions) fans out across parkit
-/// workers into disjoint reusable [`RowSlot`]s, then the driver
-/// scatters the standardized rows into the persistent frame in batch
-/// order, so the frame is bit-identical at any thread count.
+/// Feature assembly: each row is assembled (`assemble_row`), then
+/// standardised (the scaler's `transform_row`) and appended to the
+/// persistent frame, in batch order on the calling thread; the first
+/// failing row's error is returned. A streamed flush holds a couple of
+/// rows, far too little work to pay for a thread spawn.
 /// Hot-path root: detlint proves every function reachable from here
 /// panic-free, steady-state alloc-free, and deterministic
 /// (D006/D007/D008).
 fn assemble_batch(
-    cfg: &ServeConfig,
     spec: &sbepred::features::FeatureSpec,
     scaler: &mlkit::scaler::StandardScaler,
     state: &mut CompiledState,
     batch: &[PendingRequest],
     telemetry: &[SampleTelemetry],
 ) -> Result<()> {
-    let n = batch.len();
-    let width = state.n_features;
-    if state.slots.len() < n {
-        // Warm-up growth only: slots persist at the batch high-water
-        // mark (bounded by batch_capacity) and are reused afterwards.
-        state.slots.resize_with(n, || RowSlot {
-            // detlint: allow(D007) reason=warm-up only: slots are built once up to the batch high-water mark and reused afterwards
-            raw: Vec::with_capacity(width),
-            // detlint: allow(D007) reason=warm-up only: scaled buffers are built once up to the batch high-water mark and reused afterwards
-            scaled: vec![0.0; width],
-            err: None,
-        });
-    }
     let needs_telemetry = spec.needs_telemetry();
-    let fill = |i: usize, slot: &mut RowSlot| {
-        // detlint: allow(D006) reason=i = offset + k from par_apply_chunks over slots[..n], so i < n = batch.len()
-        let p = &batch[i];
+    state.frame.reset(state.n_features);
+    for (i, p) in batch.iter().enumerate() {
         // Checked lookup: a telemetry/batch length mismatch surfaces as
         // the assembler's missing-telemetry error, never a panic.
         let t = if needs_telemetry {
@@ -910,43 +882,10 @@ fn assemble_batch(
         } else {
             None
         };
-        slot.err = None;
-        slot.raw.clear();
-        let assembled = assemble_row(spec, &p.req.facts, t, &p.req.hist, &mut slot.raw)
-            .map_err(StreamError::from)
-            .and_then(|()| {
-                scaler
-                    .transform_row(&mut slot.scaled, &slot.raw)
-                    .map_err(StreamError::from)
-            });
-        if let Err(e) = assembled {
-            slot.err = Some(e);
-        }
-    };
-    // Each slot is touched by exactly one worker and the scatter below
-    // reads them in batch order, so the thread policy cannot change a
-    // bit of the frame.
-    // detlint: allow(D006) reason=slots[..n] is in bounds: resize_with above guarantees slots.len() >= n
-    parkit::par_apply_chunks(cfg.threads, &mut state.slots[..n], |offset, chunk| {
-        for (k, slot) in chunk.iter_mut().enumerate() {
-            fill(offset + k, slot);
-        }
-    });
-    // Surface the first failure in batch order (matching the serial
-    // loop's error precedence), then pack the frame.
-    // detlint: allow(D006) reason=slots[..n] is in bounds: resize_with above guarantees slots.len() >= n
-    for slot in state.slots[..n].iter_mut() {
-        if let Some(e) = slot.err.take() {
-            return Err(e);
-        }
-    }
-    state.frame.reset(width);
-    // detlint: allow(D006) reason=slots[..n] is in bounds: resize_with above guarantees slots.len() >= n
-    for slot in state.slots[..n].iter() {
-        state
-            .frame
-            .push_row(&slot.scaled)
-            .map_err(StreamError::from)?;
+        state.raw.clear();
+        assemble_row(spec, &p.req.facts, t, &p.req.hist, &mut state.raw)?;
+        scaler.transform_row(&mut state.scaled, &state.raw)?;
+        state.frame.push_row(&state.scaled)?;
     }
     Ok(())
 }

@@ -21,7 +21,7 @@ use crate::faults::FaultModel;
 use crate::rng::stream_rng_indexed;
 use crate::schedule::{ApRun, ApRunId, Schedule};
 use crate::telemetry::{
-    SeriesKind, SlotCheckpoints, SlotSeries, SlotState, TelemetrySimulator, WindowStats,
+    Checkpoint, SeriesKind, SlotCheckpoints, SlotSeries, SlotState, TelemetrySimulator, WindowStats,
 };
 use crate::topology::{NodeId, SlotId};
 use crate::trace::{SampleRecord, TraceSet};
@@ -38,6 +38,12 @@ pub const LOOKBACK_WINDOWS_MIN: [u64; 4] = [5, 15, 30, 60];
 /// flips are orders of magnitude rarer (paper §II: DBEs are too rare to
 /// predict).
 pub const DBE_RELATIVE_RATE: f64 = 0.01;
+
+/// The slot-minutes a telemetry query must simulate before it fans its
+/// slots out across threads ([`parkit::Threads::for_work`]). A streamed
+/// flush resumes one or two slots a few hundred minutes back and stays
+/// on its calling thread; a bulk query over a whole trace fans out.
+const QUERY_GRAIN_SLOT_MINUTES: usize = 16_384;
 
 /// Generates a complete trace from a configuration.
 ///
@@ -398,9 +404,10 @@ impl<'a> TelemetryQueryEngine<'a> {
     /// Answers every pair from its slot's series. Pairs are validated and
     /// grouped by slot; each touched slot is simulated once over the union
     /// of its pairs' `window`s, and a pair whose window is empty gets
-    /// `T::default()`. Workers return (pair index, answer) tuples that
-    /// merge into the input-ordered output, so the thread policy cannot
-    /// affect results.
+    /// `T::default()`. Slots fan out across threads only when the
+    /// slot-minutes to simulate reach [`QUERY_GRAIN_SLOT_MINUTES`].
+    /// Workers return (pair index, answer) tuples that merge into the
+    /// input-ordered output, so the thread policy cannot affect results.
     fn per_slot<T, W, A>(&self, pairs: &[(ApRunId, NodeId)], window: W, answer: A) -> Result<Vec<T>>
     where
         T: Clone + Default + Send,
@@ -422,13 +429,13 @@ impl<'a> TelemetryQueryEngine<'a> {
                 .or_default()
                 .push((i, run));
         }
-        let slots: Vec<(u32, Vec<(usize, &ApRun)>)> = by_slot.into_iter().collect();
-
-        let per_slot: Vec<Vec<(usize, T)>> =
-            parkit::try_par_map(self.trace.config().threads, &slots, |(slot, queries)| {
-                // The union of the non-empty windows, and its largest start.
+        // Per slot, the union of its non-empty windows and their largest
+        // start, as (lo, keep, hi).
+        let slots: Vec<_> = by_slot
+            .into_iter()
+            .map(|(slot, queries)| {
                 let mut span: Option<(u64, u64, u64)> = None;
-                for &(_, run) in queries {
+                for &(_, run) in &queries {
                     let (lo, hi) = window(run);
                     if lo < hi {
                         span = Some(match span {
@@ -437,7 +444,31 @@ impl<'a> TelemetryQueryEngine<'a> {
                         });
                     }
                 }
-                let series = match span {
+                (slot, span, queries)
+            })
+            .collect();
+        let work: usize = {
+            let kept = self.kept();
+            slots
+                .iter()
+                .filter_map(|&(slot, span, _)| {
+                    let (lo, _, hi) = span?;
+                    let from = self
+                        .resume_point(SlotId(slot), kept.get(&slot), lo)
+                        .minute();
+                    Some(hi.saturating_sub(from) as usize)
+                })
+                .sum()
+        };
+        let threads = self
+            .trace
+            .config()
+            .threads
+            .for_work(work, QUERY_GRAIN_SLOT_MINUTES);
+
+        let per_slot: Vec<Vec<(usize, T)>> =
+            parkit::try_par_map(threads, &slots, |(slot, span, queries)| {
+                let series = match *span {
                     Some((lo, keep, hi)) => Some(self.slot_window(SlotId(*slot), lo, keep, hi)?),
                     None => None,
                 };
@@ -483,21 +514,19 @@ impl<'a> TelemetryQueryEngine<'a> {
             });
         }
         debug_assert!(lo <= keep && keep <= hi);
-        let resumed = {
+        let (resume, resumed) = {
             let mut kept = self.kept();
-            match kept.get(&slot.0) {
-                Some(state) if state.minute() <= lo => kept.remove(&slot.0),
+            let resume = self.resume_point(slot, kept.get(&slot.0), lo);
+            let resumed = match resume {
+                Resume::Kept(_) => kept.remove(&slot.0),
                 _ => None,
-            }
+            };
+            (resume, resumed)
         };
-        let checkpoint = self
-            .trace
-            .checkpoints(slot)
-            .and_then(|c| c.at_or_before(lo));
-        let mut state = match (resumed, checkpoint) {
-            (Some(state), c) if c.is_none_or(|c| c.minute() <= state.minute()) => state,
-            (_, Some(c)) => self.sim.restore(slot, c)?,
-            _ => self.sim.slot_state(slot)?,
+        let mut state = match (resumed, resume) {
+            (Some(state), _) => state,
+            (None, Resume::Checkpoint(c)) => self.sim.restore(slot, c)?,
+            (None, _) => self.sim.slot_state(slot)?,
         };
         self.sim.advance(&mut state, lo);
         let mut series = state.empty_series((hi - lo) as usize);
@@ -511,12 +540,54 @@ impl<'a> TelemetryQueryEngine<'a> {
         Ok(series)
     }
 
+    /// Where a window of `slot` starting at `lo` resumes, given the
+    /// slot's kept state: that state when it stands at or before `lo` and
+    /// no later checkpoint does, else the trace's last checkpoint at or
+    /// before `lo`, else minute 0. [`Self::slot_window`] resumes there
+    /// and [`Self::per_slot`] counts the minutes to simulate from there,
+    /// so the two cannot disagree.
+    fn resume_point(&self, slot: SlotId, kept: Option<&SlotState>, lo: u64) -> Resume<'a> {
+        let kept = kept.map(SlotState::minute).filter(|&m| m <= lo);
+        let checkpoint = self
+            .trace
+            .checkpoints(slot)
+            .and_then(|c| c.at_or_before(lo));
+        match (kept, checkpoint) {
+            (Some(m), c) if c.is_none_or(|c| c.minute() <= m) => Resume::Kept(m),
+            (_, Some(c)) => Resume::Checkpoint(c),
+            _ => Resume::Origin,
+        }
+    }
+
     /// The kept states. A panic elsewhere cannot leave the map half
     /// updated: every update inserts or removes one complete state, and
     /// each kept state is a valid snapshot, so a poisoned lock is
     /// recovered.
     fn kept(&self) -> MutexGuard<'_, BTreeMap<u32, SlotState>> {
         self.kept.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// The snapshot a slot's window resumes from (see
+/// [`TelemetryQueryEngine::resume_point`]).
+#[derive(Debug, Clone, Copy)]
+enum Resume<'t> {
+    /// The engine's kept state, standing at this minute.
+    Kept(u64),
+    /// A checkpoint captured at generation.
+    Checkpoint(Checkpoint<'t>),
+    /// A fresh state at minute 0.
+    Origin,
+}
+
+impl Resume<'_> {
+    /// The next minute the resumed state simulates.
+    fn minute(&self) -> u64 {
+        match self {
+            Resume::Kept(m) => *m,
+            Resume::Checkpoint(c) => c.minute(),
+            Resume::Origin => 0,
+        }
     }
 }
 

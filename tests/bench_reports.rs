@@ -13,14 +13,11 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
 /// Every gated metric: (bench, metric, direction, limit).
-const LIMITS: [(&str, &str, Better, f64); 10] = [
+const LIMITS: [(&str, &str, Better, f64); 7] = [
     ("fastpath", "batch_speedup", Better::higher, 3.0),
     ("train", "fast_speedup", Better::higher, 2.0),
     ("train", "exact_speedup", Better::higher, 1.0),
-    ("sbed", "rps_1_workers", Better::higher, 500.0),
-    ("sbed", "rps_2_workers", Better::higher, 500.0),
-    ("sbed", "rps_8_workers", Better::higher, 500.0),
-    ("sbed", "scaling", Better::higher, 0.8),
+    ("sbed", "rps", Better::higher, 500.0),
     ("sbed", "p99_over_p50", Better::higher, 1.0),
     ("drift", "adapt_ratio", Better::higher, 0.4),
     ("drift", "swap_pause_ms", Better::lower, 250.0),

@@ -69,10 +69,8 @@ fn fixture(invert_labels: bool) -> (TraceSet, PipelineArtifact) {
 /// An aggressive adaptation config: thresholds low enough that the tiny
 /// trace's drift signal actually fires, check ticks every hour.
 fn aggressive_cfg(from: u64, until: u64, threads: parkit::Threads) -> AdaptConfig {
-    let mut serve = ServeConfig::window(from, until);
-    serve.threads = threads;
     AdaptConfig {
-        serve,
+        serve: ServeConfig::window(from, until),
         monitor: MonitorConfig {
             baseline_rows: 64,
             min_current: 32,

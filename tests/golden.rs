@@ -246,11 +246,8 @@ fn compute_drift() -> String {
     model.fit(&train).expect("fit");
     let artifact = ds1_artifact(&fx, &split, spec, prepared.scaler.clone(), model);
 
-    let threads = Threads::Fixed(2);
-    let mut serve = ServeConfig::window(split.train_end_min(), trace.config().total_minutes());
-    serve.threads = threads;
     let cfg = AdaptConfig {
-        serve,
+        serve: ServeConfig::window(split.train_end_min(), trace.config().total_minutes()),
         monitor: MonitorConfig {
             baseline_rows: 64,
             min_current: 32,
@@ -269,7 +266,7 @@ fn compute_drift() -> String {
             n_trees: 12,
             max_depth: 3,
             min_samples_leaf: 2,
-            threads,
+            threads: Threads::Fixed(2),
             ..RetrainConfig::pinned()
         },
         check_every_min: 60,

@@ -4,9 +4,10 @@
 //! determinism") is that the thread policy is an execution detail: every
 //! result in this workspace is bit-identical whether computed inline,
 //! with one worker, or with many. These tests lock that contract down at
-//! the three layers where parkit is wired in — trace generation, GBDT
-//! training/prediction, and cross-validation — by running each at
-//! 1, 2, and 8 threads and demanding byte- or value-identical output.
+//! the layers where parkit is wired in — trace generation, telemetry
+//! queries, GBDT training/prediction, and cross-validation — by running
+//! each at 1, 2, and 8 threads and demanding byte- or value-identical
+//! output.
 
 use gpu_error_prediction::mlkit::crossval::cross_validate;
 use gpu_error_prediction::mlkit::dataset::Dataset;
@@ -15,7 +16,7 @@ use gpu_error_prediction::mlkit::model::Classifier;
 use gpu_error_prediction::obskit::Recorder;
 use gpu_error_prediction::parkit::Threads;
 use gpu_error_prediction::titan_sim::config::SimConfig;
-use gpu_error_prediction::titan_sim::engine::generate;
+use gpu_error_prediction::titan_sim::engine::{generate, SampleTelemetry, TelemetryQueryEngine};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -48,6 +49,62 @@ fn trace_generation_is_thread_count_invariant() {
         let t = generate(&cfg).expect("trace generates");
         let s = serde_json::to_string(&t).expect("trace serializes");
         assert_eq!(s, reference, "trace diverged at {n} threads");
+    }
+}
+
+/// Every field of each answer, floats as bits.
+fn telemetry_bits(answers: &[SampleTelemetry]) -> Vec<u32> {
+    let mut bits = Vec::new();
+    for t in answers {
+        bits.extend([t.aprun.0, t.node.0]);
+        let stats = [t.run_temp, t.run_power, t.cpu_temp, t.nei_temp, t.nei_power]
+            .into_iter()
+            .chain(t.prev_temp)
+            .chain(t.prev_power);
+        for w in stats {
+            bits.extend([w.mean, w.std, w.diff_mean, w.diff_std].map(f32::to_bits));
+        }
+    }
+    bits
+}
+
+#[test]
+fn telemetry_queries_are_thread_count_invariant() {
+    // A stream-sized query (one short launch on at most two slots)
+    // simulates less than one query grain and stays on the calling
+    // thread; a bulk query over every sample fans out across slots.
+    // Both must answer the same bits under every policy.
+    let answers = |threads: Threads| -> (Vec<u32>, Vec<u32>) {
+        let trace = generate(&SimConfig::tiny(13).with_threads(threads)).expect("trace generates");
+        let topo = trace.config().topology;
+        let mid = trace.config().total_minutes() / 2;
+        let launch = trace
+            .apruns()
+            .iter()
+            .filter(|r| r.start_min > mid && r.runtime_min() <= 120)
+            .find(|r| {
+                let mut slots: Vec<u32> = r
+                    .nodes
+                    .iter()
+                    .map(|&n| topo.slot_of(n).expect("node in topology").0)
+                    .collect();
+                slots.sort_unstable();
+                slots.dedup();
+                slots.len() <= 2
+            })
+            .expect("a short launch on at most two slots");
+        let stream: Vec<_> = launch.nodes.iter().map(|&n| (launch.id, n)).collect();
+        let bulk: Vec<_> = trace.samples().iter().map(|s| (s.aprun, s.node)).collect();
+        let engine = TelemetryQueryEngine::new(&trace).expect("engine builds");
+        let small = engine.query(&stream).expect("stream query");
+        let all = engine.query(&bulk).expect("bulk query");
+        (telemetry_bits(&small), telemetry_bits(&all))
+    };
+    let reference = answers(Threads::Serial);
+    for n in [2, 8] {
+        let (small, all) = answers(Threads::Fixed(n));
+        assert!(small == reference.0, "stream query diverged at {n} threads");
+        assert!(all == reference.1, "bulk query diverged at {n} threads");
     }
 }
 

@@ -9,11 +9,12 @@
 //!   `streamd::serve` run on the same trace, bit for bit.
 //! * **Synthetic at scale** — a seeded synthetic workload (≥ 100
 //!   connections, ≥ 10k requests, 1,600-node topology) scores
-//!   identically at 1, 2, and 8 scoring worker threads, and the
-//!   recorded request log replays byte-identically (rolling response
-//!   checksum, report, and metrics snapshot).
+//!   identically across live runs, whose connection threads interleave
+//!   differently each time, and the recorded request log replays
+//!   byte-identically (rolling response checksum, report, and metrics
+//!   snapshot).
 
-use gpu_error_prediction::{mlkit, obskit, parkit, sbed, sbepred, streamd, titan_sim};
+use gpu_error_prediction::{mlkit, obskit, sbed, sbepred, streamd, titan_sim};
 use mlkit::dataset::Dataset;
 use mlkit::gbdt::Gbdt;
 use mlkit::model::Classifier;
@@ -248,14 +249,13 @@ fn fleet_at_scale_is_thread_invariant_and_replays_byte_identically() {
     let artifact = synthetic_artifact(n_nodes);
     let fleet_cfg = FleetConfig::healthy(100);
 
+    // Three live runs: each interleaves its 100 connections' reader and
+    // writer threads differently, and all must answer the same bits.
+    let serve_cfg = ServeConfig::window(0, synth.minutes);
     let mut runs: Vec<(usize, FleetOutcome, sbed::daemon::DaemonReport)> = Vec::new();
-    for workers in [1usize, 2, 8] {
-        let serve_cfg = ServeConfig {
-            threads: parkit::Threads::Fixed(workers),
-            ..ServeConfig::window(0, synth.minutes)
-        };
+    for run in 0..3 {
         let log_path =
-            std::env::temp_dir().join(format!("sbed_parity_{}_{workers}.bin", std::process::id()));
+            std::env::temp_dir().join(format!("sbed_parity_{}_{run}.bin", std::process::id()));
         let (outcome, report) = run_loopback(
             &artifact,
             &serve_cfg,
@@ -274,27 +274,27 @@ fn fleet_at_scale_is_thread_invariant_and_replays_byte_identically() {
         assert_eq!(replayed.n_frames, events.len() as u64 + 1); // + FINISH
         assert_eq!(
             replayed.response_fnv, report.response_fnv,
-            "replay response stream diverged at {workers} workers"
+            "replay response stream diverged in run {run}"
         );
         assert_eq!(replayed.report, report.report);
         assert_eq!(
             replayed.snapshot, report.snapshot,
-            "metrics snapshot not byte-stable under replay at {workers} workers"
+            "metrics snapshot not byte-stable under replay in run {run}"
         );
         std::fs::remove_file(&log_path).ok();
-        runs.push((workers, outcome, report));
+        runs.push((run, outcome, report));
     }
 
-    // Worker-thread invariance: identical scores, identical response
-    // checksum, identical report, identical snapshot.
+    // Run invariance: identical scores, identical response checksum,
+    // identical report, identical snapshot.
     let (_, first_outcome, first_report) = &runs[0];
     let first_map = fleet_score_map(first_outcome);
     assert!(!first_map.is_empty(), "degenerate workload: nothing scored");
-    for (workers, outcome, report) in &runs[1..] {
+    for (run, outcome, report) in &runs[1..] {
         assert_eq!(
             fleet_score_map(outcome),
             first_map,
-            "scores diverged between 1 and {workers} workers"
+            "scores diverged between runs 0 and {run}"
         );
         assert_eq!(report.response_fnv, first_report.response_fnv);
         assert_eq!(report.report, first_report.report);

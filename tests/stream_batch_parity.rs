@@ -100,7 +100,8 @@ fn assert_parity(report: &streamd::serve::ServeReport, reference: &RefMap) {
 
 #[test]
 fn stream_matches_batch_bit_for_bit_across_thread_counts() {
-    let (trace, artifact, reference, (from, until)) = train_reference();
+    let (_, artifact, reference, (from, until)) = train_reference();
+    let cfg = ServeConfig::window(from, until);
     let mut snapshots: Vec<String> = Vec::new();
     for threads in [
         parkit::Threads::Serial,
@@ -108,10 +109,10 @@ fn stream_matches_batch_bit_for_bit_across_thread_counts() {
         parkit::Threads::Fixed(2),
         parkit::Threads::Fixed(8),
     ] {
-        let cfg = ServeConfig {
-            threads,
-            ..ServeConfig::window(from, until)
-        };
+        // A serve run's thread policy is its trace's: the telemetry
+        // queries of every flush run under it.
+        let trace =
+            titan_sim::engine::generate(&SimConfig::tiny(13).with_threads(threads)).expect("trace");
         let mut alerts: Vec<streamd::serve::Alert> = Vec::new();
         let mut rec = obskit::Recorder::new();
         let report = serve_observed(&trace, &artifact, &cfg, &mut alerts, &mut rec).expect("serve");
