@@ -52,7 +52,9 @@ fn fixture() -> (TraceSet, PipelineArtifact, (u64, u64)) {
     let spec = FeatureSpec::no_telemetry();
     let prepared = prepare_with_extractor(&fx, &samples, &split, &spec).expect("prepare");
     let mut model = Gbdt::new().n_trees(20).min_samples_leaf(2).seed(7);
-    model.fit(&prepared.train).expect("fit");
+    model
+        .fit(&prepared.train, &mut obskit::Recorder::null())
+        .expect("fit");
     let offenders: Vec<u32> = fx
         .history()
         .offender_nodes_before(split.train_end_min())

@@ -77,7 +77,9 @@ fn batch_fixture() -> BatchFixture {
         .max_depth(MAX_DEPTH)
         .min_samples_leaf(1)
         .seed(7);
-    model.fit(&train).expect("fits");
+    model
+        .fit(&train, &mut obskit::Recorder::null())
+        .expect("fits");
     let compiled = model.compile().expect("compiles");
 
     let score_rows = gen_rows(BATCH_ROWS);

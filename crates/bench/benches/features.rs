@@ -35,8 +35,7 @@ fn bench_extraction(c: &mut Criterion) {
 
 fn bench_history(c: &mut Criterion) {
     let trace = generate(&SimConfig::tiny(3)).expect("generates");
-    let samples = build_samples(&trace).expect("samples build");
-    let history = SbeHistory::build(&samples).expect("history builds");
+    let history = SbeHistory::build(&trace).expect("history builds");
     let horizon = trace.config().total_minutes();
 
     let mut group = c.benchmark_group("history");

@@ -55,7 +55,9 @@ fn bench_gbdt_train(c: &mut Criterion) {
                     .min_samples_leaf(5)
                     .seed(3)
                     .threads(threads);
-                model.fit(std::hint::black_box(&train)).expect("fits");
+                model
+                    .fit(std::hint::black_box(&train), &mut Recorder::null())
+                    .expect("fits");
                 model
             })
         });

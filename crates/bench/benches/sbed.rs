@@ -70,7 +70,9 @@ fn synthetic_artifact(n_nodes: u32) -> PipelineArtifact {
         .max_depth(3)
         .min_samples_leaf(2)
         .seed(5);
-    model.fit(&scaled).expect("fit");
+    model
+        .fit(&scaled, &mut obskit::Recorder::null())
+        .expect("fit");
     let offenders: Vec<u32> = (0..n_nodes).step_by(2).collect();
     PipelineArtifact::new(
         spec,

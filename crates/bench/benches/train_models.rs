@@ -43,21 +43,24 @@ fn bench_training(c: &mut Criterion) {
                     .epochs(40)
                     .batch_size(256)
             },
-            |mut m| m.fit(&ds).expect("lr fits"),
+            |mut m| m.fit(&ds, &mut obskit::Recorder::null()).expect("lr fits"),
             BatchSize::SmallInput,
         )
     });
     group.bench_function("gbdt", |b| {
         b.iter_batched(
             || Gbdt::new().n_trees(60).max_depth(5).min_samples_leaf(10),
-            |mut m| m.fit(&ds).expect("gbdt fits"),
+            |mut m| {
+                m.fit(&ds, &mut obskit::Recorder::null())
+                    .expect("gbdt fits")
+            },
             BatchSize::SmallInput,
         )
     });
     group.bench_function("nn", |b| {
         b.iter_batched(
             || MlpClassifier::new().hidden_layers(&[64, 32]).epochs(10),
-            |mut m| m.fit(&ds).expect("nn fits"),
+            |mut m| m.fit(&ds, &mut obskit::Recorder::null()).expect("nn fits"),
             BatchSize::SmallInput,
         )
     });
@@ -70,7 +73,7 @@ fn bench_training(c: &mut Criterion) {
                     .max_samples(800)
                     .max_iters(40)
             },
-            |mut m| m.fit(&ds).expect("svm fits"),
+            |mut m| m.fit(&ds, &mut obskit::Recorder::null()).expect("svm fits"),
             BatchSize::SmallInput,
         )
     });
@@ -80,9 +83,10 @@ fn bench_training(c: &mut Criterion) {
 fn bench_prediction(c: &mut Criterion) {
     let ds = stage2_dataset(4_000);
     let mut gbdt = Gbdt::new().n_trees(60).max_depth(5).min_samples_leaf(10);
-    gbdt.fit(&ds).expect("gbdt fits");
+    gbdt.fit(&ds, &mut obskit::Recorder::null())
+        .expect("gbdt fits");
     let mut lr = LogisticRegression::new().epochs(20);
-    lr.fit(&ds).expect("lr fits");
+    lr.fit(&ds, &mut obskit::Recorder::null()).expect("lr fits");
 
     let mut group = c.benchmark_group("predict");
     group.bench_function("gbdt_proba", |b| {

@@ -86,7 +86,9 @@ fn fit(train: &Dataset, trees: usize, depth: usize, mode: TrainMode, threads: Th
         .seed(SEED)
         .threads(threads)
         .train_mode(mode);
-    model.fit(train).expect("gbdt fits");
+    model
+        .fit(train, &mut obskit::Recorder::null())
+        .expect("gbdt fits");
     model
 }
 

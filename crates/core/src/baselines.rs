@@ -149,7 +149,7 @@ mod tests {
     fn setup() -> (TraceSet, Vec<LabeledSample>, SbeHistory, DsSplit) {
         let t = generate(&SimConfig::tiny(3)).unwrap();
         let ss = build_samples(&t).unwrap();
-        let h = SbeHistory::build(&ss).unwrap();
+        let h = SbeHistory::build(&t).unwrap();
         let split = DsSplit::ds1(&t).unwrap();
         (t, ss, h, split)
     }

@@ -124,7 +124,7 @@ fn single_stage(
         .pos_weight(2.0)
         .seed(MODEL_SEED);
     let t0 = clock.now_nanos();
-    model.fit(train)?;
+    model.fit(train, &mut obskit::Recorder::null())?;
     let dt = std::time::Duration::from_nanos(clock.now_nanos().saturating_sub(t0));
     let pred = model.predict(test)?;
     Ok((ConfusionMatrix::from_predictions(truth, &pred)?, dt))
@@ -471,7 +471,7 @@ pub fn ext_importance(lab: &Lab<'_>) -> Result<ExperimentOutput> {
         .subsample(0.8)
         .pos_weight(2.0)
         .seed(MODEL_SEED);
-    model.fit(&prepared.train)?;
+    model.fit(&prepared.train, &mut obskit::Recorder::null())?;
     let importances = model
         .feature_importances()
         .ok_or_else(|| PredError::InvalidInput {

@@ -536,60 +536,6 @@ pub fn assemble_row(
     Ok(())
 }
 
-/// Target-encoding context fitted on the *training* window only.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct EncoderContext {
-    app_rate: BTreeMap<u32, f32>,
-    global_rate: f32,
-}
-
-/// Smoothing pseudo-count for the target encoding.
-const ENCODE_SMOOTHING: f64 = 20.0;
-
-impl EncoderContext {
-    /// Fits the application target encoding (smoothed positive rate) on
-    /// training samples.
-    pub fn fit(train: &[LabeledSample]) -> EncoderContext {
-        let mut per_app: BTreeMap<u32, (u64, u64)> = BTreeMap::new();
-        let mut pos = 0u64;
-        for s in train {
-            let e = per_app.entry(s.app.0).or_insert((0, 0));
-            e.1 += 1;
-            if s.label {
-                e.0 += 1;
-                pos += 1;
-            }
-        }
-        let global_rate = if train.is_empty() {
-            0.0
-        } else {
-            pos as f64 / train.len() as f64
-        };
-        let app_rate = per_app
-            .into_iter()
-            .map(|(app, (p, n))| {
-                let rate =
-                    (p as f64 + ENCODE_SMOOTHING * global_rate) / (n as f64 + ENCODE_SMOOTHING);
-                (app, rate as f32)
-            })
-            .collect();
-        EncoderContext {
-            app_rate,
-            global_rate: global_rate as f32,
-        }
-    }
-
-    /// Encoded rate for an app (global rate for unseen apps).
-    pub fn app_rate(&self, app: u32) -> f32 {
-        self.app_rate.get(&app).copied().unwrap_or(self.global_rate)
-    }
-
-    /// Training-window positive rate.
-    pub fn global_rate(&self) -> f32 {
-        self.global_rate
-    }
-}
-
 /// Extracts feature matrices for labelled samples from a trace.
 #[derive(Debug)]
 pub struct FeatureExtractor<'a> {
@@ -602,16 +548,18 @@ pub struct FeatureExtractor<'a> {
 }
 
 impl<'a> FeatureExtractor<'a> {
-    /// Builds an extractor; `all_samples` must be the full trace sample
-    /// list (history visibility is handled by event timestamps, so using
-    /// the full list leaks nothing).
+    /// Builds an extractor. The SBE history is indexed from `trace`
+    /// itself; `all_samples` must be the full trace sample list, from
+    /// which the previous-application feature is read (visibility is
+    /// handled by event timestamps, so using the full list leaks
+    /// nothing).
     ///
     /// # Errors
     ///
     /// Propagates simulator/query-engine construction errors.
     pub fn new(trace: &'a TraceSet, all_samples: &[LabeledSample]) -> Result<FeatureExtractor<'a>> {
         let query_engine = TelemetryQueryEngine::new(trace)?;
-        let history = SbeHistory::build(all_samples)?;
+        let history = SbeHistory::build(trace)?;
         let mut node_runs: BTreeMap<u32, Vec<(u64, u32)>> = BTreeMap::new();
         for s in all_samples {
             node_runs
@@ -785,7 +733,6 @@ mod tests {
     fn feature_names_consistent_with_extraction() {
         let (t, ss) = setup();
         let fx = FeatureExtractor::new(&t, &ss).unwrap();
-        let _enc = EncoderContext::fit(&ss);
         for spec in [
             FeatureSpec::all(),
             FeatureSpec::only_app(),
@@ -811,7 +758,6 @@ mod tests {
     fn all_features_finite() {
         let (t, ss) = setup();
         let fx = FeatureExtractor::new(&t, &ss).unwrap();
-        let _enc = EncoderContext::fit(&ss);
         let ds = fx
             .extract(
                 &ss[..60],
@@ -863,33 +809,6 @@ mod tests {
     }
 
     #[test]
-    fn encoder_rates_reflect_labels() {
-        let (_, ss) = setup();
-        let enc = EncoderContext::fit(&ss);
-        // An app with many positives should encode above the global rate.
-        let mut per_app: BTreeMap<u32, (u32, u32)> = BTreeMap::new();
-        for s in &ss {
-            let e = per_app.entry(s.app.0).or_insert((0, 0));
-            e.1 += 1;
-            if s.label {
-                e.0 += 1;
-            }
-        }
-        let (hot_app, _) = per_app
-            .iter()
-            .max_by(|a, b| {
-                let ra = a.1 .0 as f64 / a.1 .1.max(1) as f64;
-                let rb = b.1 .0 as f64 / b.1 .1.max(1) as f64;
-                ra.partial_cmp(&rb).unwrap()
-            })
-            .map(|(&k, &v)| (k, v))
-            .unwrap();
-        assert!(enc.app_rate(hot_app) >= enc.global_rate());
-        // Unseen apps fall back to the global rate.
-        assert_eq!(enc.app_rate(9_999_999), enc.global_rate());
-    }
-
-    #[test]
     fn previous_app_is_chronological() {
         let (t, ss) = setup();
         let fx = FeatureExtractor::new(&t, &ss).unwrap();
@@ -922,7 +841,6 @@ mod tests {
     fn empty_inputs_rejected() {
         let (t, ss) = setup();
         let fx = FeatureExtractor::new(&t, &ss).unwrap();
-        let _enc = EncoderContext::fit(&ss);
         assert!(fx
             .extract(&[], &FeatureSpec::all(), &mut obskit::Recorder::null())
             .is_err());
@@ -948,7 +866,6 @@ mod tests {
     fn hist_features_zero_at_trace_start() {
         let (t, ss) = setup();
         let fx = FeatureExtractor::new(&t, &ss).unwrap();
-        let _enc = EncoderContext::fit(&ss);
         // The shortest run lasts 5 minutes, so nothing can be visible
         // before minute 5.
         let early: Vec<LabeledSample> = ss

@@ -8,12 +8,13 @@
 //! and answers range-count queries at node, application, and machine
 //! scope in `O(log n)`.
 
-use crate::samples::LabeledSample;
 use crate::Result;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use titan_sim::apps::AppId;
+use titan_sim::events::sbe_deltas;
 use titan_sim::topology::NodeId;
+use titan_sim::trace::TraceSet;
 
 /// A time-indexed cumulative event list: `(visible_at, cumulative_count)`
 /// sorted by time.
@@ -23,18 +24,8 @@ struct CumSeries {
 }
 
 impl CumSeries {
-    fn from_events(mut events: Vec<(u64, u32)>) -> CumSeries {
-        events.sort_unstable();
-        let mut series = CumSeries::default();
-        for (t, c) in events {
-            series.append(t, c);
-        }
-        series
-    }
-
     /// Appends one event; `t` must be monotonically non-decreasing (the
-    /// caller enforces this). Equivalent to rebuilding with
-    /// [`CumSeries::from_events`] over the same event multiset.
+    /// caller enforces this). Same-minute events merge into one point.
     fn append(&mut self, t: u64, c: u32) {
         if let Some((lt, lc)) = self.points.last_mut() {
             if *lt == t {
@@ -69,54 +60,29 @@ pub struct SbeHistory {
 }
 
 impl SbeHistory {
-    /// Builds the index from the full labelled sample list.
-    ///
-    /// Counts are aggregated per (job, node) — each job's per-node delta
-    /// is one event, visible when the job's last aprun finishes.
+    /// Builds the index over `trace`'s SBE visibility events: one per
+    /// positive (job, node), visible when the job's last aprun finishes
+    /// ([`titan_sim::events::sbe_deltas`], which owns that rule).
     ///
     /// # Errors
     ///
-    /// Infallible today; fallible for forward compatibility.
-    pub fn build(samples: &[LabeledSample]) -> Result<SbeHistory> {
-        // Last end per job.
-        let mut job_end: BTreeMap<u32, u64> = BTreeMap::new();
-        for s in samples {
-            let e = job_end.entry(s.job.0).or_insert(0);
-            *e = (*e).max(s.end_min);
+    /// Propagates trace lookup errors (never expected for a well-formed
+    /// trace).
+    pub fn build(trace: &TraceSet) -> Result<SbeHistory> {
+        let mut history = SbeHistory {
+            node: BTreeMap::new(),
+            app: BTreeMap::new(),
+            machine: CumSeries::default(),
+        };
+        // The deltas are time-sorted, so each series appends in order.
+        for d in sbe_deltas(trace)? {
+            let node = history.node.entry(d.node.0).or_default();
+            node.append(d.minute, d.count);
+            let app = history.app.entry(d.app.0).or_default();
+            app.append(d.minute, d.count);
+            history.machine.append(d.minute, d.count);
         }
-        // One event per positive (job, node): the attributed count is the
-        // same on every aprun of the job, so keep the first seen.
-        let mut job_node: BTreeMap<(u32, u32), (u64, u32, u32)> = BTreeMap::new();
-        for s in samples {
-            if s.sbe_count == 0 {
-                continue;
-            }
-            job_node.entry((s.job.0, s.node.0)).or_insert((
-                job_end[&s.job.0],
-                s.sbe_count,
-                s.app.0,
-            ));
-        }
-
-        let mut node_events: BTreeMap<u32, Vec<(u64, u32)>> = BTreeMap::new();
-        let mut app_events: BTreeMap<u32, Vec<(u64, u32)>> = BTreeMap::new();
-        let mut machine_events: Vec<(u64, u32)> = Vec::new();
-        for (&(_job, node), &(t, c, app)) in &job_node {
-            node_events.entry(node).or_default().push((t, c));
-            app_events.entry(app).or_default().push((t, c));
-            machine_events.push((t, c));
-        }
-        Ok(SbeHistory {
-            node: node_events
-                .into_iter()
-                .map(|(k, v)| (k, CumSeries::from_events(v)))
-                .collect(),
-            app: app_events
-                .into_iter()
-                .map(|(k, v)| (k, CumSeries::from_events(v)))
-                .collect(),
-            machine: CumSeries::from_events(machine_events),
-        })
+        Ok(history)
     }
 
     /// SBEs on `node` visible in `[a, b)`.
@@ -343,7 +309,7 @@ impl SeriesArena {
 /// multiset (in non-decreasing `visible_at` order) yields the same answer
 /// to every [`HistoryView`] query — the stream/batch parity suite holds
 /// the two to byte-identical feature rows. Storage differs: all series
-/// share one chunked [`SeriesArena`], so steady-state ingest is
+/// share one chunked `SeriesArena`, so steady-state ingest is
 /// allocation-free except when a series fills a chunk.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct IncrementalHistory {
@@ -454,20 +420,23 @@ impl HistoryView for IncrementalHistory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::samples::build_samples;
+    use crate::samples::{build_samples, LabeledSample};
     use titan_sim::config::SimConfig;
     use titan_sim::engine::generate;
 
-    fn setup() -> (Vec<LabeledSample>, SbeHistory) {
+    fn setup() -> (TraceSet, Vec<LabeledSample>, SbeHistory) {
         let t = generate(&SimConfig::tiny(3)).unwrap();
         let ss = build_samples(&t).unwrap();
-        let h = SbeHistory::build(&ss).unwrap();
-        (ss, h)
+        let h = SbeHistory::build(&t).unwrap();
+        (t, ss, h)
     }
 
     #[test]
     fn cum_series_basics() {
-        let s = CumSeries::from_events(vec![(10, 2), (5, 1), (10, 3)]);
+        let mut s = CumSeries::default();
+        for (t, c) in [(5, 1), (10, 2), (10, 3)] {
+            s.append(t, c);
+        }
         assert_eq!(s.before(5), 0);
         assert_eq!(s.before(6), 1);
         assert_eq!(s.before(11), 6);
@@ -478,7 +447,7 @@ mod tests {
 
     #[test]
     fn machine_total_matches_job_level_sum() {
-        let (ss, h) = setup();
+        let (_, ss, h) = setup();
         // Sum per (job, node) once.
         let mut seen = std::collections::BTreeSet::new();
         let mut total = 0u64;
@@ -493,34 +462,45 @@ mod tests {
 
     #[test]
     fn events_not_visible_before_job_end() {
-        let (ss, h) = setup();
-        // Pick a positive sample from a job and check its error is not
-        // visible at the run's own start.
-        let s = ss.iter().find(|s| s.label).unwrap();
-        // The job containing this sample contributes nothing before the
-        // job started.
-        let visible_at_start = h.node_before(s.node, s.start_min);
-        let visible_later = h.node_before(s.node, u64::MAX);
-        assert!(visible_later > visible_at_start || visible_at_start > 0);
-        // Its own job's event must appear only at/after end_min of the
-        // job's last aprun, i.e. >= this aprun's end.
-        let between = h.node_between(s.node, s.start_min, s.end_min);
-        // The event can be visible inside (start, end) only if another
-        // job on this node ended there; our own job's event is at >= end.
-        let own_job_events_early = ss
-            .iter()
-            .filter(|o| o.job == s.job && o.node == s.node && o.end_min < s.end_min)
-            .count();
-        if own_job_events_early == 0 {
-            // No other aprun of this job ends earlier, so any count in the
-            // window comes from other jobs; this just must not panic.
-            let _ = between;
+        let (_, ss, h) = setup();
+        // Naively, from the samples: each job's last aprun end, and each
+        // positive (job, node)'s first-seen count.
+        let mut job_end: BTreeMap<u32, u64> = BTreeMap::new();
+        let mut delta: BTreeMap<(u32, u32), u64> = BTreeMap::new();
+        for s in &ss {
+            let e = job_end.entry(s.job.0).or_insert(0);
+            *e = (*e).max(s.end_min);
+            if s.sbe_count > 0 {
+                delta
+                    .entry((s.job.0, s.node.0))
+                    .or_insert(s.sbe_count as u64);
+            }
+        }
+        // That node's deltas from jobs that ended before minute `m`.
+        let naive = |node: u32, m: u64| -> u64 {
+            delta
+                .iter()
+                .filter(|(&(job, n), _)| n == node && job_end[&job] < m)
+                .map(|(_, &c)| c)
+                .sum()
+        };
+        assert!(!delta.is_empty());
+        for &(job, node) in delta.keys() {
+            // Invisible at its job's end minute, visible one minute on.
+            let t = job_end[&job];
+            for m in [t, t + 1] {
+                assert_eq!(
+                    h.node_before(NodeId(node), m),
+                    naive(node, m),
+                    "node {node} at minute {m} (job {job} ends at {t})"
+                );
+            }
         }
     }
 
     #[test]
     fn offender_sets_grow_over_time() {
-        let (_, h) = setup();
+        let (_, _, h) = setup();
         let early = h.offender_nodes_before(1_000).len();
         let late = h.offender_nodes_before(u64::MAX).len();
         assert!(late >= early);
@@ -534,7 +514,7 @@ mod tests {
 
     #[test]
     fn node_scope_sums_to_machine_scope() {
-        let (_, h) = setup();
+        let (_, _, h) = setup();
         let t = u64::MAX;
         let node_sum: u64 = h
             .offender_nodes_before(t)
@@ -546,43 +526,18 @@ mod tests {
 
     #[test]
     fn unknown_entities_count_zero() {
-        let (_, h) = setup();
+        let (_, _, h) = setup();
         assert_eq!(h.node_before(NodeId(999_999), u64::MAX), 0);
         assert_eq!(h.app_between(AppId(999_999), 0, u64::MAX), 0);
     }
 
-    /// The visibility-event list of a sample set, ordered by `visible_at`
-    /// — the stream a replay driver would feed [`IncrementalHistory`].
-    fn visibility_events(ss: &[LabeledSample]) -> Vec<(u64, u32, u32, u32)> {
-        let mut job_end: BTreeMap<u32, u64> = BTreeMap::new();
-        for s in ss {
-            let e = job_end.entry(s.job.0).or_insert(0);
-            *e = (*e).max(s.end_min);
-        }
-        let mut job_node: BTreeMap<(u32, u32), (u64, u32, u32)> = BTreeMap::new();
-        for s in ss {
-            if s.sbe_count > 0 {
-                job_node.entry((s.job.0, s.node.0)).or_insert((
-                    job_end[&s.job.0],
-                    s.sbe_count,
-                    s.app.0,
-                ));
-            }
-        }
-        let mut events: Vec<(u64, u32, u32, u32)> = job_node
-            .iter()
-            .map(|(&(_, node), &(t, c, app))| (t, node, app, c))
-            .collect();
-        events.sort_unstable();
-        events
-    }
-
     #[test]
     fn incremental_matches_batch_index() {
-        let (ss, h) = setup();
+        let (trace, ss, h) = setup();
+        // The stream the replay loop feeds `IncrementalHistory`.
         let mut inc = IncrementalHistory::new();
-        for (t, node, app, c) in visibility_events(&ss) {
-            inc.ingest(t, NodeId(node), AppId(app), c).unwrap();
+        for d in sbe_deltas(&trace).unwrap() {
+            inc.ingest(d.minute, d.node, d.app, d.count).unwrap();
         }
         assert_eq!(inc.total(), h.machine_before(u64::MAX));
         // Every query the feature engine issues must agree at every

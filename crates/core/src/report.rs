@@ -194,21 +194,6 @@ pub fn render_histogram(centers: &[f64], probs: &[f64], max_width: usize) -> Str
     out
 }
 
-/// Renders an empirical CDF as `(x, F(x))` sample points at the given
-/// quantile fractions.
-pub fn render_cdf_points(sorted_values: &[f64], quantiles: &[f64]) -> String {
-    let mut out = String::new();
-    if sorted_values.is_empty() {
-        return String::from("(empty cdf)\n");
-    }
-    for &q in quantiles {
-        let q = q.clamp(0.0, 1.0);
-        let idx = ((sorted_values.len() - 1) as f64 * q).round() as usize;
-        let _ = writeln!(out, "  p{:<4.0} {:>12.3}", q * 100.0, sorted_values[idx]);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,14 +266,5 @@ mod tests {
         let lines: Vec<&str> = s.lines().collect();
         assert!(lines[1].matches('#').count() == 10);
         assert!(lines[0].matches('#').count() == 5);
-    }
-
-    #[test]
-    fn cdf_points_monotone() {
-        let vals: Vec<f64> = (0..100).map(|v| v as f64).collect();
-        let s = render_cdf_points(&vals, &[0.0, 0.5, 1.0]);
-        assert!(s.contains("p0"));
-        assert!(s.contains("99.000"));
-        assert_eq!(render_cdf_points(&[], &[0.5]), "(empty cdf)\n");
     }
 }

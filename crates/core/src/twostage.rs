@@ -235,7 +235,7 @@ pub fn run_classifier<C: Classifier>(
 }
 
 /// Like [`run_classifier`], but records stage-2 metrics (training-loop
-/// counters via [`Classifier::fit_observed`], a `"twostage.fit"` span,
+/// counters via [`Classifier::fit`], a `"twostage.fit"` span,
 /// prediction counts) and measures `train_time` on the injected [`Clock`].
 ///
 /// With a null recorder and the [`NullClock`] this is exactly
@@ -253,7 +253,7 @@ pub fn run_classifier_observed<C: Classifier>(
 ) -> Result<TwoStageOutcome> {
     let span = rec.span_start("twostage.fit");
     let t0 = clock.now_nanos();
-    classifier.fit_observed(&prepared.train, rec)?;
+    classifier.fit(&prepared.train, rec)?;
     let train_time = Duration::from_nanos(clock.now_nanos().saturating_sub(t0));
     rec.span_end(span);
 

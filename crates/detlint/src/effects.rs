@@ -659,11 +659,6 @@ pub fn render_effects_json(graph: &Graph, analysis: &Analysis, cfg: &Config) -> 
     s
 }
 
-/// Walks a list of rules tokens — re-exported for rule-table checks.
-pub fn is_hotpath_rule(rule: &str) -> bool {
-    matches!(rule, "D006" | "D007" | "D008")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

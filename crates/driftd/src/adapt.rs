@@ -8,14 +8,12 @@
 //! * every stage-2 launch-node's **raw feature row** (rebuilt with
 //!   `assemble_row` from the request facts [`StepScorer::issued`] hands
 //!   out after each launch, so monitor and scorer see the very same
-//!   request) goes to the
-//!   [`DriftMonitor`](crate::monitor::DriftMonitor) and the
-//!   [`SampleWindow`](crate::window::SampleWindow);
+//!   request) goes to the [`DriftMonitor`] and the [`SampleWindow`];
 //! * emitted scores and horizon-resolved SBE labels pair up into
 //!   calibration samples and labeled training rows;
-//! * at pinned check ticks the monitor may fire a
-//!   [`DriftVerdict`](crate::monitor::DriftVerdict); a verdict triggers
-//!   one [`train_challenger`](crate::retrain::train_challenger) attempt;
+//! * at pinned check ticks the monitor may fire a [`DriftVerdict`]; a
+//!   verdict triggers one
+//!   [`train_challenger`](crate::retrain::train_challenger) attempt;
 //!   a promotion hot-swaps the scorer **between events** via
 //!   [`StepScorer::prepare_swap`]/[`StepScorer::swap_artifact`], so the
 //!   pending batch flushes under the generation that admitted it and

@@ -198,7 +198,7 @@ pub fn train_challenger(
         .seed(cfg.seed_base ^ generation as u64)
         .threads(cfg.threads)
         .train_mode(mlkit::hist::TrainMode::Exact);
-    model.fit(&scaler.transform(&train_ds)?)?;
+    model.fit(&scaler.transform(&train_ds)?, &mut obskit::Recorder::null())?;
 
     // Both contenders judged on the same held-out tail, each through
     // its own scaler (a pipeline is scaler + model; swapping one
@@ -325,8 +325,11 @@ mod tests {
             .max_depth(3)
             .min_samples_leaf(2)
             .seed(9);
-        m.fit(&scaler.transform(&ds).expect("transform"))
-            .expect("fit");
+        m.fit(
+            &scaler.transform(&ds).expect("transform"),
+            &mut obskit::Recorder::null(),
+        )
+        .expect("fit");
         PipelineArtifact::new(
             crate::tests_spec(),
             (0..16).collect(),
@@ -439,8 +442,11 @@ mod tests {
                 .max_depth(4)
                 .min_samples_leaf(2)
                 .seed(9);
-            m.fit(&scaler.transform(&ds).expect("transform"))
-                .expect("fit");
+            m.fit(
+                &scaler.transform(&ds).expect("transform"),
+                &mut obskit::Recorder::null(),
+            )
+            .expect("fit");
             PipelineArtifact::new(
                 crate::tests_spec(),
                 (0..16).collect(),

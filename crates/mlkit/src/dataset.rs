@@ -2,8 +2,6 @@
 
 use crate::matrix::Matrix;
 use crate::{MlError, Result};
-use rand::seq::SliceRandom;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// A labelled dataset: an `n × d` feature matrix plus `n` binary labels
@@ -152,50 +150,6 @@ impl Dataset {
         }
     }
 
-    /// Keeps only the given feature columns.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of bounds.
-    pub fn select_features(&self, indices: &[usize]) -> Dataset {
-        Dataset {
-            x: self.x.select_cols(indices),
-            y: self.y.clone(),
-            feature_names: indices
-                .iter()
-                .map(|&i| self.feature_names[i].clone())
-                .collect(),
-        }
-    }
-
-    /// Splits into `(train, test)` with `test_fraction` of samples in the
-    /// test set, after shuffling with `rng`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MlError::InvalidParameter`] when `test_fraction` is outside
-    /// `(0, 1)`, or [`MlError::EmptyDataset`] when a side would be empty.
-    pub fn train_test_split<R: Rng>(
-        &self,
-        test_fraction: f64,
-        rng: &mut R,
-    ) -> Result<(Dataset, Dataset)> {
-        if !(test_fraction > 0.0 && test_fraction < 1.0) {
-            return Err(MlError::InvalidParameter {
-                name: "test_fraction",
-                reason: format!("must be in (0, 1), got {test_fraction}"),
-            });
-        }
-        let mut idx: Vec<usize> = (0..self.len()).collect();
-        idx.shuffle(rng);
-        let n_test = ((self.len() as f64) * test_fraction).round() as usize;
-        if n_test == 0 || n_test == self.len() {
-            return Err(MlError::EmptyDataset);
-        }
-        let (test_idx, train_idx) = idx.split_at(n_test);
-        Ok((self.select(train_idx), self.select(test_idx)))
-    }
-
     /// Returns indices of positive and negative samples.
     pub fn class_indices(&self) -> (Vec<usize>, Vec<usize>) {
         let mut pos = Vec::new();
@@ -227,8 +181,6 @@ impl Dataset {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn toy() -> Dataset {
         Dataset::from_rows(
@@ -278,31 +230,6 @@ mod tests {
         let s = ds.select(&[3, 0]);
         assert_eq!(s.y(), &[1.0, 0.0]);
         assert_eq!(s.x().row(0), &[3.0, 1.0]);
-    }
-
-    #[test]
-    fn select_features_renames() {
-        let ds = toy().with_feature_names(["a", "b"]).unwrap();
-        let s = ds.select_features(&[1]);
-        assert_eq!(s.feature_names(), &["b".to_string()]);
-        assert_eq!(s.n_features(), 1);
-    }
-
-    #[test]
-    fn train_test_split_partitions() {
-        let ds = toy();
-        let mut rng = StdRng::seed_from_u64(7);
-        let (train, test) = ds.train_test_split(0.25, &mut rng).unwrap();
-        assert_eq!(train.len() + test.len(), ds.len());
-        assert_eq!(test.len(), 1);
-    }
-
-    #[test]
-    fn train_test_split_rejects_bad_fraction() {
-        let ds = toy();
-        let mut rng = StdRng::seed_from_u64(7);
-        assert!(ds.train_test_split(0.0, &mut rng).is_err());
-        assert!(ds.train_test_split(1.5, &mut rng).is_err());
     }
 
     #[test]

@@ -26,6 +26,12 @@ pub enum MlError {
     SingleClass,
     /// A numeric operation produced a non-finite value.
     NumericalError(String),
+    /// An input that must be ordered (sorted, ranked or compared)
+    /// contains a NaN, which has no place in that order.
+    NanInput {
+        /// Name of the offending input.
+        name: &'static str,
+    },
     /// A model artifact is structurally damaged: truncated, wrong magic,
     /// bad checksum, or an undecodable payload.
     ArtifactCorrupt {
@@ -80,6 +86,7 @@ impl fmt::Display for MlError {
                 write!(f, "training data contains a single class; two are required")
             }
             MlError::NumericalError(msg) => write!(f, "numerical error: {msg}"),
+            MlError::NanInput { name } => write!(f, "input `{name}` contains NaN"),
             MlError::ArtifactCorrupt { reason } => {
                 write!(f, "artifact corrupt: {reason}")
             }

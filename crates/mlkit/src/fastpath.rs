@@ -1,8 +1,9 @@
 //! Compiled inference: flat, branch-free scoring for fitted models.
 //!
-//! The interpreted predictors walk per-tree [`enum@crate::tree`] node
-//! arenas — a pointer-chasing, match-per-node loop whose cost is
-//! dominated by branch mispredictions and cache misses. This module
+//! The interpreted predictors walk each
+//! [`RegressionTree`](crate::tree::RegressionTree)'s node arena — a
+//! pointer-chasing, match-per-node loop whose cost is dominated by
+//! branch mispredictions and cache misses. This module
 //! *compiles* a fitted model into a contiguous struct-of-arrays form and
 //! scores batches out of a reusable column-major [`FeatureFrame`], so the
 //! hot loop is a fixed-count, predicated walk over five flat arrays with
@@ -383,7 +384,7 @@ impl CompiledGbdt {
     /// Scores every row of `frame` into `out` without allocating.
     ///
     /// `out` doubles as the raw-score accumulator: it is filled with the
-    /// base score, the rows are processed in [`TILE`]-sized tiles whose
+    /// base score, the rows are processed in `TILE`-sized tiles whose
     /// feature columns stay cache-resident while every tree adds its
     /// shrunk leaf value in boosting order, and a final pass applies
     /// [`sigmoid`]. Per row that is the exact operation sequence of the
@@ -707,7 +708,7 @@ mod tests {
         // min_samples_leaf too large to ever split: every tree is a
         // single leaf.
         let mut model = Gbdt::new().n_trees(5).min_samples_leaf(100);
-        model.fit(&ds).unwrap();
+        model.fit(&ds, &mut obskit::Recorder::null()).unwrap();
         let compiled = model.compile().unwrap();
         assert_eq!(compiled.n_trees(), 5);
         assert_eq!(compiled.n_nodes(), 5);
@@ -728,7 +729,7 @@ mod tests {
             .max_depth(7)
             .min_samples_leaf(1)
             .n_bins(256);
-        model.fit(&ds).unwrap();
+        model.fit(&ds, &mut obskit::Recorder::null()).unwrap();
         let compiled = model.compile().unwrap();
         assert!(
             compiled.max_steps() >= 3 && compiled.max_steps() <= 7,
@@ -742,7 +743,7 @@ mod tests {
     fn threshold_boundary_routes_like_interpreted() {
         let ds = three_level_dataset(90);
         let mut model = Gbdt::new().n_trees(8).n_bins(2).min_samples_leaf(2);
-        model.fit(&ds).unwrap();
+        model.fit(&ds, &mut obskit::Recorder::null()).unwrap();
         let compiled = model.compile().unwrap();
         assert_bitwise_parity(&model, &compiled, &ds);
         // The binner's only cut is (1 + 2) / 2 = 1.5. A value exactly on
@@ -765,7 +766,7 @@ mod tests {
     fn nan_features_take_the_right_branch_on_both_paths() {
         let ds = three_level_dataset(90);
         let mut model = Gbdt::new().n_trees(6).n_bins(2).min_samples_leaf(2);
-        model.fit(&ds).unwrap();
+        model.fit(&ds, &mut obskit::Recorder::null()).unwrap();
         let compiled = model.compile().unwrap();
         // `NaN < t` is false on both paths, so a NaN row must score
         // exactly like an always-right row.
@@ -781,7 +782,7 @@ mod tests {
     fn flattening_numbers_children_right_first() {
         let ds = xor_dataset(120);
         let mut model = Gbdt::new().n_trees(6).min_samples_leaf(2);
-        model.fit(&ds).unwrap();
+        model.fit(&ds, &mut obskit::Recorder::null()).unwrap();
         let compiled = model.compile().unwrap();
         assert!(compiled.narrow, "small ensembles take the narrow form");
         let t = &compiled.tables;
@@ -809,7 +810,7 @@ mod tests {
         // ensembles would take, and hold both kernels to the same bits.
         let ds = xor_dataset(TILE + 29);
         let mut model = Gbdt::new().n_trees(9).min_samples_leaf(2).seed(5);
-        model.fit(&ds).unwrap();
+        model.fit(&ds, &mut obskit::Recorder::null()).unwrap();
         let compiled = model.compile().unwrap();
         assert!(compiled.narrow);
         let mut wide = compiled.clone();
@@ -829,7 +830,7 @@ mod tests {
         // batch kernel exercises tile and lane boundaries.
         let ds = xor_dataset(TILE * 2 + 17);
         let mut model = Gbdt::new().n_trees(12).min_samples_leaf(2).seed(3);
-        model.fit(&ds).unwrap();
+        model.fit(&ds, &mut obskit::Recorder::null()).unwrap();
         let compiled = model.compile().unwrap();
         assert_bitwise_parity(&model, &compiled, &ds);
     }
@@ -838,7 +839,7 @@ mod tests {
     fn compiled_metadata_matches_model() {
         let ds = xor_dataset(120);
         let mut model = Gbdt::new().n_trees(10).min_samples_leaf(2);
-        model.fit(&ds).unwrap();
+        model.fit(&ds, &mut obskit::Recorder::null()).unwrap();
         let compiled = model.compile().unwrap();
         assert_eq!(compiled.n_trees(), 10);
         assert_eq!(compiled.n_features(), 2);
@@ -851,7 +852,7 @@ mod tests {
     fn dimension_mismatches_are_rejected() {
         let ds = xor_dataset(60);
         let mut model = Gbdt::new().n_trees(3).min_samples_leaf(2);
-        model.fit(&ds).unwrap();
+        model.fit(&ds, &mut obskit::Recorder::null()).unwrap();
         let compiled = model.compile().unwrap();
         let narrow = FeatureFrame::from_rows(&[vec![0.0]]).unwrap();
         assert!(matches!(
@@ -877,7 +878,7 @@ mod tests {
             .collect();
         let ds = Dataset::from_rows(&rows, &y).unwrap();
         let mut lr = LogisticRegression::new().epochs(80);
-        lr.fit(&ds).unwrap();
+        lr.fit(&ds, &mut obskit::Recorder::null()).unwrap();
         let compiled = lr.compile().unwrap();
         assert_eq!(compiled.n_features(), 2);
         assert_eq!(compiled.threshold(), lr.threshold());
@@ -924,7 +925,7 @@ mod tests {
     fn empty_frame_scores_empty() {
         let ds = xor_dataset(60);
         let mut model = Gbdt::new().n_trees(3).min_samples_leaf(2);
-        model.fit(&ds).unwrap();
+        model.fit(&ds, &mut obskit::Recorder::null()).unwrap();
         let compiled = model.compile().unwrap();
         let mut frame = FeatureFrame::default();
         frame.reset(2);

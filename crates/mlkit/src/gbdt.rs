@@ -46,7 +46,7 @@ const PAR_ROW_MIN: usize = 4_096;
 ///     .collect();
 /// let ds = Dataset::from_rows(&rows, &y)?;
 /// let mut model = Gbdt::new().n_trees(20).min_samples_leaf(1);
-/// model.fit(&ds)?;
+/// model.fit(&ds, &mut obskit::Recorder::null())?;
 /// let pred = model.predict(&ds)?;
 /// assert_eq!(pred, y);
 /// # Ok::<(), mlkit::MlError>(())
@@ -269,12 +269,12 @@ impl Gbdt {
         }
         s
     }
+}
 
-    /// The boosting loop, shared by [`Classifier::fit`] (null recorder)
-    /// and [`Classifier::fit_observed`]. Recording is strictly read-only
-    /// with respect to training state, so both paths produce identical
-    /// models.
-    fn fit_impl(&mut self, train: &Dataset, rec: &mut obskit::Recorder) -> Result<()> {
+impl Classifier for Gbdt {
+    /// The boosting loop. Recording is strictly read-only with respect
+    /// to training state, so any recorder produces the same model.
+    fn fit(&mut self, train: &Dataset, rec: &mut obskit::Recorder) -> Result<()> {
         self.validate()?;
         if train.is_empty() {
             return Err(MlError::EmptyDataset);
@@ -361,16 +361,6 @@ impl Gbdt {
         self.binner = Some(binner);
         Ok(())
     }
-}
-
-impl Classifier for Gbdt {
-    fn fit(&mut self, train: &Dataset) -> Result<()> {
-        self.fit_impl(train, &mut obskit::Recorder::null())
-    }
-
-    fn fit_observed(&mut self, train: &Dataset, rec: &mut obskit::Recorder) -> Result<()> {
-        self.fit_impl(train, rec)
-    }
 
     fn predict_proba(&self, data: &Dataset) -> Result<Vec<f32>> {
         if self.trees.is_empty() {
@@ -425,7 +415,7 @@ mod tests {
     fn learns_xor() {
         let ds = xor_dataset(200);
         let mut model = Gbdt::new().n_trees(30).max_depth(3).min_samples_leaf(2);
-        model.fit(&ds).unwrap();
+        model.fit(&ds, &mut obskit::Recorder::null()).unwrap();
         let pred = model.predict(&ds).unwrap();
         let acc = pred.iter().zip(ds.y()).filter(|(a, b)| a == b).count() as f64 / 200.0;
         assert!(acc > 0.98, "accuracy {acc}");
@@ -436,7 +426,7 @@ mod tests {
         use crate::linear::LogisticRegression;
         let ds = xor_dataset(200);
         let mut lin = LogisticRegression::new().epochs(100);
-        lin.fit(&ds).unwrap();
+        lin.fit(&ds, &mut obskit::Recorder::null()).unwrap();
         let lin_acc = lin
             .predict(&ds)
             .unwrap()
@@ -446,7 +436,7 @@ mod tests {
             .count() as f64
             / 200.0;
         let mut model = Gbdt::new().n_trees(30).max_depth(3).min_samples_leaf(2);
-        model.fit(&ds).unwrap();
+        model.fit(&ds, &mut obskit::Recorder::null()).unwrap();
         let gb_acc = model
             .predict(&ds)
             .unwrap()
@@ -470,16 +460,31 @@ mod tests {
     #[test]
     fn single_class_rejected() {
         let ds = Dataset::from_rows(&[vec![1.0], vec![2.0]], &[1.0, 1.0]).unwrap();
-        assert!(matches!(Gbdt::new().fit(&ds), Err(MlError::SingleClass)));
+        assert!(matches!(
+            Gbdt::new().fit(&ds, &mut obskit::Recorder::null()),
+            Err(MlError::SingleClass)
+        ));
     }
 
     #[test]
     fn invalid_hyperparameters_rejected() {
         let ds = xor_dataset(20);
-        assert!(Gbdt::new().n_trees(0).fit(&ds).is_err());
-        assert!(Gbdt::new().learning_rate(0.0).fit(&ds).is_err());
-        assert!(Gbdt::new().subsample(0.0).fit(&ds).is_err());
-        assert!(Gbdt::new().colsample(1.5).fit(&ds).is_err());
+        assert!(Gbdt::new()
+            .n_trees(0)
+            .fit(&ds, &mut obskit::Recorder::null())
+            .is_err());
+        assert!(Gbdt::new()
+            .learning_rate(0.0)
+            .fit(&ds, &mut obskit::Recorder::null())
+            .is_err());
+        assert!(Gbdt::new()
+            .subsample(0.0)
+            .fit(&ds, &mut obskit::Recorder::null())
+            .is_err());
+        assert!(Gbdt::new()
+            .colsample(1.5)
+            .fit(&ds, &mut obskit::Recorder::null())
+            .is_err());
     }
 
     #[test]
@@ -491,7 +496,7 @@ mod tests {
             .min_samples_leaf(2)
             .subsample(0.7)
             .colsample(0.5);
-        model.fit(&ds).unwrap();
+        model.fit(&ds, &mut obskit::Recorder::null()).unwrap();
         let pred = model.predict(&ds).unwrap();
         let acc = pred.iter().zip(ds.y()).filter(|(a, b)| a == b).count() as f64 / 300.0;
         assert!(acc > 0.9, "accuracy {acc}");
@@ -501,20 +506,20 @@ mod tests {
     fn probabilities_bounded_and_base_rate_sane() {
         let ds = xor_dataset(100);
         let mut model = Gbdt::new().n_trees(10);
-        model.fit(&ds).unwrap();
+        model.fit(&ds, &mut obskit::Recorder::null()).unwrap();
         for p in model.predict_proba(&ds).unwrap() {
             assert!((0.0..=1.0).contains(&p), "probability {p} out of range");
         }
     }
 
     #[test]
-    fn fit_observed_matches_fit_and_records_training_loop() {
+    fn recording_never_changes_the_model() {
         let ds = xor_dataset(120);
         let mut plain = Gbdt::new().n_trees(8).max_depth(3).min_samples_leaf(2);
-        plain.fit(&ds).unwrap();
+        plain.fit(&ds, &mut obskit::Recorder::null()).unwrap();
         let mut observed = Gbdt::new().n_trees(8).max_depth(3).min_samples_leaf(2);
         let mut rec = obskit::Recorder::new();
-        observed.fit_observed(&ds, &mut rec).unwrap();
+        observed.fit(&ds, &mut rec).unwrap();
         assert_eq!(
             plain.predict_proba(&ds).unwrap(),
             observed.predict_proba(&ds).unwrap()
@@ -529,8 +534,8 @@ mod tests {
         let ds = xor_dataset(100);
         let mut a = Gbdt::new().n_trees(10).subsample(0.8).seed(3);
         let mut b = Gbdt::new().n_trees(10).subsample(0.8).seed(3);
-        a.fit(&ds).unwrap();
-        b.fit(&ds).unwrap();
+        a.fit(&ds, &mut obskit::Recorder::null()).unwrap();
+        b.fit(&ds, &mut obskit::Recorder::null()).unwrap();
         assert_eq!(a.predict_proba(&ds).unwrap(), b.predict_proba(&ds).unwrap());
     }
 
@@ -538,7 +543,7 @@ mod tests {
     fn feature_importances_cover_both_xor_features() {
         let ds = xor_dataset(200);
         let mut model = Gbdt::new().n_trees(20).max_depth(3).min_samples_leaf(2);
-        model.fit(&ds).unwrap();
+        model.fit(&ds, &mut obskit::Recorder::null()).unwrap();
         let imp = model.feature_importances().unwrap();
         assert_eq!(imp.len(), 2);
         assert!(imp[0] > 0 && imp[1] > 0, "xor needs both features: {imp:?}");
@@ -548,7 +553,7 @@ mod tests {
     fn feature_mismatch_rejected() {
         let ds = xor_dataset(50);
         let mut model = Gbdt::new().n_trees(5);
-        model.fit(&ds).unwrap();
+        model.fit(&ds, &mut obskit::Recorder::null()).unwrap();
         let wrong = Dataset::from_rows(&[vec![0.0]], &[0.0]).unwrap();
         assert!(model.predict_proba(&wrong).is_err());
     }

@@ -4,16 +4,16 @@
 //! feature** through indirect `grad[i]` / `binned.get(i, j)` accesses.
 //! This module replaces that with a cache-friendly pipeline:
 //!
-//! 1. **Node scratch gather** ([`gather_node`]) — the node's gradients,
+//! 1. **Node scratch gather** (`gather_node`) — the node's gradients,
 //!    hessians, and binned rows are packed into contiguous scratch once
 //!    per node, so every later pass is a linear sweep.
-//! 2. **Single-pass histogram build** ([`accumulate_all`] /
-//!    [`accumulate_subset`]) — one sweep over the gathered rows fills
+//! 2. **Single-pass histogram build** (`accumulate_all` /
+//!    `accumulate_subset`) — one sweep over the gathered rows fills
 //!    *all* features' `(g, h, count)` histograms. Per-(feature, bin)
 //!    accumulators are independent and see rows in index order, so the
 //!    per-bin sums are **bit-identical** to the reference per-feature
 //!    build.
-//! 3. **Sibling subtraction** ([`derive_sibling`], [`TrainMode::Fast`]
+//! 3. **Sibling subtraction** (`derive_sibling`, [`TrainMode::Fast`]
 //!    only) — only the smaller child's histograms are built from rows;
 //!    the larger child's are derived as `parent − small`.
 //! 4. **Row-block parallelism** ([`TrainMode::Fast`] only) — rows are

@@ -9,15 +9,17 @@
 //! * binary classifiers behind the common [`Classifier`](model::Classifier)
 //!   trait: [`LogisticRegression`](linear::LogisticRegression),
 //!   [`Gbdt`](gbdt::Gbdt) (gradient-boosted decision trees),
-//!   [`SvmRbf`](svm::SvmRbf) / [`LinearSvm`](svm::LinearSvm), and
-//!   [`MlpClassifier`](nn::MlpClassifier),
+//!   [`SvmRbf`](svm::SvmRbf) (SMO with an RBF kernel), and
+//!   [`MlpClassifier`](nn::MlpClassifier), each trained by one
+//!   [`fit`](model::Classifier::fit) that records its training loop into
+//!   an [`obskit::Recorder`],
 //! * evaluation [`metrics`] (precision, recall, F1, confusion matrices),
 //! * stratified [`crossval`]idation,
 //! * class-imbalance [`sampling`] utilities (random over/under-sampling,
 //!   SMOTE, k-means-based under-sampling),
 //! * descriptive [`stats`] (Spearman/Pearson correlation, percentiles,
 //!   histograms, empirical CDFs),
-//! * feature [`scaler`]s and [`kmeans`] clustering.
+//! * a standardising [`scaler`] and [`kmeans`] clustering.
 //!
 //! # Example
 //!
@@ -34,7 +36,7 @@
 //! let y = vec![0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 1.0];
 //! let ds = Dataset::from_rows(&x, &y)?;
 //! let mut model = LogisticRegression::new().learning_rate(1.0).epochs(300);
-//! model.fit(&ds)?;
+//! model.fit(&ds, &mut obskit::Recorder::null())?;
 //! let yhat = model.predict(&ds)?;
 //! assert_eq!(yhat, vec![0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 1.0]);
 //! # Ok::<(), mlkit::MlError>(())

@@ -40,7 +40,7 @@ pub fn sigmoid(z: f32) -> f32 {
 ///     &[0.0, 0.0, 1.0, 1.0],
 /// )?;
 /// let mut lr = LogisticRegression::new();
-/// lr.fit(&ds)?;
+/// lr.fit(&ds, &mut obskit::Recorder::null())?;
 /// assert_eq!(lr.predict(&ds)?, vec![0.0, 0.0, 1.0, 1.0]);
 /// # Ok::<(), mlkit::MlError>(())
 /// ```
@@ -164,7 +164,7 @@ impl LogisticRegression {
 }
 
 impl Classifier for LogisticRegression {
-    fn fit(&mut self, train: &Dataset) -> Result<()> {
+    fn fit(&mut self, train: &Dataset, _rec: &mut obskit::Recorder) -> Result<()> {
         self.validate()?;
         if train.is_empty() {
             return Err(MlError::EmptyDataset);
@@ -255,7 +255,7 @@ mod tests {
     fn fits_separable_data() {
         let ds = separable();
         let mut lr = LogisticRegression::new().learning_rate(1.0).epochs(400);
-        lr.fit(&ds).unwrap();
+        lr.fit(&ds, &mut obskit::Recorder::null()).unwrap();
         let pred = lr.predict(&ds).unwrap();
         let acc = pred.iter().zip(ds.y()).filter(|(a, b)| a == b).count() as f64 / ds.len() as f64;
         assert!(acc >= 0.95, "accuracy {acc} too low");
@@ -272,14 +272,17 @@ mod tests {
     fn single_class_rejected() {
         let ds = Dataset::from_rows(&[vec![1.0], vec![2.0]], &[0.0, 0.0]).unwrap();
         let mut lr = LogisticRegression::new();
-        assert!(matches!(lr.fit(&ds), Err(MlError::SingleClass)));
+        assert!(matches!(
+            lr.fit(&ds, &mut obskit::Recorder::null()),
+            Err(MlError::SingleClass)
+        ));
     }
 
     #[test]
     fn feature_mismatch_rejected() {
         let ds = separable();
         let mut lr = LogisticRegression::new();
-        lr.fit(&ds).unwrap();
+        lr.fit(&ds, &mut obskit::Recorder::null()).unwrap();
         let other = Dataset::from_rows(&[vec![1.0]], &[0.0]).unwrap();
         assert!(lr.predict_proba(&other).is_err());
     }
@@ -288,7 +291,7 @@ mod tests {
     fn probabilities_in_unit_interval() {
         let ds = separable();
         let mut lr = LogisticRegression::new();
-        lr.fit(&ds).unwrap();
+        lr.fit(&ds, &mut obskit::Recorder::null()).unwrap();
         for p in lr.predict_proba(&ds).unwrap() {
             assert!((0.0..=1.0).contains(&p));
         }
@@ -305,7 +308,7 @@ mod tests {
         let ds = Dataset::from_rows(&rows, &y).unwrap();
 
         let mut plain = LogisticRegression::new().epochs(100);
-        plain.fit(&ds).unwrap();
+        plain.fit(&ds, &mut obskit::Recorder::null()).unwrap();
         let plain_pos: usize = plain
             .predict(&ds)
             .unwrap()
@@ -314,7 +317,7 @@ mod tests {
             .count();
 
         let mut weighted = LogisticRegression::new().epochs(100).pos_weight(8.0);
-        weighted.fit(&ds).unwrap();
+        weighted.fit(&ds, &mut obskit::Recorder::null()).unwrap();
         let weighted_pos: usize = weighted
             .predict(&ds)
             .unwrap()
@@ -329,10 +332,16 @@ mod tests {
         let ds = separable();
         assert!(LogisticRegression::new()
             .learning_rate(-1.0)
-            .fit(&ds)
+            .fit(&ds, &mut obskit::Recorder::null())
             .is_err());
-        assert!(LogisticRegression::new().epochs(0).fit(&ds).is_err());
-        assert!(LogisticRegression::new().l2(-0.1).fit(&ds).is_err());
+        assert!(LogisticRegression::new()
+            .epochs(0)
+            .fit(&ds, &mut obskit::Recorder::null())
+            .is_err());
+        assert!(LogisticRegression::new()
+            .l2(-0.1)
+            .fit(&ds, &mut obskit::Recorder::null())
+            .is_err());
     }
 
     #[test]
@@ -347,8 +356,8 @@ mod tests {
         let ds = separable();
         let mut a = LogisticRegression::new().seed(9);
         let mut b = LogisticRegression::new().seed(9);
-        a.fit(&ds).unwrap();
-        b.fit(&ds).unwrap();
+        a.fit(&ds, &mut obskit::Recorder::null()).unwrap();
+        b.fit(&ds, &mut obskit::Recorder::null()).unwrap();
         assert_eq!(a.weights(), b.weights());
     }
 }

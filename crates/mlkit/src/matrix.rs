@@ -252,27 +252,6 @@ impl Matrix {
         }
     }
 
-    /// Selects the given columns into a new matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of bounds.
-    pub fn select_cols(&self, indices: &[usize]) -> Matrix {
-        let mut data = Vec::with_capacity(indices.len() * self.rows);
-        for r in 0..self.rows {
-            let row = self.row(r);
-            for &c in indices {
-                assert!(c < self.cols, "column index out of bounds");
-                data.push(row[c]);
-            }
-        }
-        Matrix {
-            rows: self.rows,
-            cols: indices.len(),
-            data,
-        }
-    }
-
     /// Vertically stacks `self` on top of `other`.
     ///
     /// # Errors
@@ -395,14 +374,11 @@ mod tests {
     }
 
     #[test]
-    fn select_rows_and_cols() {
+    fn select_rows_reorders() {
         let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]).unwrap();
         let s = a.select_rows(&[2, 0]);
         assert_eq!(s.row(0), &[5.0, 6.0]);
         assert_eq!(s.row(1), &[1.0, 2.0]);
-        let c = a.select_cols(&[1]);
-        assert_eq!(c.shape(), (3, 1));
-        assert_eq!(c.col(0), vec![2.0, 4.0, 6.0]);
     }
 
     #[test]

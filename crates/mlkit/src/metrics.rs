@@ -197,7 +197,8 @@ impl fmt::Display for Prf {
 ///
 /// # Errors
 ///
-/// Returns [`MlError::DimensionMismatch`] when lengths differ or
+/// Returns [`MlError::DimensionMismatch`] when lengths differ,
+/// [`MlError::NanInput`] when a score is NaN, or
 /// [`MlError::SingleClass`] when only one class is present.
 pub fn roc_auc(truth: &[f32], scores: &[f32]) -> Result<f64> {
     if truth.len() != scores.len() {
@@ -205,6 +206,9 @@ pub fn roc_auc(truth: &[f32], scores: &[f32]) -> Result<f64> {
             expected: format!("{} scores", truth.len()),
             found: format!("{} scores", scores.len()),
         });
+    }
+    if scores.iter().any(|s| s.is_nan()) {
+        return Err(MlError::NanInput { name: "scores" });
     }
     let n_pos = truth.iter().filter(|&&t| t == 1.0).count();
     let n_neg = truth.len() - n_pos;
@@ -323,6 +327,14 @@ mod tests {
         assert_eq!(roc_auc(&truth, &[0.9, 0.8, 0.2, 0.1]).unwrap(), 0.0);
         // All-tied scores give AUC 0.5.
         assert!((roc_auc(&truth, &[0.5, 0.5, 0.5, 0.5]).unwrap() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn auc_rejects_a_nan_score() {
+        assert_eq!(
+            roc_auc(&[0.0, 1.0, 0.0, 1.0], &[0.1, f32::NAN, 0.3, 0.9]),
+            Err(MlError::NanInput { name: "scores" })
+        );
     }
 
     #[test]

@@ -9,29 +9,19 @@ use crate::Result;
 /// positive class (`1.0`). Hard predictions threshold that probability at
 /// [`Classifier::threshold`] (0.5 by default).
 pub trait Classifier {
-    /// Fits the model to a training dataset.
+    /// Fits the model to a training dataset, recording training-loop
+    /// metrics (boosting rounds, epochs, split candidates, …) into `rec`.
+    /// Models without an interesting training loop record nothing.
+    /// Recording never changes the fitted model: fitting with
+    /// [`obskit::Recorder::null`] and with a full recorder gives the same
+    /// bits, and the instrumentation-equivalence suite
+    /// (`tests/obskit_equivalence.rs`) locks that down end to end.
     ///
     /// # Errors
     ///
     /// Returns an error when the dataset is empty, single-class (for models
     /// that require both classes), or numerically degenerate.
-    fn fit(&mut self, train: &Dataset) -> Result<()>;
-
-    /// Like [`Classifier::fit`], but records training-loop metrics
-    /// (boosting rounds, epochs, split candidates, …) into `rec`. The
-    /// default ignores the recorder; models with interesting training
-    /// loops override it. Fitting through this method with
-    /// [`obskit::Recorder::null`] must be behaviourally identical to
-    /// [`Classifier::fit`] — the instrumentation-equivalence suite
-    /// (`tests/obskit_equivalence.rs`) locks that down end to end.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Classifier::fit`].
-    fn fit_observed(&mut self, train: &Dataset, rec: &mut obskit::Recorder) -> Result<()> {
-        let _ = rec;
-        self.fit(train)
-    }
+    fn fit(&mut self, train: &Dataset, rec: &mut obskit::Recorder) -> Result<()>;
 
     /// Predicts positive-class probabilities for every sample.
     ///
@@ -66,11 +56,8 @@ pub trait Classifier {
 }
 
 impl<T: Classifier + ?Sized> Classifier for Box<T> {
-    fn fit(&mut self, train: &Dataset) -> Result<()> {
-        (**self).fit(train)
-    }
-    fn fit_observed(&mut self, train: &Dataset, rec: &mut obskit::Recorder) -> Result<()> {
-        (**self).fit_observed(train, rec)
+    fn fit(&mut self, train: &Dataset, rec: &mut obskit::Recorder) -> Result<()> {
+        (**self).fit(train, rec)
     }
     fn predict_proba(&self, data: &Dataset) -> Result<Vec<f32>> {
         (**self).predict_proba(data)
@@ -95,7 +82,7 @@ mod tests {
     struct Constant(f32);
 
     impl Classifier for Constant {
-        fn fit(&mut self, _train: &Dataset) -> Result<()> {
+        fn fit(&mut self, _train: &Dataset, _rec: &mut obskit::Recorder) -> Result<()> {
             Ok(())
         }
         fn predict_proba(&self, data: &Dataset) -> Result<Vec<f32>> {
@@ -113,19 +100,6 @@ mod tests {
         assert_eq!(Constant(0.4).predict(&ds).unwrap(), vec![0.0, 0.0]);
         // Boundary: p == threshold counts as positive.
         assert_eq!(Constant(0.5).predict(&ds).unwrap(), vec![1.0, 1.0]);
-    }
-
-    #[test]
-    fn default_fit_observed_delegates_and_records_nothing() {
-        let ds = Dataset::from_rows(&[vec![0.0]], &[0.0]).unwrap();
-        let mut rec = obskit::Recorder::new();
-        let mut model = Constant(0.9);
-        model.fit_observed(&ds, &mut rec).unwrap();
-        assert_eq!(rec.ticks(), 0);
-        // The Box blanket impl forwards fit_observed too.
-        let mut boxed: Box<dyn Classifier> = Box::new(Constant(0.1));
-        boxed.fit_observed(&ds, &mut rec).unwrap();
-        assert_eq!(rec.ticks(), 0);
     }
 
     #[test]

@@ -74,7 +74,7 @@ impl Layer {
 /// let y: Vec<f32> = rows.iter().map(|r| if r[0] > 0.5 { 1.0 } else { 0.0 }).collect();
 /// let ds = Dataset::from_rows(&rows, &y)?;
 /// let mut nn = MlpClassifier::new().hidden_layers(&[8]).epochs(200);
-/// nn.fit(&ds)?;
+/// nn.fit(&ds, &mut obskit::Recorder::null())?;
 /// assert!(nn.predict_proba(&ds)?[0] < 0.5);
 /// assert!(nn.predict_proba(&ds)?[39] > 0.5);
 /// # Ok::<(), mlkit::MlError>(())
@@ -205,7 +205,7 @@ impl Classifier for MlpClassifier {
     // Gradient buffers are indexed by layer/unit throughout backprop;
     // iterator rewrites would obscure the maths.
     #[allow(clippy::needless_range_loop)]
-    fn fit(&mut self, train: &Dataset) -> Result<()> {
+    fn fit(&mut self, train: &Dataset, rec: &mut obskit::Recorder) -> Result<()> {
         self.validate()?;
         if train.is_empty() {
             return Err(MlError::EmptyDataset);
@@ -326,16 +326,11 @@ impl Classifier for MlpClassifier {
                 ));
             }
         }
-        Ok(())
-    }
-
-    /// The optimiser always runs exactly `epochs × ceil(n / batch_size)`
-    /// Adam steps, so the training-loop metrics are recorded in closed
-    /// form after the (unchanged) fit — recording can never perturb it.
-    fn fit_observed(&mut self, train: &Dataset, rec: &mut obskit::Recorder) -> Result<()> {
-        self.fit(train)?;
+        // The optimiser always runs exactly `epochs × ceil(n / batch_size)`
+        // Adam steps, so the training-loop metrics are recorded in closed
+        // form after a successful fit; recording can never perturb it.
         rec.incr("mlkit.nn.epochs", self.epochs as u64);
-        let n_batches = train.len().div_ceil(self.batch_size) as u64;
+        let n_batches = n.div_ceil(self.batch_size) as u64;
         rec.incr("mlkit.nn.adam_steps", self.epochs as u64 * n_batches);
         Ok(())
     }
@@ -378,14 +373,14 @@ mod tests {
     }
 
     #[test]
-    fn fit_observed_records_epochs_and_steps() {
+    fn fit_records_epochs_and_steps() {
         let ds = xor_dataset(40);
         let mut nn = MlpClassifier::new()
             .hidden_layers(&[4])
             .epochs(3)
             .batch_size(16);
         let mut rec = obskit::Recorder::new();
-        nn.fit_observed(&ds, &mut rec).unwrap();
+        nn.fit(&ds, &mut rec).unwrap();
         assert_eq!(rec.counter("mlkit.nn.epochs"), 3);
         // 40 samples / batch 16 -> 3 batches per epoch; matches the
         // optimiser's own Adam step counter.
@@ -400,7 +395,7 @@ mod tests {
             .hidden_layers(&[16])
             .epochs(300)
             .learning_rate(5e-3);
-        nn.fit(&ds).unwrap();
+        nn.fit(&ds, &mut obskit::Recorder::null()).unwrap();
         let pred = nn.predict(&ds).unwrap();
         let acc = pred.iter().zip(ds.y()).filter(|(a, b)| a == b).count() as f64 / 120.0;
         assert!(acc > 0.97, "accuracy {acc}");
@@ -419,7 +414,7 @@ mod tests {
     fn single_class_rejected() {
         let ds = Dataset::from_rows(&[vec![1.0], vec![2.0]], &[0.0, 0.0]).unwrap();
         assert!(matches!(
-            MlpClassifier::new().fit(&ds),
+            MlpClassifier::new().fit(&ds, &mut obskit::Recorder::null()),
             Err(MlError::SingleClass)
         ));
     }
@@ -427,8 +422,14 @@ mod tests {
     #[test]
     fn invalid_params_rejected() {
         let ds = xor_dataset(8);
-        assert!(MlpClassifier::new().learning_rate(0.0).fit(&ds).is_err());
-        assert!(MlpClassifier::new().hidden_layers(&[0]).fit(&ds).is_err());
+        assert!(MlpClassifier::new()
+            .learning_rate(0.0)
+            .fit(&ds, &mut obskit::Recorder::null())
+            .is_err());
+        assert!(MlpClassifier::new()
+            .hidden_layers(&[0])
+            .fit(&ds, &mut obskit::Recorder::null())
+            .is_err());
     }
 
     #[test]
@@ -438,7 +439,7 @@ mod tests {
             .hidden_layers(&[16, 8])
             .epochs(300)
             .learning_rate(5e-3);
-        nn.fit(&ds).unwrap();
+        nn.fit(&ds, &mut obskit::Recorder::null()).unwrap();
         let pred = nn.predict(&ds).unwrap();
         let acc = pred.iter().zip(ds.y()).filter(|(a, b)| a == b).count() as f64 / 120.0;
         assert!(acc > 0.9, "accuracy {acc}");
@@ -448,7 +449,7 @@ mod tests {
     fn probabilities_bounded() {
         let ds = xor_dataset(40);
         let mut nn = MlpClassifier::new().epochs(10);
-        nn.fit(&ds).unwrap();
+        nn.fit(&ds, &mut obskit::Recorder::null()).unwrap();
         for p in nn.predict_proba(&ds).unwrap() {
             assert!((0.0..=1.0).contains(&p));
         }
@@ -459,8 +460,8 @@ mod tests {
         let ds = xor_dataset(60);
         let mut a = MlpClassifier::new().epochs(20).seed(11);
         let mut b = MlpClassifier::new().epochs(20).seed(11);
-        a.fit(&ds).unwrap();
-        b.fit(&ds).unwrap();
+        a.fit(&ds, &mut obskit::Recorder::null()).unwrap();
+        b.fit(&ds, &mut obskit::Recorder::null()).unwrap();
         assert_eq!(a.predict_proba(&ds).unwrap(), b.predict_proba(&ds).unwrap());
     }
 
@@ -468,7 +469,7 @@ mod tests {
     fn feature_mismatch_rejected() {
         let ds = xor_dataset(40);
         let mut nn = MlpClassifier::new().epochs(5);
-        nn.fit(&ds).unwrap();
+        nn.fit(&ds, &mut obskit::Recorder::null()).unwrap();
         let wrong = Dataset::from_rows(&[vec![0.0]], &[0.0]).unwrap();
         assert!(nn.predict_proba(&wrong).is_err());
     }

@@ -81,8 +81,10 @@ pub fn random_oversample(ds: &Dataset, max_ratio: f64, seed: u64) -> Result<Data
 ///
 /// # Errors
 ///
-/// Returns [`MlError::SingleClass`] when a class is absent, and
-/// [`MlError::InvalidParameter`] for bad `k`/`max_ratio`.
+/// Returns [`MlError::SingleClass`] when a class is absent,
+/// [`MlError::InvalidParameter`] for bad `k`/`max_ratio`, and
+/// [`MlError::NanInput`] when the distance between two minority rows is
+/// NaN (a NaN feature, or infinities of one sign in the same column).
 pub fn smote(ds: &Dataset, max_ratio: f64, k: usize, seed: u64) -> Result<Dataset> {
     if max_ratio <= 0.0 {
         return Err(MlError::InvalidParameter {
@@ -116,6 +118,9 @@ pub fn smote(ds: &Dataset, max_ratio: f64, k: usize, seed: u64) -> Result<Datase
             .filter(|&(b2, _)| b2 != a)
             .map(|(b2, &ib)| (crate::matrix::sq_dist(ds.x().row(ia), ds.x().row(ib)), b2))
             .collect();
+        if d.iter().any(|(dist, _)| dist.is_nan()) {
+            return Err(MlError::NanInput { name: "ds" });
+        }
         d.sort_by(|x, y| x.0.partial_cmp(&y.0).unwrap_or(std::cmp::Ordering::Equal));
         neighbours.push(d.into_iter().take(k_eff).map(|(_, b2)| b2).collect());
     }
@@ -240,6 +245,27 @@ mod tests {
         let out = random_oversample(&ds, 2.0, 1).unwrap();
         assert_eq!(out.n_negative(), 50);
         assert!(out.n_positive() >= 25);
+    }
+
+    #[test]
+    fn smote_rejects_a_nan_minority_feature() {
+        let ds = imbalanced();
+        let mut rows: Vec<Vec<f32>> = ds.x().rows_iter().map(<[f32]>::to_vec).collect();
+        rows[2][1] = f32::NAN;
+        let with_nan = Dataset::from_rows(&rows, ds.y()).unwrap();
+        assert!(matches!(
+            smote(&with_nan, 2.0, 3, 1),
+            Err(MlError::NanInput { name: "ds" })
+        ));
+        // Neighbours are searched among positives only, so a NaN in a
+        // negative row does not stop SMOTE.
+        let mut rows: Vec<Vec<f32>> = ds.x().rows_iter().map(<[f32]>::to_vec).collect();
+        rows[20][0] = f32::NAN;
+        let neg_nan = Dataset::from_rows(&rows, ds.y()).unwrap();
+        assert_eq!(
+            smote(&neg_nan, 2.0, 3, 1).unwrap().n_positive(),
+            smote(&ds, 2.0, 3, 1).unwrap().n_positive()
+        );
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Feature scaling: standardisation (z-score) and min-max normalisation.
+//! Feature scaling: standardisation (z-score).
 //!
 //! LR, SVM, and NN training are all sensitive to feature scale; the
 //! prediction pipeline standardises features using statistics computed on
@@ -123,62 +123,6 @@ impl StandardScaler {
     }
 }
 
-/// Min-max scaler mapping each feature into `[0, 1]`.
-///
-/// Constant features are mapped to 0.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct MinMaxScaler {
-    mins: Vec<f32>,
-    ranges: Vec<f32>,
-}
-
-impl MinMaxScaler {
-    /// Computes per-feature min/max on `train`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MlError::EmptyDataset`] when `train` has no samples.
-    pub fn fit(train: &Dataset) -> Result<MinMaxScaler> {
-        if train.is_empty() {
-            return Err(MlError::EmptyDataset);
-        }
-        let d = train.n_features();
-        let mut mins = vec![f32::INFINITY; d];
-        let mut maxs = vec![f32::NEG_INFINITY; d];
-        for row in train.x().rows_iter() {
-            for (j, &v) in row.iter().enumerate() {
-                mins[j] = mins[j].min(v);
-                maxs[j] = maxs[j].max(v);
-            }
-        }
-        let ranges = mins.iter().zip(&maxs).map(|(&lo, &hi)| hi - lo).collect();
-        Ok(MinMaxScaler { mins, ranges })
-    }
-
-    /// Applies the learned transform.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MlError::DimensionMismatch`] when feature counts differ.
-    pub fn transform(&self, data: &Dataset) -> Result<Dataset> {
-        if data.n_features() != self.mins.len() {
-            return Err(MlError::DimensionMismatch {
-                expected: format!("{} features", self.mins.len()),
-                found: format!("{} features", data.n_features()),
-            });
-        }
-        let mut out = Matrix::zeros(data.len(), data.n_features());
-        for (i, row) in data.x().rows_iter().enumerate() {
-            let orow = out.row_mut(i);
-            for (j, &v) in row.iter().enumerate() {
-                let r = self.ranges[j];
-                orow[j] = if r > 0.0 { (v - self.mins[j]) / r } else { 0.0 };
-            }
-        }
-        Dataset::new(out, data.y().to_vec())?.with_feature_names(data.feature_names().to_vec())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,28 +173,10 @@ mod tests {
     }
 
     #[test]
-    fn minmax_maps_into_unit_interval() {
-        let train = ds(&[vec![2.0, -1.0], vec![4.0, 3.0], vec![6.0, 1.0]]);
-        let sc = MinMaxScaler::fit(&train).unwrap();
-        let t = sc.transform(&train).unwrap();
-        assert_eq!(t.x().col(0), vec![0.0, 0.5, 1.0]);
-        assert_eq!(t.x().col(1), vec![0.0, 1.0, 0.5]);
-    }
-
-    #[test]
-    fn minmax_constant_feature_is_zero() {
-        let train = ds(&[vec![5.0], vec![5.0]]);
-        let sc = MinMaxScaler::fit(&train).unwrap();
-        let t = sc.transform(&train).unwrap();
-        assert_eq!(t.x().col(0), vec![0.0, 0.0]);
-    }
-
-    #[test]
     fn fit_empty_fails() {
         let empty = Dataset::from_rows(&[vec![1.0]], &[0.0])
             .unwrap()
             .select(&[]);
         assert!(StandardScaler::fit(&empty).is_err());
-        assert!(MinMaxScaler::fit(&empty).is_err());
     }
 }

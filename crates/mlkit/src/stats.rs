@@ -4,6 +4,23 @@
 
 use crate::{MlError, Result};
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
+
+/// Ascending order with every NaN after every number. Numbers compare
+/// exactly as `partial_cmp` orders them (`-0.0 == 0.0`), so a stable sort
+/// of NaN-free input keeps the order it always had.
+fn nan_last(a: f64, b: f64) -> Ordering {
+    a.partial_cmp(&b)
+        .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
+}
+
+/// `Err(NanInput)` naming `name` when `xs` holds a NaN.
+fn reject_nan(name: &'static str, xs: &[f64]) -> Result<()> {
+    if xs.iter().any(|x| x.is_nan()) {
+        return Err(MlError::NanInput { name });
+    }
+    Ok(())
+}
 
 /// Arithmetic mean; 0.0 for an empty slice.
 pub fn mean(xs: &[f64]) -> f64 {
@@ -67,7 +84,8 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> Result<f64> {
 ///
 /// # Errors
 ///
-/// Same conditions as [`pearson`].
+/// Same conditions as [`pearson`], and [`MlError::NanInput`] when either
+/// input holds a NaN.
 pub fn spearman(xs: &[f64], ys: &[f64]) -> Result<f64> {
     if xs.len() != ys.len() {
         return Err(MlError::DimensionMismatch {
@@ -75,19 +93,19 @@ pub fn spearman(xs: &[f64], ys: &[f64]) -> Result<f64> {
             found: format!("{} values", ys.len()),
         });
     }
+    reject_nan("xs", xs)?;
+    reject_nan("ys", ys)?;
     let rx = ranks(xs);
     let ry = ranks(ys);
     pearson(&rx, &ry)
 }
 
-/// Average ranks (1-based) with ties sharing their mean rank.
+/// Average ranks (1-based) with ties sharing their mean rank. NaNs rank
+/// after every number, each on its own, and leave the numbers' ranks as
+/// they would be without them.
 pub fn ranks(xs: &[f64]) -> Vec<f64> {
     let mut order: Vec<usize> = (0..xs.len()).collect();
-    order.sort_by(|&a, &b| {
-        xs[a]
-            .partial_cmp(&xs[b])
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
+    order.sort_by(|&a, &b| nan_last(xs[a], xs[b]));
     let mut out = vec![0.0; xs.len()];
     let mut i = 0;
     while i < order.len() {
@@ -108,8 +126,9 @@ pub fn ranks(xs: &[f64]) -> Vec<f64> {
 ///
 /// # Errors
 ///
-/// Returns [`MlError::EmptyDataset`] for empty input and
-/// [`MlError::InvalidParameter`] when `p` is out of range.
+/// Returns [`MlError::EmptyDataset`] for empty input,
+/// [`MlError::InvalidParameter`] when `p` is out of range, and
+/// [`MlError::NanInput`] when `xs` holds a NaN.
 pub fn percentile(xs: &[f64], p: f64) -> Result<f64> {
     if xs.is_empty() {
         return Err(MlError::EmptyDataset);
@@ -120,8 +139,9 @@ pub fn percentile(xs: &[f64], p: f64) -> Result<f64> {
             reason: format!("percentile must be in [0, 100], got {p}"),
         });
     }
+    reject_nan("xs", xs)?;
     let mut sorted: Vec<f64> = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    sorted.sort_by(|&a, &b| nan_last(a, b));
     let idx = p / 100.0 * (sorted.len() - 1) as f64;
     let lo = idx.floor() as usize;
     let hi = idx.ceil() as usize;
@@ -228,10 +248,12 @@ pub struct Ecdf {
 }
 
 impl Ecdf {
-    /// Builds the ECDF from a sample (unsorted input accepted).
+    /// Builds the ECDF from a sample (unsorted input accepted). A NaN
+    /// counts towards the sample size but is never `<= x`, so it sorts
+    /// after every number.
     pub fn new(xs: &[f64]) -> Ecdf {
         let mut sorted = xs.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+        sorted.sort_by(|&a, &b| nan_last(a, b));
         Ecdf { sorted }
     }
 
@@ -396,6 +418,40 @@ mod tests {
     #[test]
     fn ranks_average_ties() {
         assert_eq!(ranks(&[10.0, 20.0, 20.0, 30.0]), vec![1.0, 2.5, 2.5, 4.0]);
+    }
+
+    #[test]
+    fn nan_ranks_last_and_leaves_the_numbers_ranks() {
+        let r = ranks(&[3.0, f64::NAN, 1.0, 3.0, f64::NAN]);
+        assert_eq!(r, vec![2.5, 4.0, 1.0, 2.5, 5.0]);
+        let cdf = Ecdf::new(&[2.0, f64::NAN, 1.0, 4.0]);
+        assert_eq!(cdf.len(), 4);
+        assert_eq!(cdf.eval(2.0), 0.5);
+        assert_eq!(cdf.eval(f64::INFINITY), 0.75);
+        assert_eq!(cdf.quantile(0.0), Some(1.0));
+    }
+
+    #[test]
+    fn nan_input_is_an_error_where_a_result_is_returned() {
+        let nan = MlError::NanInput { name: "xs" };
+        assert_eq!(percentile(&[1.0, f64::NAN], 50.0), Err(nan.clone()));
+        assert_eq!(spearman(&[f64::NAN, 1.0, 2.0], &[1.0, 2.0, 3.0]), Err(nan));
+        assert_eq!(
+            spearman(&[1.0, 2.0, 3.0], &[1.0, f64::NAN, 3.0]),
+            Err(MlError::NanInput { name: "ys" })
+        );
+    }
+
+    #[test]
+    fn equal_zeros_keep_their_input_order() {
+        // `-0.0 == 0.0`: the stable sort must not reorder them, so the
+        // sign each output carries is the one it always had.
+        assert!(percentile(&[0.0, -0.0], 0.0).unwrap().is_sign_positive());
+        assert!(percentile(&[-0.0, 0.0], 0.0).unwrap().is_sign_negative());
+        assert!(Ecdf::new(&[0.0, -0.0])
+            .quantile(0.0)
+            .unwrap()
+            .is_sign_positive());
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! [`SvmRbf`] implements the classical soft-margin kernel SVM trained with
 //! a simplified SMO (sequential minimal optimisation) procedure and an RBF
 //! kernel — the quadratic-cost model that made SVM the slowest entry in the
-//! paper's Table III. [`LinearSvm`] is a Pegasos-style stochastic
-//! sub-gradient linear SVM for cheap large-scale baselines.
+//! paper's Table III.
 //!
 //! Probabilities are produced by squashing the signed decision value
 //! through a logistic link (a lightweight stand-in for Platt scaling); the
@@ -12,7 +11,7 @@
 
 use crate::dataset::Dataset;
 use crate::linear::sigmoid;
-use crate::matrix::{dot, sq_dist};
+use crate::matrix::sq_dist;
 use crate::model::Classifier;
 use crate::{MlError, Result};
 use rand::rngs::StdRng;
@@ -45,7 +44,7 @@ use serde::{Deserialize, Serialize};
 /// }
 /// let ds = Dataset::from_rows(&rows, &y)?;
 /// let mut svm = SvmRbf::new().gamma(2.0).c(5.0);
-/// svm.fit(&ds)?;
+/// svm.fit(&ds, &mut obskit::Recorder::null())?;
 /// let acc = svm
 ///     .predict(&ds)?
 ///     .iter()
@@ -176,7 +175,7 @@ impl SvmRbf {
 }
 
 impl Classifier for SvmRbf {
-    fn fit(&mut self, train: &Dataset) -> Result<()> {
+    fn fit(&mut self, train: &Dataset, _rec: &mut obskit::Recorder) -> Result<()> {
         self.validate()?;
         if train.is_empty() {
             return Err(MlError::EmptyDataset);
@@ -346,130 +345,6 @@ impl Classifier for SvmRbf {
     }
 }
 
-/// Pegasos-style linear SVM (stochastic sub-gradient descent on the
-/// hinge loss with L2 regularisation).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct LinearSvm {
-    lambda: f32,
-    epochs: usize,
-    pos_weight: f32,
-    seed: u64,
-    weights: Option<Vec<f32>>,
-    bias: f32,
-}
-
-impl Default for LinearSvm {
-    fn default() -> LinearSvm {
-        LinearSvm::new()
-    }
-}
-
-impl LinearSvm {
-    /// Creates a linear SVM with defaults `lambda = 1e-4`, 20 epochs.
-    pub fn new() -> LinearSvm {
-        LinearSvm {
-            lambda: 1e-4,
-            epochs: 20,
-            pos_weight: 1.0,
-            seed: 42,
-            weights: None,
-            bias: 0.0,
-        }
-    }
-
-    /// Sets the regularisation strength.
-    pub fn lambda(mut self, l: f32) -> LinearSvm {
-        self.lambda = l;
-        self
-    }
-
-    /// Sets the number of epochs.
-    pub fn epochs(mut self, e: usize) -> LinearSvm {
-        self.epochs = e.max(1);
-        self
-    }
-
-    /// Sets the hinge-loss weight multiplier for positive samples.
-    pub fn pos_weight(mut self, w: f32) -> LinearSvm {
-        self.pos_weight = w;
-        self
-    }
-
-    /// Sets the RNG seed used for shuffling.
-    pub fn seed(mut self, seed: u64) -> LinearSvm {
-        self.seed = seed;
-        self
-    }
-}
-
-impl Classifier for LinearSvm {
-    fn fit(&mut self, train: &Dataset) -> Result<()> {
-        if train.is_empty() {
-            return Err(MlError::EmptyDataset);
-        }
-        if train.n_positive() == 0 || train.n_negative() == 0 {
-            return Err(MlError::SingleClass);
-        }
-        if self.lambda <= 0.0 {
-            return Err(MlError::InvalidParameter {
-                name: "lambda",
-                reason: format!("must be positive, got {}", self.lambda),
-            });
-        }
-        let n = train.len();
-        let d = train.n_features();
-        let mut w = vec![0.0f32; d];
-        let mut b = 0.0f32;
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut idx: Vec<usize> = (0..n).collect();
-        let mut t = 0usize;
-        for _ in 0..self.epochs {
-            idx.shuffle(&mut rng);
-            for &i in &idx {
-                t += 1;
-                let eta = 1.0 / (self.lambda * t as f32);
-                let row = train.x().row(i);
-                let y = if train.y()[i] == 1.0 { 1.0 } else { -1.0 };
-                let margin = y * (dot(&w, row) + b);
-                // w <- (1 - eta*lambda) w [+ eta*y*x when margin < 1]
-                let shrink = 1.0 - eta * self.lambda;
-                for wj in w.iter_mut() {
-                    *wj *= shrink;
-                }
-                if margin < 1.0 {
-                    let cw = if y > 0.0 { self.pos_weight } else { 1.0 };
-                    for (wj, &xj) in w.iter_mut().zip(row) {
-                        *wj += eta * cw * y * xj;
-                    }
-                    b += eta * cw * y;
-                }
-            }
-        }
-        self.weights = Some(w);
-        self.bias = b;
-        Ok(())
-    }
-
-    fn predict_proba(&self, data: &Dataset) -> Result<Vec<f32>> {
-        let w = self.weights.as_ref().ok_or(MlError::NotFitted)?;
-        if data.n_features() != w.len() {
-            return Err(MlError::DimensionMismatch {
-                expected: format!("{} features", w.len()),
-                found: format!("{} features", data.n_features()),
-            });
-        }
-        Ok(data
-            .x()
-            .rows_iter()
-            .map(|row| sigmoid(2.0 * (dot(w, row) + self.bias)))
-            .collect())
-    }
-
-    fn name(&self) -> &'static str {
-        "LinearSVM"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -511,7 +386,7 @@ mod tests {
     fn rbf_separates_nonlinear_rings() {
         let ds = ring_dataset(80);
         let mut svm = SvmRbf::new().gamma(2.0).c(5.0);
-        svm.fit(&ds).unwrap();
+        svm.fit(&ds, &mut obskit::Recorder::null()).unwrap();
         assert!(accuracy(&svm, &ds) > 0.95);
         assert!(svm.n_support_vectors() > 0);
     }
@@ -529,7 +404,7 @@ mod tests {
     fn rbf_subsamples_large_sets() {
         let ds = linear_dataset(400);
         let mut svm = SvmRbf::new().max_samples(100).gamma(1.0);
-        svm.fit(&ds).unwrap();
+        svm.fit(&ds, &mut obskit::Recorder::null()).unwrap();
         // Support vectors come from the subsample only.
         assert!(svm.n_support_vectors() <= 100);
         assert!(accuracy(&svm, &ds) > 0.9);
@@ -538,21 +413,30 @@ mod tests {
     #[test]
     fn rbf_invalid_params() {
         let ds = ring_dataset(8);
-        assert!(SvmRbf::new().c(0.0).fit(&ds).is_err());
-        assert!(SvmRbf::new().gamma(-1.0).fit(&ds).is_err());
+        assert!(SvmRbf::new()
+            .c(0.0)
+            .fit(&ds, &mut obskit::Recorder::null())
+            .is_err());
+        assert!(SvmRbf::new()
+            .gamma(-1.0)
+            .fit(&ds, &mut obskit::Recorder::null())
+            .is_err());
     }
 
     #[test]
     fn rbf_single_class_rejected() {
         let ds = Dataset::from_rows(&[vec![1.0], vec![2.0]], &[1.0, 1.0]).unwrap();
-        assert!(matches!(SvmRbf::new().fit(&ds), Err(MlError::SingleClass)));
+        assert!(matches!(
+            SvmRbf::new().fit(&ds, &mut obskit::Recorder::null()),
+            Err(MlError::SingleClass)
+        ));
     }
 
     #[test]
     fn rbf_probability_threshold_matches_decision_sign() {
         let ds = ring_dataset(60);
         let mut svm = SvmRbf::new().gamma(2.0).c(5.0);
-        svm.fit(&ds).unwrap();
+        svm.fit(&ds, &mut obskit::Recorder::null()).unwrap();
         let proba = svm.predict_proba(&ds).unwrap();
         let pred = svm.predict(&ds).unwrap();
         for (p, label) in proba.iter().zip(&pred) {
@@ -561,37 +445,10 @@ mod tests {
     }
 
     #[test]
-    fn linear_svm_separates_linear_data() {
-        let ds = linear_dataset(200);
-        let mut svm = LinearSvm::new().epochs(50);
-        svm.fit(&ds).unwrap();
-        assert!(accuracy(&svm, &ds) > 0.93);
-    }
-
-    #[test]
-    fn linear_svm_not_fitted() {
-        let ds = linear_dataset(10);
-        assert!(matches!(
-            LinearSvm::new().predict_proba(&ds),
-            Err(MlError::NotFitted)
-        ));
-    }
-
-    #[test]
-    fn linear_svm_deterministic() {
-        let ds = linear_dataset(100);
-        let mut a = LinearSvm::new().seed(5);
-        let mut b = LinearSvm::new().seed(5);
-        a.fit(&ds).unwrap();
-        b.fit(&ds).unwrap();
-        assert_eq!(a.predict_proba(&ds).unwrap(), b.predict_proba(&ds).unwrap());
-    }
-
-    #[test]
     fn feature_mismatch_rejected() {
-        let ds = linear_dataset(50);
-        let mut svm = LinearSvm::new();
-        svm.fit(&ds).unwrap();
+        let ds = ring_dataset(40);
+        let mut svm = SvmRbf::new().gamma(2.0).c(5.0);
+        svm.fit(&ds, &mut obskit::Recorder::null()).unwrap();
         let wrong = Dataset::from_rows(&[vec![0.0]], &[0.0]).unwrap();
         assert!(svm.predict_proba(&wrong).is_err());
     }

@@ -5,7 +5,7 @@ use mlkit::gbdt::Gbdt;
 use mlkit::linear::{sigmoid, LogisticRegression};
 use mlkit::matrix::Matrix;
 use mlkit::model::Classifier;
-use mlkit::scaler::{MinMaxScaler, StandardScaler};
+use mlkit::scaler::StandardScaler;
 use mlkit::tree::QuantileBinner;
 use proptest::prelude::*;
 
@@ -67,15 +67,6 @@ proptest! {
         let t = sc.transform(&ds).expect("transforms");
         for v in t.x().as_slice() {
             prop_assert!(v.is_finite());
-        }
-    }
-
-    #[test]
-    fn minmax_scaler_stays_in_unit_interval(ds in dataset_strategy(40, 3)) {
-        let sc = MinMaxScaler::fit(&ds).expect("fits");
-        let t = sc.transform(&ds).expect("transforms");
-        for v in t.x().as_slice() {
-            prop_assert!((-1e-6..=1.0 + 1e-6).contains(&(*v as f64)));
         }
     }
 
@@ -164,7 +155,7 @@ proptest! {
     #[test]
     fn gbdt_probabilities_always_bounded(ds in dataset_strategy(60, 3)) {
         let mut m = Gbdt::new().n_trees(5).max_depth(3).min_samples_leaf(1);
-        if m.fit(&ds).is_ok() {
+        if m.fit(&ds, &mut obskit::Recorder::null()).is_ok() {
             for p in m.predict_proba(&ds).expect("predicts") {
                 prop_assert!((0.0..=1.0).contains(&p), "probability {p}");
             }
@@ -174,7 +165,7 @@ proptest! {
     #[test]
     fn lr_predictions_are_binary(ds in dataset_strategy(60, 3)) {
         let mut m = LogisticRegression::new().epochs(5);
-        if m.fit(&ds).is_ok() {
+        if m.fit(&ds, &mut obskit::Recorder::null()).is_ok() {
             for p in m.predict(&ds).expect("predicts") {
                 prop_assert!(p == 0.0 || p == 1.0);
             }

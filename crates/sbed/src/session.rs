@@ -26,7 +26,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use streamd::artifact::PipelineArtifact;
 use streamd::serve::{
-    LaunchFacts, NullSink, PreparedSwap, ScoredLaunch, ServeConfig, StepScorer, DRAIN_THRESHOLD,
+    LaunchFacts, Mitigation, NullSink, PreparedSwap, ScoredLaunch, ServeConfig, StepScorer,
 };
 use titan_sim::apps::AppId;
 use titan_sim::topology::{NodeId, Topology};
@@ -554,14 +554,14 @@ impl<'a> ScoreSession<'a> {
     }
 }
 
-/// The mitigation decision wire code for one scored row — mirrors
-/// `streamd::serve::Alert::for_launch`'s escalation rule.
+/// The mitigation decision wire code for one scored row: 0 when the row
+/// is not flagged, else [`Mitigation::for_probability`]'s decision.
 fn decision_of(s: &ScoredLaunch) -> u8 {
     if !s.predicted {
-        0
-    } else if s.probability >= DRAIN_THRESHOLD {
-        2
-    } else {
-        1
+        return 0;
+    }
+    match Mitigation::for_probability(s.probability) {
+        Mitigation::ShortenCheckpoint => 1,
+        Mitigation::DrainNode => 2,
     }
 }

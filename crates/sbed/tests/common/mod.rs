@@ -44,7 +44,9 @@ pub fn synthetic_artifact() -> PipelineArtifact {
         .max_depth(3)
         .min_samples_leaf(2)
         .seed(5);
-    model.fit(&scaled).expect("fixture fit");
+    model
+        .fit(&scaled, &mut obskit::Recorder::null())
+        .expect("fixture fit");
     let offenders: Vec<u32> = (0..64).step_by(2).collect();
     PipelineArtifact::new(
         spec,

@@ -69,7 +69,9 @@ fn challenger_bytes(champion: &PipelineArtifact, generation: u32) -> Vec<u8> {
         .max_depth(3)
         .min_samples_leaf(2)
         .seed(6);
-    model.fit(&scaled).expect("challenger fit");
+    model
+        .fit(&scaled, &mut obskit::Recorder::null())
+        .expect("challenger fit");
     let challenger = PipelineArtifact::new(
         spec,
         champion.offenders().to_vec(),

@@ -365,7 +365,7 @@ mod tests {
         let scaler = StandardScaler::fit(&ds).unwrap();
         let scaled = scaler.transform(&ds).unwrap();
         let mut lr = LogisticRegression::new().epochs(50);
-        lr.fit(&scaled).unwrap();
+        lr.fit(&scaled, &mut obskit::Recorder::null()).unwrap();
         // A 2-feature toy spec: app group off, only location would not
         // give 2 columns — the spec is metadata here, not used to score.
         PipelineArtifact::new(

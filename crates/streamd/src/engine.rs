@@ -81,11 +81,6 @@ impl StreamFeatureEngine {
         self.node_last_app.get(&node).map(|&(_, app)| app)
     }
 
-    /// The incremental SBE-history index.
-    pub fn history(&self) -> &IncrementalHistory {
-        &self.history
-    }
-
     /// The [`HistCounts`] of a launch of `app` on `node` at `start`,
     /// allocated `alloc_nodes` — queried against the current (strictly
     /// pre-`start`) history state.

@@ -129,6 +129,20 @@ pub enum Mitigation {
 /// checkpoint tuning to node draining.
 pub const DRAIN_THRESHOLD: f32 = 0.9;
 
+impl Mitigation {
+    /// The escalation rule for a flagged launch scored at `probability`:
+    /// drain the node at or above [`DRAIN_THRESHOLD`], else shorten the
+    /// checkpoint interval. Every surface that reports a decision (the
+    /// serve loop's alerts, `sbed`'s SCORES entries) asks this.
+    pub fn for_probability(probability: f32) -> Mitigation {
+        if probability >= DRAIN_THRESHOLD {
+            Mitigation::DrainNode
+        } else {
+            Mitigation::ShortenCheckpoint
+        }
+    }
+}
+
 /// An emitted mitigation decision for a flagged launch.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Alert {
@@ -154,11 +168,7 @@ impl Alert {
             node: s.node,
             app: s.app,
             probability: s.probability,
-            decision: if s.probability >= DRAIN_THRESHOLD {
-                Mitigation::DrainNode
-            } else {
-                Mitigation::ShortenCheckpoint
-            },
+            decision: Mitigation::for_probability(s.probability),
         }
     }
 }

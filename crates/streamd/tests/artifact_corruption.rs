@@ -24,7 +24,7 @@ fn shipped_bytes() -> Vec<u8> {
     let scaler = StandardScaler::fit(&ds).expect("scaler");
     let scaled = scaler.transform(&ds).expect("transform");
     let mut lr = LogisticRegression::new().epochs(50);
-    lr.fit(&scaled).expect("fit");
+    lr.fit(&scaled, &mut obskit::Recorder::null()).expect("fit");
     PipelineArtifact::new(
         FeatureSpec::all(),
         vec![3, 7],

@@ -65,6 +65,67 @@ impl TraceEvent {
     }
 }
 
+/// A job-boundary SBE snapshot delta: `count` new SBEs attributed to
+/// (`job`, `node`) and to `app`, observable from `minute` on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SbeDelta {
+    /// The minute the owning job ended.
+    pub minute: u64,
+    /// The job whose boundary snapshot revealed the delta.
+    pub job: JobId,
+    /// The node the errors were counted on.
+    pub node: NodeId,
+    /// The application the delta is attributed to.
+    pub app: AppId,
+    /// The per-node SBE delta.
+    pub count: u32,
+}
+
+/// The trace's SBE visibility rule, and its one owner: each positive
+/// (job, node) pair yields one [`SbeDelta`] at the minute the job's
+/// *last* aprun ends — the moment the job-boundary `nvidia-smi` snapshot
+/// would have been taken. The attributed delta is the same on every
+/// aprun of the job, so the first seen in trace sample order (by aprun,
+/// then node) gives the count and the application. Sorted by
+/// `(minute, job, node)`.
+///
+/// # Errors
+///
+/// Propagates trace lookup errors (never expected for a well-formed
+/// trace).
+pub fn sbe_deltas(trace: &TraceSet) -> Result<Vec<SbeDelta>> {
+    // Last end per job = the job-boundary snapshot minute.
+    let mut job_end: BTreeMap<u32, u64> = BTreeMap::new();
+    for r in trace.apruns() {
+        let e = job_end.entry(r.job_id.0).or_insert(0);
+        *e = (*e).max(r.end_min);
+    }
+    let mut job_node: BTreeMap<(u32, u32), (u64, AppId, u32)> = BTreeMap::new();
+    for s in trace.samples() {
+        if s.sbe_attributed == 0 {
+            continue;
+        }
+        let run = trace.aprun(s.aprun)?;
+        job_node.entry((run.job_id.0, s.node.0)).or_insert((
+            job_end.get(&run.job_id.0).copied().unwrap_or(run.end_min),
+            run.app_id,
+            s.sbe_attributed,
+        ));
+    }
+    let mut deltas: Vec<SbeDelta> = job_node
+        .iter()
+        .map(|(&(job, node), &(minute, app, count))| SbeDelta {
+            minute,
+            job: JobId(job),
+            node: NodeId(node),
+            app,
+            count,
+        })
+        .collect();
+    deltas.sort_unstable_by_key(|d| (d.minute, d.job, d.node));
+    Ok(deltas)
+}
+
 /// An iterator replaying a trace as a time-ordered [`TraceEvent`] stream.
 ///
 /// Construction indexes the trace once; iteration is lazy and allocation
@@ -73,8 +134,8 @@ impl TraceEvent {
 pub struct EventStream {
     /// `(start_min, aprun)` sorted ascending.
     launches: Vec<(u64, ApRunId)>,
-    /// `(visible_at, job, node, app, count)` sorted ascending.
-    sbe_events: Vec<(u64, JobId, NodeId, AppId, u32)>,
+    /// [`sbe_deltas`] of the trace, sorted ascending.
+    sbe_events: Vec<SbeDelta>,
     /// One past the last minute that gets a tick.
     horizon: u64,
     minute: u64,
@@ -91,12 +152,8 @@ enum Phase {
 }
 
 impl EventStream {
-    /// Builds the stream for `trace`.
-    ///
-    /// SBE visibility follows the trace's observability rule: each
-    /// positive (job, node) pair yields one event at the minute the
-    /// job's *last* aprun ends — the moment the job-boundary
-    /// `nvidia-smi` snapshot would have been taken.
+    /// Builds the stream for `trace`; its SBE visibility events are
+    /// [`sbe_deltas`].
     ///
     /// # Errors
     ///
@@ -106,40 +163,14 @@ impl EventStream {
         let mut launches: Vec<(u64, ApRunId)> =
             trace.apruns().iter().map(|r| (r.start_min, r.id)).collect();
         launches.sort_unstable();
-
-        // Last end per job = the job-boundary snapshot minute.
-        let mut job_end: BTreeMap<u32, u64> = BTreeMap::new();
-        for r in trace.apruns() {
-            let e = job_end.entry(r.job_id.0).or_insert(0);
-            *e = (*e).max(r.end_min);
-        }
-        // One event per positive (job, node); the attributed delta is the
-        // same on every aprun of the job, so keep the first seen (samples
-        // are sorted by (aprun, node), matching `SbeHistory::build`).
-        let mut job_node: BTreeMap<(u32, u32), (u64, AppId, u32)> = BTreeMap::new();
-        for s in trace.samples() {
-            if s.sbe_attributed == 0 {
-                continue;
-            }
-            let run = trace.aprun(s.aprun)?;
-            job_node.entry((run.job_id.0, s.node.0)).or_insert((
-                job_end.get(&run.job_id.0).copied().unwrap_or(run.end_min),
-                run.app_id,
-                s.sbe_attributed,
-            ));
-        }
-        let mut sbe_events: Vec<(u64, JobId, NodeId, AppId, u32)> = job_node
-            .iter()
-            .map(|(&(job, node), &(t, app, c))| (t, JobId(job), NodeId(node), app, c))
-            .collect();
-        sbe_events.sort_unstable_by_key(|&(t, job, node, _, _)| (t, job, node));
+        let sbe_events = sbe_deltas(trace)?;
 
         let mut horizon = trace.config().total_minutes();
         if let Some(&(t, _)) = launches.last() {
             horizon = horizon.max(t + 1);
         }
-        if let Some(&(t, _, _, _, _)) = sbe_events.last() {
-            horizon = horizon.max(t + 1);
+        if let Some(d) = sbe_events.last() {
+            horizon = horizon.max(d.minute + 1);
         }
         Ok(EventStream {
             launches,
@@ -193,15 +224,15 @@ impl Iterator for EventStream {
                     self.phase = Phase::Sbes;
                 }
                 Phase::Sbes => {
-                    if let Some(&(t, job, node, app, count)) = self.sbe_events.get(self.si) {
-                        if t == self.minute {
+                    if let Some(&d) = self.sbe_events.get(self.si) {
+                        if d.minute == self.minute {
                             self.si += 1;
                             return Some(TraceEvent::SbeVisible {
-                                minute: t,
-                                job,
-                                node,
-                                app,
-                                count,
+                                minute: d.minute,
+                                job: d.job,
+                                node: d.node,
+                                app: d.app,
+                                count: d.count,
                             });
                         }
                     }

@@ -47,7 +47,7 @@ fn fixture(invert_labels: bool) -> (TraceSet, PipelineArtifact) {
         prepared.train.clone()
     };
     let mut model = Gbdt::new().n_trees(20).min_samples_leaf(2).seed(7);
-    model.fit(&train).expect("fit");
+    model.fit(&train, &mut Recorder::null()).expect("fit");
 
     let offenders: Vec<u32> = fx
         .history()

@@ -96,7 +96,7 @@ fn cumulative_temperature_does_not_predict_offenders() {
 fn basic_a_high_recall_low_precision() {
     let t = trace();
     let samples = build_samples(&t).expect("samples build");
-    let history = SbeHistory::build(&samples).expect("history builds");
+    let history = SbeHistory::build(&t).expect("history builds");
     let split = DsSplit::ds1(&t).expect("split fits");
     let (ts, te) = split.test_window();
     let test = in_window(&samples, ts, te);
@@ -109,7 +109,7 @@ fn basic_a_high_recall_low_precision() {
 fn twostage_gbdt_beats_basic_a_on_f1() {
     let t = trace();
     let samples = build_samples(&t).expect("samples build");
-    let history = SbeHistory::build(&samples).expect("history builds");
+    let history = SbeHistory::build(&t).expect("history builds");
     let split = DsSplit::ds1(&t).expect("split fits");
     let (ts, te) = split.test_window();
     let test = in_window(&samples, ts, te);

@@ -107,7 +107,7 @@ proptest! {
             .subsample(subsample)
             .colsample(colsample)
             .seed(seed);
-        model.fit(&ds).expect("fit");
+        model.fit(&ds, &mut obskit::Recorder::null()).expect("fit");
         if let Some(msg) = gbdt_mismatch(&model, &rows) {
             prop_assert!(false, "{msg}");
         }
@@ -137,7 +137,7 @@ proptest! {
             .max_depth(max_depth)
             .min_samples_leaf(2)
             .seed(seed);
-        model.fit(&ds).expect("fit");
+        model.fit(&ds, &mut obskit::Recorder::null()).expect("fit");
         let artifact = PipelineArtifact::new(
             FeatureSpec::only_hist(),
             vec![1, 2, 3],
@@ -180,7 +180,7 @@ proptest! {
             .epochs(epochs)
             .learning_rate(lr)
             .seed(seed);
-        model.fit(&ds).expect("fit");
+        model.fit(&ds, &mut obskit::Recorder::null()).expect("fit");
         let compiled = model.compile().expect("compile");
         let interpreted = model.predict_proba(&ds).expect("predict");
         let frame = FeatureFrame::from_rows(&rows).expect("frame");

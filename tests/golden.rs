@@ -243,7 +243,9 @@ fn compute_drift() -> String {
         .collect();
     let train = Dataset::new(prepared.train.x().clone(), inverted).expect("inverted dataset");
     let mut model = Gbdt::new().n_trees(20).min_samples_leaf(2).seed(7);
-    model.fit(&train).expect("fit");
+    model
+        .fit(&train, &mut obskit::Recorder::null())
+        .expect("fit");
     let artifact = ds1_artifact(&fx, &split, spec, prepared.scaler.clone(), model);
 
     let cfg = AdaptConfig {

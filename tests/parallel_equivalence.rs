@@ -121,7 +121,9 @@ fn gbdt_predictions_are_thread_count_invariant() {
             .subsample(0.8)
             .seed(42)
             .threads(threads);
-        model.fit(&train).expect("gbdt fits");
+        model
+            .fit(&train, &mut obskit::Recorder::null())
+            .expect("gbdt fits");
         model.predict_proba(&test).expect("gbdt predicts")
     };
 

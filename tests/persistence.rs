@@ -25,7 +25,7 @@ fn toy_dataset() -> Dataset {
 fn gbdt_round_trips_through_json() {
     let ds = toy_dataset();
     let mut model = Gbdt::new().n_trees(20).max_depth(4).min_samples_leaf(2);
-    model.fit(&ds).expect("fits");
+    model.fit(&ds, &mut obskit::Recorder::null()).expect("fits");
     let before = model.predict_proba(&ds).expect("predicts");
 
     let json = serde_json::to_string(&model).expect("serialises");
@@ -38,7 +38,7 @@ fn gbdt_round_trips_through_json() {
 fn logistic_regression_round_trips_through_json() {
     let ds = toy_dataset();
     let mut model = LogisticRegression::new().epochs(30);
-    model.fit(&ds).expect("fits");
+    model.fit(&ds, &mut obskit::Recorder::null()).expect("fits");
     let before = model.predict_proba(&ds).expect("predicts");
     let json = serde_json::to_string(&model).expect("serialises");
     let restored: LogisticRegression = serde_json::from_str(&json).expect("deserialises");

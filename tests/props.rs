@@ -1,12 +1,13 @@
 //! Property-based tests (proptest) on core invariants across the
-//! workspace: topology coordinate algebra, statistics, metrics, the
-//! streaming SBE-history index against a naive event sum, sampling
-//! ratios, and forecasting stability.
+//! workspace: topology coordinate algebra, statistics (and their answer to
+//! NaN-bearing input), metrics, the streaming SBE-history index against a
+//! naive event sum, sampling ratios, and forecasting stability.
 
 use gpu_error_prediction::mlkit::dataset::Dataset;
-use gpu_error_prediction::mlkit::metrics::ConfusionMatrix;
-use gpu_error_prediction::mlkit::sampling::{random_oversample, random_undersample};
+use gpu_error_prediction::mlkit::metrics::{roc_auc, ConfusionMatrix};
+use gpu_error_prediction::mlkit::sampling::{random_oversample, random_undersample, smote};
 use gpu_error_prediction::mlkit::stats::{mean, percentile, ranks, spearman, std_dev, Ecdf};
+use gpu_error_prediction::mlkit::MlError;
 use gpu_error_prediction::sbepred::history::{HistoryView, IncrementalHistory};
 use gpu_error_prediction::titan_sim::apps::AppId;
 use gpu_error_prediction::titan_sim::telemetry::window_stats;
@@ -96,6 +97,66 @@ proptest! {
         prop_assert!(a <= b);
         prop_assert!((0.0..=1.0).contains(&a));
         prop_assert!((0.0..=1.0).contains(&b));
+    }
+
+    #[test]
+    fn nan_bearing_input_never_panics(
+        cells in prop::collection::vec((-1e3f64..1e3, 0u32..7), 2..120),
+        p in 0.0f64..100.0,
+        minority in prop::collection::vec((-10.0f32..10.0, -10.0f32..10.0, 0u32..5), 2..150),
+    ) {
+        // About one value in seven is NaN.
+        let xs: Vec<f64> = cells
+            .iter()
+            .map(|&(v, pick)| if pick == 0 { f64::NAN } else { v })
+            .collect();
+        let numbers: Vec<f64> = xs.iter().copied().filter(|v| !v.is_nan()).collect();
+        let has_nan = numbers.len() < xs.len();
+        let is_nan_err = |r: Result<f64, MlError>| matches!(r, Err(MlError::NanInput { .. }));
+
+        // Result-returning functions answer a NaN with a typed error.
+        prop_assert_eq!(is_nan_err(percentile(&xs, p)), has_nan);
+        let reversed: Vec<f64> = xs.iter().rev().copied().collect();
+        prop_assert_eq!(is_nan_err(spearman(&xs, &reversed)), has_nan);
+        let truth: Vec<f32> = (0..xs.len()).map(|i| (i % 2) as f32).collect();
+        let scores: Vec<f32> = xs.iter().map(|&v| v as f32).collect();
+        prop_assert_eq!(is_nan_err(roc_auc(&truth, &scores)), has_nan);
+
+        // The others put NaN last and leave the numbers as they were.
+        let r = ranks(&xs);
+        let kept: Vec<f64> = xs.iter().zip(&r).filter(|(v, _)| !v.is_nan()).map(|(_, &k)| k).collect();
+        prop_assert_eq!(kept, ranks(&numbers));
+        for (v, &k) in xs.iter().zip(&r) {
+            if v.is_nan() {
+                prop_assert!(k > numbers.len() as f64);
+            }
+        }
+        let cdf = Ecdf::new(&xs);
+        prop_assert_eq!(cdf.len(), xs.len());
+        prop_assert_eq!(cdf.eval(f64::INFINITY), numbers.len() as f64 / xs.len() as f64);
+
+        // SMOTE over positives whose second feature is NaN about one in five.
+        let mut rows: Vec<Vec<f32>> = minority
+            .iter()
+            .map(|&(a, b, pick)| vec![a, if pick == 0 { f32::NAN } else { b }])
+            .collect();
+        let minority_nan = rows.iter().any(|row| row[1].is_nan());
+        let mut y = vec![1.0f32; rows.len()];
+        for i in 0..4 * rows.len() {
+            rows.push(vec![i as f32, 0.0]);
+            y.push(0.0);
+        }
+        let ds = Dataset::from_rows(&rows, &y).expect("valid");
+        match smote(&ds, 1.0, 5, 7) {
+            Ok(out) => {
+                prop_assert!(!minority_nan);
+                prop_assert_eq!(out.n_negative(), 4 * minority.len());
+            }
+            Err(e) => {
+                let nan_refused = matches!(e, MlError::NanInput { .. });
+                prop_assert!(minority_nan && nan_refused, "unexpected error: {e}");
+            }
+        }
     }
 
     #[test]

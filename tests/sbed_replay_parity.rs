@@ -89,7 +89,9 @@ fn train_wire_artifact() -> (TraceSet, PipelineArtifact, (u64, u64)) {
     let spec = FeatureSpec::no_telemetry();
     let prepared = prepare_with_extractor(&fx, &samples, &split, &spec).expect("prepare");
     let mut model = Gbdt::new().n_trees(20).min_samples_leaf(2).seed(7);
-    model.fit(&prepared.train).expect("fit");
+    model
+        .fit(&prepared.train, &mut obskit::Recorder::null())
+        .expect("fit");
     let offenders: Vec<u32> = fx
         .history()
         .offender_nodes_before(split.train_end_min())
@@ -135,7 +137,9 @@ fn synthetic_artifact(n_nodes: u32) -> PipelineArtifact {
         .max_depth(3)
         .min_samples_leaf(2)
         .seed(5);
-    model.fit(&scaled).expect("fit");
+    model
+        .fit(&scaled, &mut obskit::Recorder::null())
+        .expect("fit");
     let offenders: Vec<u32> = (0..n_nodes).step_by(2).collect();
     PipelineArtifact::new(
         spec,

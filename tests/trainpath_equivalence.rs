@@ -62,7 +62,9 @@ fn fit_predict(
         .seed(seed)
         .threads(threads)
         .train_mode(mode);
-    model.fit(train).expect("gbdt fits");
+    model
+        .fit(train, &mut obskit::Recorder::null())
+        .expect("gbdt fits");
     model.predict_proba(test).expect("gbdt predicts")
 }
 
