@@ -223,6 +223,11 @@ mod tests {
         assert!(scores.mean_f1() > 0.8, "mean f1 {}", scores.mean_f1());
         let scored: u64 = scores.folds.iter().map(|cm| cm.total()).sum();
         assert_eq!(scored as usize, ds.len());
+        // The per-fold F1 spread (population standard deviation) stays small.
+        let f1s: Vec<f64> = scores.folds.iter().map(|cm| cm.f1()).collect();
+        let mean = f1s.iter().sum::<f64>() / f1s.len() as f64;
+        let var = f1s.iter().map(|f| (f - mean).powi(2)).sum::<f64>() / f1s.len() as f64;
+        assert!(var.sqrt() < 0.3, "f1 std {}", var.sqrt());
     }
 
     #[test]

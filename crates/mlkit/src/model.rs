@@ -78,11 +78,13 @@ mod tests {
     use super::*;
     use crate::dataset::Dataset;
 
-    /// A constant-probability classifier used to test default methods.
+    /// A constant-probability classifier used to test default methods. Its
+    /// fit only counts itself, so a test can see the recorder arrive.
     struct Constant(f32);
 
     impl Classifier for Constant {
-        fn fit(&mut self, _train: &Dataset, _rec: &mut obskit::Recorder) -> Result<()> {
+        fn fit(&mut self, _train: &Dataset, rec: &mut obskit::Recorder) -> Result<()> {
+            rec.incr("test.fits", 1);
             Ok(())
         }
         fn predict_proba(&self, data: &Dataset) -> Result<Vec<f32>> {
@@ -105,7 +107,11 @@ mod tests {
     #[test]
     fn trait_is_object_safe() {
         let ds = Dataset::from_rows(&[vec![0.0]], &[0.0]).unwrap();
-        let boxed: Box<dyn Classifier> = Box::new(Constant(0.9));
+        let mut boxed: Box<dyn Classifier> = Box::new(Constant(0.9));
+        // The boxed fit passes the caller's recorder through.
+        let mut rec = obskit::Recorder::new();
+        boxed.fit(&ds, &mut rec).unwrap();
+        assert_eq!(rec.counter("test.fits"), 1);
         assert_eq!(boxed.predict(&ds).unwrap(), vec![1.0]);
         assert_eq!(boxed.name(), "Constant");
     }

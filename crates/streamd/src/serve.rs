@@ -127,11 +127,11 @@ pub enum Mitigation {
 
 /// Probability at or above which the mitigation escalates from
 /// checkpoint tuning to node draining.
-pub const DRAIN_THRESHOLD: f32 = 0.9;
+const DRAIN_THRESHOLD: f32 = 0.9;
 
 impl Mitigation {
     /// The escalation rule for a flagged launch scored at `probability`:
-    /// drain the node at or above [`DRAIN_THRESHOLD`], else shorten the
+    /// drain the node at or above `DRAIN_THRESHOLD` (0.9), else shorten the
     /// checkpoint interval. Every surface that reports a decision (the
     /// serve loop's alerts, `sbed`'s SCORES entries) asks this.
     pub fn for_probability(probability: f32) -> Mitigation {
