@@ -27,7 +27,7 @@ use crate::wire::{
 use crate::{Result, SbedError};
 use obskit::{Clock, Recorder};
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -56,7 +56,9 @@ pub struct Response {
 /// A blocking client connection.
 #[derive(Debug)]
 pub struct Connection {
-    stream: TcpStream,
+    /// The socket, read through a buffer so back-to-back responses come
+    /// from one read; writes go straight to the socket.
+    stream: BufReader<TcpStream>,
 }
 
 impl Connection {
@@ -71,7 +73,9 @@ impl Connection {
             source: e,
         })?;
         stream.set_nodelay(true).ok();
-        Ok(Connection { stream })
+        Ok(Connection {
+            stream: BufReader::new(stream),
+        })
     }
 
     /// Sends raw frame bytes.
@@ -80,10 +84,13 @@ impl Connection {
     ///
     /// Socket I/O.
     pub fn send_raw(&mut self, bytes: &[u8]) -> Result<()> {
-        self.stream.write_all(bytes).map_err(|e| SbedError::Io {
-            context: "sending frame".into(),
-            source: e,
-        })
+        self.stream
+            .get_mut()
+            .write_all(bytes)
+            .map_err(|e| SbedError::Io {
+                context: "sending frame".into(),
+                source: e,
+            })
     }
 
     /// Sends one event under sequence number `seq`.

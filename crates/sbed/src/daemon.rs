@@ -3,12 +3,18 @@
 //! Threading model (std blocking I/O, no async runtime):
 //!
 //! * one **accept** thread (non-blocking listener, poll + sleep) that
-//!   spawns a reader/writer pair per connection;
+//!   spawns one reader thread per connection;
 //! * per connection, a **reader** thread that frames and checks
-//!   requests, answers transport-level damage with typed error
-//!   responses, and enqueues well-formed frames, plus a **writer**
-//!   thread that owns the outbound half of the socket;
-//! * one **engine** thread that owns the [`ScoreSession`].
+//!   requests through a `BufReader`, answers transport-level damage and
+//!   its own refusals with typed error responses, and enqueues
+//!   well-formed frames;
+//! * one **engine** thread that owns the [`ScoreSession`]. It takes
+//!   every message already queued (at most `queue_capacity`), collects
+//!   each connection's replies in the order it makes them, and then
+//!   writes each connection's bytes with one write.
+//!
+//! A connection's outbound half is its socket's write half behind a
+//! lock, shared by its reader and the engine.
 //!
 //! Determinism under concurrency: the request id of every frame is its
 //! *admission sequence number*. The engine holds early arrivals in a
@@ -19,10 +25,21 @@
 //! Each batch is assembled and scored on the engine thread.
 //!
 //! Back-pressure is bounded and typed at three points: a per-connection
-//! in-flight window, the engine's bounded request queue, and the
-//! bounded reorder buffer. All three refuse with a
+//! in-flight window (checked by the reader), the engine's bounded
+//! request queue (shared by all connections), and the bounded reorder
+//! buffer (checked by the engine). All three refuse with a
 //! [`wire::ERR_OVERLOAD`] response (the client retransmits) — requests
-//! are never silently dropped.
+//! are never silently dropped. The engine frees a request's window slot
+//! as soon as it collects the final reply, before writing it, so a
+//! client that sends only after reading a final reply never meets a
+//! full window.
+//!
+//! Replies are bounded by the socket, not by daemon memory: the engine
+//! holds at most one burst's replies, and each write carries a timeout.
+//! A client that stops reading fills its socket buffers; the next write
+//! to it then fails or times out, the daemon shuts that connection down
+//! (its reader stops too) and the engine carries on with the others. Such
+//! a client costs at most its socket buffers and one write timeout.
 //!
 //! Drain ([`Daemon::drain`]): stop accepting connections and admitting
 //! frames, finish everything already queued (flush pending batches,
@@ -35,9 +52,10 @@ use crate::session::ScoreSession;
 use crate::wire::{self, ReportPayload};
 use crate::{Result, SbedError};
 use mlkit::artifact::fnv1a64;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufReader, ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError, SyncSender, TrySendError};
@@ -53,6 +71,10 @@ use titan_sim::topology::Topology;
 const POLL: Duration = Duration::from_millis(5);
 /// Socket read timeout so readers notice shutdown.
 const READ_TIMEOUT: Duration = Duration::from_millis(100);
+/// Socket write timeout: the longest one write may wait for socket
+/// buffer space. A write that waits it out closes its connection, so a
+/// client that stops reading holds the engine up at most this long.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -147,12 +169,54 @@ pub struct DaemonReport {
     pub n_swaps_rejected: u64,
 }
 
+/// One connection as its reader and the engine share it.
+struct Conn {
+    /// Accept order; keys the engine's per-burst outboxes.
+    id: u64,
+    /// The socket's write half.
+    out: Mutex<TcpStream>,
+    /// Requests queued for the engine whose final reply it has not yet
+    /// collected.
+    inflight: AtomicUsize,
+}
+
+impl Conn {
+    /// Writes `bytes` with one call. The socket's write timeout bounds
+    /// the time that call may wait for buffer space, so a short write
+    /// means it waited out `WRITE_TIMEOUT`. A write that fails or times
+    /// out shuts the socket down: its reader's next read ends, and later
+    /// writes fail at once.
+    fn send(&self, bytes: &[u8]) {
+        let mut stream = lock(&self.out);
+        let written = loop {
+            match stream.write(bytes) {
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                other => break other,
+            }
+        };
+        if !matches!(written, Ok(n) if n == bytes.len()) {
+            stream.shutdown(Shutdown::Both).ok();
+        }
+    }
+}
+
+/// Encodes a direct (non-session) error response. These answer frames
+/// the session never handled, so they are outside the replay surface by
+/// design.
+fn error_frame(request_id: u64, code: u16, message: &str) -> Vec<u8> {
+    let payload = wire::ErrorPayload {
+        code,
+        message: message.to_string(),
+    }
+    .encode();
+    wire::encode_frame(wire::KIND_ERROR, request_id, &payload)
+}
+
 /// One frame waiting for the sequencer.
 struct PendingFrame {
     kind: u16,
     payload: Vec<u8>,
-    reply: mpsc::Sender<Vec<u8>>,
-    inflight: Arc<AtomicUsize>,
+    conn: Arc<Conn>,
 }
 
 enum ToEngine {
@@ -173,19 +237,6 @@ fn io_err(context: &str, source: std::io::Error) -> SbedError {
         context: context.to_string(),
         source,
     }
-}
-
-/// Builds and sends a direct (non-session) error response. These
-/// answer frames the sequencer never admitted, so they are outside the
-/// replay surface by design.
-fn respond_error(reply: &mpsc::Sender<Vec<u8>>, request_id: u64, code: u16, message: &str) {
-    let payload = wire::ErrorPayload {
-        code,
-        message: message.to_string(),
-    }
-    .encode();
-    let frame = wire::encode_frame(wire::KIND_ERROR, request_id, &payload);
-    reply.send(frame).ok();
 }
 
 /// A running daemon. Spawn with [`Daemon::spawn`], stop with a client
@@ -409,8 +460,18 @@ fn run_accept(
         }
         match listener.accept() {
             Ok((stream, _peer)) => {
-                n_connections.fetch_add(1, Ordering::SeqCst);
+                let id = n_connections.fetch_add(1, Ordering::SeqCst);
                 stream.set_nodelay(true).ok();
+                stream.set_read_timeout(Some(READ_TIMEOUT)).ok();
+                stream.set_write_timeout(Some(WRITE_TIMEOUT)).ok();
+                let Ok(write_half) = stream.try_clone() else {
+                    continue;
+                };
+                let conn = Arc::new(Conn {
+                    id,
+                    out: Mutex::new(write_half),
+                    inflight: AtomicUsize::new(0),
+                });
                 let engine_tx = engine_tx.clone();
                 let draining = Arc::clone(&draining);
                 let shutdown = Arc::clone(&shutdown);
@@ -422,6 +483,7 @@ fn run_accept(
                         .spawn(move || {
                             run_reader(
                                 stream,
+                                &conn,
                                 engine_tx,
                                 draining,
                                 shutdown,
@@ -434,7 +496,7 @@ fn run_accept(
                     lock(&conn_handles).push(h);
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => std::thread::sleep(POLL),
+            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(POLL),
             Err(_) => std::thread::sleep(POLL),
         }
     }
@@ -446,7 +508,7 @@ fn run_accept(
 /// shutdown flag at each) and interrupts. `Ok(false)` means the peer
 /// closed (or shutdown fired) before the first byte.
 fn read_full(
-    stream: &mut TcpStream,
+    stream: &mut impl Read,
     buf: &mut [u8],
     shutdown: &AtomicBool,
 ) -> std::io::Result<bool> {
@@ -459,29 +521,28 @@ fn read_full(
                     Ok(false)
                 } else {
                     Err(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
+                        ErrorKind::UnexpectedEof,
                         "peer closed mid-frame",
                     ))
                 };
             }
             Ok(n) => got += n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
+            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
                 if shutdown.load(Ordering::SeqCst) {
                     return Ok(false);
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
     }
     Ok(true)
 }
 
+#[allow(clippy::too_many_arguments)]
 fn run_reader(
-    mut stream: TcpStream,
+    stream: TcpStream,
+    conn: &Arc<Conn>,
     engine_tx: SyncSender<ToEngine>,
     draining: Arc<AtomicBool>,
     shutdown: Arc<AtomicBool>,
@@ -489,20 +550,10 @@ fn run_reader(
     n_overloads: Arc<AtomicU64>,
     conn_window: usize,
 ) {
-    let write_half = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
+    let mut stream = BufReader::new(stream);
+    let refuse = |request_id: u64, code: u16, message: &str| {
+        conn.send(&error_frame(request_id, code, message));
     };
-    let (reply_tx, reply_rx) = mpsc::channel::<Vec<u8>>();
-    let writer = std::thread::Builder::new()
-        .name("sbed-write".into())
-        .spawn(move || run_writer(write_half, reply_rx));
-    let writer = match writer {
-        Ok(h) => h,
-        Err(_) => return,
-    };
-    stream.set_read_timeout(Some(READ_TIMEOUT)).ok();
-    let inflight = Arc::new(AtomicUsize::new(0));
 
     loop {
         if shutdown.load(Ordering::SeqCst) {
@@ -520,12 +571,7 @@ fn run_reader(
             Ok(h) => h,
             Err(e) => {
                 transport_errors.fetch_add(1, Ordering::SeqCst);
-                respond_error(
-                    &reply_tx,
-                    raw.request_id,
-                    wire::error_code(&e),
-                    &e.to_string(),
-                );
+                refuse(raw.request_id, wire::error_code(&e), &e.to_string());
                 match e {
                     // Version damage leaves the length field (same
                     // layout in any plausible version) trustworthy:
@@ -557,55 +603,38 @@ fn run_reader(
                 stored: header.checksum,
                 computed,
             };
-            respond_error(
-                &reply_tx,
-                header.request_id,
-                wire::error_code(&e),
-                &e.to_string(),
-            );
+            refuse(header.request_id, wire::error_code(&e), &e.to_string());
             continue;
         }
         if header.kind != wire::KIND_EVENT && header.kind != wire::KIND_FINISH {
             transport_errors.fetch_add(1, Ordering::SeqCst);
             let e = SbedError::UnknownKind { kind: header.kind };
-            respond_error(
-                &reply_tx,
-                header.request_id,
-                wire::ERR_MALFORMED,
-                &e.to_string(),
-            );
+            refuse(header.request_id, wire::ERR_MALFORMED, &e.to_string());
             continue;
         }
         if draining.load(Ordering::SeqCst) {
-            respond_error(
-                &reply_tx,
+            refuse(
                 header.request_id,
                 wire::ERR_DRAINING,
                 &SbedError::Draining.to_string(),
             );
             continue;
         }
-        let queued = inflight.load(Ordering::SeqCst);
+        let queued = conn.inflight.load(Ordering::SeqCst);
         if queued >= conn_window {
             n_overloads.fetch_add(1, Ordering::SeqCst);
             let e = SbedError::Overload {
                 queued,
                 capacity: conn_window,
             };
-            respond_error(
-                &reply_tx,
-                header.request_id,
-                wire::ERR_OVERLOAD,
-                &e.to_string(),
-            );
+            refuse(header.request_id, wire::ERR_OVERLOAD, &e.to_string());
             continue;
         }
-        inflight.fetch_add(1, Ordering::SeqCst);
+        conn.inflight.fetch_add(1, Ordering::SeqCst);
         let frame = PendingFrame {
             kind: header.kind,
             payload,
-            reply: reply_tx.clone(),
-            inflight: Arc::clone(&inflight),
+            conn: Arc::clone(conn),
         };
         match engine_tx.try_send(ToEngine::Frame {
             seq: header.request_id,
@@ -613,23 +642,17 @@ fn run_reader(
         }) {
             Ok(()) => {}
             Err(TrySendError::Full(_)) => {
-                inflight.fetch_sub(1, Ordering::SeqCst);
+                conn.inflight.fetch_sub(1, Ordering::SeqCst);
                 n_overloads.fetch_add(1, Ordering::SeqCst);
                 let e = SbedError::Overload {
                     queued,
                     capacity: conn_window,
                 };
-                respond_error(
-                    &reply_tx,
-                    header.request_id,
-                    wire::ERR_OVERLOAD,
-                    &e.to_string(),
-                );
+                refuse(header.request_id, wire::ERR_OVERLOAD, &e.to_string());
             }
             Err(TrySendError::Disconnected(_)) => {
-                inflight.fetch_sub(1, Ordering::SeqCst);
-                respond_error(
-                    &reply_tx,
+                conn.inflight.fetch_sub(1, Ordering::SeqCst);
+                refuse(
                     header.request_id,
                     wire::ERR_DRAINING,
                     &SbedError::Draining.to_string(),
@@ -638,30 +661,26 @@ fn run_reader(
             }
         }
     }
-    drop(reply_tx);
-    writer.join().ok();
 }
 
-fn run_writer(mut stream: TcpStream, rx: mpsc::Receiver<Vec<u8>>) {
-    while let Ok(bytes) = rx.recv() {
-        if stream.write_all(&bytes).is_err() {
-            break;
+/// Adds `bytes` to `conn`'s replies for this burst.
+fn collect(outbox: &mut BTreeMap<u64, (Arc<Conn>, Vec<u8>)>, conn: &Arc<Conn>, bytes: Vec<u8>) {
+    match outbox.entry(conn.id) {
+        Entry::Vacant(slot) => {
+            slot.insert((Arc::clone(conn), bytes));
         }
+        Entry::Occupied(mut slot) => slot.get_mut().1.extend_from_slice(&bytes),
     }
-    stream.flush().ok();
-}
-
-/// One reply route: where a request's responses go, and the in-flight
-/// slot its final response releases.
-struct ReplySlot {
-    reply: mpsc::Sender<Vec<u8>>,
-    inflight: Arc<AtomicUsize>,
 }
 
 struct Engine<'a> {
     session: ScoreSession<'a>,
     buffer: BTreeMap<u64, PendingFrame>,
-    open: BTreeMap<u64, ReplySlot>,
+    /// Admitted requests still owed their final reply.
+    open: BTreeMap<u64, Arc<Conn>>,
+    /// This burst's replies, per connection id, in the order the engine
+    /// made them; [`Engine::flush`] writes them.
+    outbox: BTreeMap<u64, (Arc<Conn>, Vec<u8>)>,
     /// Hot swaps scheduled for a future admission boundary: the swap
     /// keyed by `s` applies after every frame below `s` is scored and
     /// before frame `s` is admitted.
@@ -674,18 +693,32 @@ struct Engine<'a> {
 }
 
 impl Engine<'_> {
-    /// Routes session responses to their requesters and releases
-    /// in-flight slots on terminal responses.
+    /// Collects session responses for their requesters, freeing a
+    /// window slot at each final response.
     fn route(&mut self, responses: Vec<wire::EncodedResponse>) {
         for r in responses {
             if r.last {
-                if let Some(slot) = self.open.remove(&r.request_id) {
-                    slot.reply.send(r.bytes).ok();
-                    slot.inflight.fetch_sub(1, Ordering::SeqCst);
+                if let Some(conn) = self.open.remove(&r.request_id) {
+                    conn.inflight.fetch_sub(1, Ordering::SeqCst);
+                    collect(&mut self.outbox, &conn, r.bytes);
                 }
-            } else if let Some(slot) = self.open.get(&r.request_id) {
-                slot.reply.send(r.bytes).ok();
+            } else if let Some(conn) = self.open.get(&r.request_id) {
+                collect(&mut self.outbox, conn, r.bytes);
             }
+        }
+    }
+
+    /// Answers a frame the session will not handle with a direct error,
+    /// freeing its window slot.
+    fn refuse(&mut self, conn: &Arc<Conn>, seq: u64, code: u16, message: &str) {
+        conn.inflight.fetch_sub(1, Ordering::SeqCst);
+        collect(&mut self.outbox, conn, error_frame(seq, code, message));
+    }
+
+    /// Writes each connection's collected replies with one write.
+    fn flush(&mut self) {
+        for (conn, bytes) in std::mem::take(&mut self.outbox).into_values() {
+            conn.send(&bytes);
         }
     }
 
@@ -698,41 +731,26 @@ impl Engine<'_> {
     /// Scoring-core and record-log failures (fatal).
     fn enqueue(&mut self, seq: u64, frame: PendingFrame, n_overloads: &AtomicU64) -> Result<()> {
         if seq < self.next_seq {
-            frame.inflight.fetch_sub(1, Ordering::SeqCst);
-            respond_error(
-                &frame.reply,
-                seq,
-                wire::ERR_REJECTED,
-                &format!(
-                    "sequence {seq} already admitted (next is {})",
-                    self.next_seq
-                ),
+            let message = format!(
+                "sequence {seq} already admitted (next is {})",
+                self.next_seq
             );
+            self.refuse(&frame.conn, seq, wire::ERR_REJECTED, &message);
             return Ok(());
         }
         if self.buffer.contains_key(&seq) {
-            frame.inflight.fetch_sub(1, Ordering::SeqCst);
-            respond_error(
-                &frame.reply,
-                seq,
-                wire::ERR_REJECTED,
-                &format!("sequence {seq} already queued"),
-            );
+            let message = format!("sequence {seq} already queued");
+            self.refuse(&frame.conn, seq, wire::ERR_REJECTED, &message);
             return Ok(());
         }
         if seq != self.next_seq && self.buffer.len() >= self.reorder_capacity {
-            frame.inflight.fetch_sub(1, Ordering::SeqCst);
             n_overloads.fetch_add(1, Ordering::SeqCst);
-            respond_error(
-                &frame.reply,
-                seq,
-                wire::ERR_OVERLOAD,
-                &SbedError::Overload {
-                    queued: self.buffer.len(),
-                    capacity: self.reorder_capacity,
-                }
-                .to_string(),
-            );
+            let message = SbedError::Overload {
+                queued: self.buffer.len(),
+                capacity: self.reorder_capacity,
+            }
+            .to_string();
+            self.refuse(&frame.conn, seq, wire::ERR_OVERLOAD, &message);
             return Ok(());
         }
         self.buffer.insert(seq, frame);
@@ -791,25 +809,15 @@ impl Engine<'_> {
                 let bytes = wire::encode_frame(frame.kind, seq, &frame.payload);
                 log.append(&bytes)?;
             }
-            self.open.insert(
-                seq,
-                ReplySlot {
-                    reply: frame.reply.clone(),
-                    inflight: Arc::clone(&frame.inflight),
-                },
-            );
             match self.session.handle(frame.kind, seq, &frame.payload) {
-                Ok(responses) => self.route(responses),
+                Ok(responses) => {
+                    self.open.insert(seq, frame.conn);
+                    self.route(responses);
+                }
                 Err(e) => {
                     // Tell the requester before the daemon aborts.
-                    respond_error(
-                        &frame.reply,
-                        seq,
-                        wire::ERR_INTERNAL,
-                        &format!("scoring failed: {e}"),
-                    );
-                    self.open.remove(&seq);
-                    frame.inflight.fetch_sub(1, Ordering::SeqCst);
+                    let message = format!("scoring failed: {e}");
+                    self.refuse(&frame.conn, seq, wire::ERR_INTERNAL, &message);
                     return Err(e);
                 }
             }
@@ -828,16 +836,9 @@ impl Engine<'_> {
     fn shut(&mut self) -> Result<()> {
         let finalized = self.session.finalize()?;
         self.route(finalized);
-        let stuck: Vec<(u64, PendingFrame)> =
-            std::mem::take(&mut self.buffer).into_iter().collect();
-        for (seq, frame) in stuck {
-            frame.inflight.fetch_sub(1, Ordering::SeqCst);
-            respond_error(
-                &frame.reply,
-                seq,
-                wire::ERR_DRAINING,
-                &SbedError::Draining.to_string(),
-            );
+        let message = SbedError::Draining.to_string();
+        for (seq, frame) in std::mem::take(&mut self.buffer) {
+            self.refuse(&frame.conn, seq, wire::ERR_DRAINING, &message);
         }
         self.n_swaps_rejected += self.swaps.len() as u64;
         self.swaps.clear();
@@ -876,6 +877,7 @@ fn run_engine(
         session,
         buffer: BTreeMap::new(),
         open: BTreeMap::new(),
+        outbox: BTreeMap::new(),
         swaps: BTreeMap::new(),
         next_seq: 0,
         n_admitted: 0,
@@ -885,57 +887,65 @@ fn run_engine(
     };
 
     let mut fatal: Option<SbedError> = None;
-    loop {
+    let mut drained = false;
+    while !drained && fatal.is_none() {
         if engine.session.finished() && cfg.exit_on_finish {
             break;
         }
-        match rx.recv_timeout(POLL) {
-            Ok(ToEngine::Frame { seq, frame }) => {
-                if let Err(e) = engine.enqueue(seq, frame, n_overloads) {
-                    fatal = Some(e);
-                    break;
-                }
-            }
-            Ok(ToEngine::Swap { at_seq, bytes }) => {
-                // Last scheduling wins for a boundary; pump applies it
-                // once every frame below `at_seq` has been scored.
-                engine.swaps.insert(at_seq, bytes);
-                if let Err(e) = engine.pump() {
-                    fatal = Some(e);
-                    break;
-                }
-            }
-            Ok(ToEngine::Drain) => {
-                // Drain whatever is already queued, then finish. Swaps
-                // still in flight at drain time are not applied: a
-                // draining daemon keeps its champion to the end.
-                while let Ok(msg) = rx.try_recv() {
-                    match msg {
-                        ToEngine::Frame { seq, frame } => {
-                            if let Err(e) = engine.enqueue(seq, frame, n_overloads) {
-                                fatal = Some(e);
-                                break;
-                            }
-                        }
-                        ToEngine::Swap { .. } => engine.n_swaps_rejected += 1,
-                        ToEngine::Drain => {}
-                    }
-                }
-                break;
-            }
+        let mut next = match rx.recv_timeout(POLL) {
+            Ok(msg) => Some(msg),
             Err(RecvTimeoutError::Timeout) => {
                 if draining.load(Ordering::SeqCst) {
                     break;
                 }
+                continue;
             }
             Err(RecvTimeoutError::Disconnected) => break,
+        };
+        // One burst: every message already queued, at most
+        // `queue_capacity` of them (all of them once a drain starts),
+        // then one write per connection.
+        let mut taken = 0usize;
+        while let Some(msg) = next {
+            taken += 1;
+            let handled = match msg {
+                ToEngine::Frame { seq, frame } => engine.enqueue(seq, frame, n_overloads),
+                // Swaps still in flight at drain time are not applied:
+                // a draining daemon keeps its champion to the end.
+                ToEngine::Swap { .. } if drained => {
+                    engine.n_swaps_rejected += 1;
+                    Ok(())
+                }
+                // Last scheduling wins for a boundary; pump applies it
+                // once every frame below `at_seq` has been scored.
+                ToEngine::Swap { at_seq, bytes } => {
+                    engine.swaps.insert(at_seq, bytes);
+                    engine.pump()
+                }
+                ToEngine::Drain => {
+                    drained = true;
+                    Ok(())
+                }
+            };
+            if let Err(e) = handled {
+                fatal = Some(e);
+                break;
+            }
+            let done = !drained && engine.session.finished() && cfg.exit_on_finish;
+            next = if !done && (drained || taken < cfg.queue_capacity) {
+                rx.try_recv().ok()
+            } else {
+                None
+            };
         }
+        engine.flush();
     }
     if fatal.is_none() {
         if let Err(e) = engine.shut() {
             fatal = Some(e);
         }
     }
+    engine.flush();
     EngineOutcome {
         result: match fatal {
             Some(e) => Err(e),

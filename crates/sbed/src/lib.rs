@@ -13,8 +13,9 @@
 //!   frames in, deterministic response stream out;
 //! * [`daemon`] — the TCP server (std blocking I/O, no async runtime):
 //!   a sequencer that makes multi-connection serving a pure function
-//!   of the request sequence, bounded typed back-pressure, graceful
-//!   drain, and request-log recording;
+//!   of the request sequence, bounded typed back-pressure, replies
+//!   written once per burst under a write timeout, graceful drain, and
+//!   request-log recording;
 //! * [`replay`] — bit-identical re-scoring of a recorded request log;
 //! * [`client`] / [`fleet`] — the wire client, the mock-fleet load
 //!   driver with failure-node injection, and seeded synthetic

@@ -3,7 +3,7 @@
 //! Every refusal must be a *typed response* — never a silent drop —
 //! and a drained daemon must finish what it admitted, refuse new
 //! work, close its port, and leave a recorded log that replays byte
-//! for byte.
+//! for byte. A client that stops reading is cut off, not buffered for.
 
 mod common;
 
@@ -13,7 +13,10 @@ use sbed::daemon::{Daemon, DaemonConfig};
 use sbed::fleet::{synth_events, SynthConfig};
 use sbed::replay::replay_log_file;
 use sbed::wire::{self, WireEvent};
+use std::io::{ErrorKind, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 use streamd::serve::ServeConfig;
 use titan_sim::topology::Topology;
 
@@ -268,4 +271,70 @@ fn drained_recorded_log_replays_byte_identically() {
     );
 
     std::fs::remove_file(&log_path).ok();
+}
+
+/// A client that sends and never reads is cut off once a reply write to
+/// it times out, and the daemon keeps serving: another connection's
+/// FINISH gets its REPORT, and the daemon joins cleanly.
+#[test]
+fn client_that_never_reads_is_cut_off() {
+    let daemon = spawn_daemon(|_| {});
+    let addr = daemon.addr();
+    let mut good = Connection::connect(addr).expect("good conn");
+    good.send_event(0, &tick(0)).expect("send 0");
+    expect_ack(&mut good, 0);
+
+    // The silent client resends the admitted seq 0, whole frames only:
+    // every copy earns a stale-sequence rejection it never reads and
+    // admits nothing, until its socket buffers fill and a daemon write
+    // times out. Its own write timeout only catches a daemon that stops
+    // reading without closing; it is far above the daemon's.
+    let mut silent = TcpStream::connect(addr).expect("silent conn");
+    silent
+        .set_write_timeout(Some(Duration::from_secs(10)))
+        .expect("client write timeout");
+    let stale = wire::encode_frame(wire::KIND_EVENT, 0, &tick(0).encode()).repeat(256);
+    let deadline = Instant::now() + Duration::from_secs(20);
+    loop {
+        match silent.write_all(&stale) {
+            Ok(()) => {}
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                panic!("the daemon stopped reading a connection without closing it")
+            }
+            // Reset or broken pipe: the daemon closed the connection.
+            Err(_) => break,
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the daemon never closed a connection that does not read"
+        );
+    }
+
+    // FINISH on the good connection, retransmitted while the engine
+    // queue still holds the silent client's frames.
+    let mut report = None;
+    for _ in 0..200 {
+        good.send_finish(1).expect("finish");
+        let r = good.recv().expect("recv").expect("response");
+        assert_eq!(r.request_id, 1);
+        match r.body {
+            ResponseBody::Report(p) => {
+                report = Some(p);
+                break;
+            }
+            ResponseBody::Error(e) if e.code == wire::ERR_OVERLOAD => {
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            other => panic!("FINISH: expected REPORT, got {other:?}"),
+        }
+    }
+    assert!(report.is_some(), "FINISH was refused throughout");
+
+    let live = daemon.join().expect("join");
+    assert_eq!(live.report.n_events, 1);
+    assert_eq!(live.n_connections, 2);
+    assert_eq!(
+        live.n_transport_errors, 0,
+        "the silent client's frames were damaged"
+    );
 }

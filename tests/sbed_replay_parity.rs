@@ -13,6 +13,10 @@
 //!   differently each time, and the recorded request log replays
 //!   byte-identically (rolling response checksum, report, and metrics
 //!   snapshot).
+//!
+//! A third check pins flow control: a client that keeps exactly the
+//! daemon's window outstanding is never refused, and its response
+//! checksum is an in-process session's.
 
 use gpu_error_prediction::{mlkit, obskit, sbed, sbepred, streamd, titan_sim};
 use mlkit::dataset::Dataset;
@@ -21,16 +25,17 @@ use mlkit::model::Classifier;
 use mlkit::scaler::StandardScaler;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sbed::client::{run_fleet, FleetConfig, FleetOutcome};
+use sbed::client::{run_fleet, Connection, FleetConfig, FleetOutcome, ResponseBody};
 use sbed::daemon::{Daemon, DaemonConfig};
 use sbed::fleet::{synth_events, SynthConfig};
 use sbed::replay::replay_log_file;
-use sbed::wire::WireEvent;
+use sbed::session::ScoreSession;
+use sbed::wire::{self, WireEvent};
 use sbepred::datasets::DsSplit;
 use sbepred::features::{FeatureExtractor, FeatureSpec};
 use sbepred::samples::build_samples;
 use sbepred::twostage::prepare_with_extractor;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use streamd::artifact::{PipelineArtifact, PipelineModel};
 use streamd::serve::{serve, NullSink, ServeConfig};
@@ -253,8 +258,8 @@ fn fleet_at_scale_is_thread_invariant_and_replays_byte_identically() {
     let artifact = synthetic_artifact(n_nodes);
     let fleet_cfg = FleetConfig::healthy(100);
 
-    // Three live runs: each interleaves its 100 connections' reader and
-    // writer threads differently, and all must answer the same bits.
+    // Three live runs: each interleaves its 100 connections' reader
+    // threads differently, and all must answer the same bits.
     let serve_cfg = ServeConfig::window(0, synth.minutes);
     let mut runs: Vec<(usize, FleetOutcome, sbed::daemon::DaemonReport)> = Vec::new();
     for run in 0..3 {
@@ -340,4 +345,74 @@ fn failure_injection_does_not_change_scores() {
     assert_eq!(faulty_report.response_fnv, clean_report.response_fnv);
     assert_eq!(faulty_report.report, clean_report.report);
     assert_eq!(faulty_report.snapshot, clean_report.snapshot);
+}
+
+#[test]
+fn window_slot_is_free_before_its_reply_can_be_read() {
+    // Ticks and SBE deltas only: each ACK is its frame's final reply
+    // (a launch would hold its slot until its SCORES).
+    let topology = Topology::tiny().expect("tiny topology");
+    let synth = SynthConfig {
+        minutes: 400,
+        launches_per_min: 0,
+        sbe_per_min: 9,
+        ..SynthConfig::demo(31, topology.n_nodes())
+    };
+    let events = synth_events(&synth);
+    let mut frames: Vec<(u16, Vec<u8>)> = events
+        .iter()
+        .map(|ev| (wire::KIND_EVENT, ev.encode()))
+        .collect();
+    frames.push((wire::KIND_FINISH, Vec::new()));
+    let artifact = synthetic_artifact(topology.n_nodes());
+    let serve_cfg = ServeConfig::window(0, synth.minutes);
+    let cfg = DaemonConfig::new("127.0.0.1:0", serve_cfg, topology);
+    let window = cfg.conn_window;
+    let daemon = Daemon::spawn(Arc::new(artifact.clone()), cfg).expect("daemon spawns");
+
+    // One connection keeps exactly `window` frames outstanding and
+    // sends the next only after it reads a final reply. A refused frame
+    // goes out again, so the run completes and the overload count
+    // below shows the refusal.
+    let mut conn = Connection::connect(daemon.addr()).expect("connect");
+    let mut unsent: VecDeque<u64> = (0..frames.len() as u64).collect();
+    let mut outstanding = 0usize;
+    let mut finished = false;
+    while !finished {
+        while outstanding < window {
+            let Some(seq) = unsent.pop_front() else {
+                break;
+            };
+            let (kind, payload) = &frames[seq as usize];
+            conn.send_raw(&wire::encode_frame(*kind, seq, payload))
+                .expect("send");
+            outstanding += 1;
+        }
+        let r = conn.recv().expect("recv").expect("daemon closed early");
+        outstanding -= 1;
+        match r.body {
+            ResponseBody::Ack => {}
+            ResponseBody::Report(_) => finished = true,
+            ResponseBody::Error(e) if e.code == wire::ERR_OVERLOAD => {
+                unsent.push_front(r.request_id)
+            }
+            other => panic!("seq {}: unexpected {other:?}", r.request_id),
+        }
+    }
+    let live = daemon.join().expect("daemon join");
+    assert_eq!(live.report.n_events, events.len() as u64);
+    assert_eq!(
+        live.n_overloads, 0,
+        "a client that keeps to the window was refused"
+    );
+
+    let mut session = ScoreSession::new(&artifact, &serve_cfg, topology).expect("session");
+    for (seq, (kind, payload)) in frames.iter().enumerate() {
+        session.handle(*kind, seq as u64, payload).expect("handle");
+    }
+    assert_eq!(
+        live.response_fnv,
+        session.response_fnv(),
+        "daemon response stream differs from the in-process session"
+    );
 }
