@@ -8,20 +8,22 @@
 //!       [--metrics-out FILE] <experiment>...
 //! repro save-trace [--config C] [--seed N] --out FILE
 //! repro train [--config C] [--seed N | --trace PATH] [--split ds1|ds2|ds3]
-//!       [--model gbdt|lr] [--train-mode reference|exact|fast]
-//!       [--features all|no-telemetry] --out ARTIFACT
+//!       [--model gbdt|lr] [--features all|no-telemetry] --out ARTIFACT
 //! repro serve --model ARTIFACT --trace PATH [--alerts-out FILE]
-//!       [--metrics-out FILE] [--batch N] [--delay N] [--from M] [--until M]
+//!       [--metrics-out FILE] [--from M] [--until M]
 //! repro serve-net --model ARTIFACT [--listen ADDR] [--topology tiny|scaled|titan]
-//!       [--from M] [--until M] [--batch N] [--delay N]
-//!       [--queue-cap N] [--conn-window N] [--record LOG]
+//!       [--from M] [--until M] [--record LOG]
 //! repro fleet --addr ADDR [--conns N] [--nodes N] [--minutes N] [--rate N]
-//!       [--sbe-rate N] [--seed N] [--window N] [--failure-conns N]
-//!       [--corrupt-every N] [--metrics-out FILE]
+//!       [--sbe-rate N] [--seed N] [--metrics-out FILE]
 //! repro adapt --model ARTIFACT --trace PATH [--from M] [--until M]
-//!       [--check-every N] [--threads N] [--verdicts-out FILE] [--metrics-out FILE]
+//!       [--verdicts-out FILE] [--metrics-out FILE]
 //! repro check-bench --file BENCH_<bench>.json [--file BENCH_<bench>.json ...]
 //! ```
+//!
+//! Every flag takes one value. An unknown flag, a flag without its
+//! value, or a value that does not parse prints the usage text and exits
+//! 1. A flag given twice keeps its last value, except `check-bench
+//! --file`, which checks every file it names.
 //!
 //! `--metrics-out FILE` records pipeline observability metrics (trace
 //! generation counts, feature-extraction and TwoStage counters, GBDT
@@ -29,21 +31,23 @@
 //! to `FILE`. The snapshot is deterministic for a given config/seed.
 //!
 //! `<experiment>` is one or more of: `fig1 fig2 fig3 fig4 fig5 fig6 fig7
-//! fig8 table1 fig10 table2 table3 fig11 table4 fig12 fig13 table5 table6`,
-//! or the groups `characterization`, `prediction`, `all`.
+//! fig8` (group `characterization`), `table1 fig10 table2 table3 fig11
+//! table4 fig12 fig13 table5 table6` (group `prediction`), and
+//! `ext_forecast ext_imbalance ext_retrain ext_oracle ext_importance`
+//! (group `extensions`), or a group name, or `all`.
 //!
 //! The `save-trace` / `train` / `serve` subcommands form the deployment
 //! loop: persist a generated trace, train and ship a versioned TwoStage
 //! pipeline artifact, then replay the trace through `streamd`'s online
 //! scoring loop. `--trace PATH` accepts either a trace JSON file or a
-//! directory containing `trace.json`. `serve` scores through the
-//! flattened fastpath tables, which `train` checks bit for bit against
-//! the interpreted trees before it ships an artifact. `train
-//! --train-mode fast` fits the GBDT through the histogram engine's
-//! sibling-subtraction path (`exact`, the default, is bit-identical to
-//! the original trainer). `check-bench` reads the reports that `cargo
-//! bench -p sbe-bench --bench fastpath|trainpath|sbed|drift` writes at
-//! the workspace root (`BENCH_fastpath.json`, `BENCH_train.json`,
+//! directory containing `trace.json`. `train` fits the evaluation's GBDT
+//! or LR (`ModelKind::gbdt` / `ModelKind::lr`), and `serve` scores
+//! through the flattened fastpath tables, which `train` checks bit for
+//! bit against the interpreted model before it ships an artifact.
+//! `serve`, `serve-net` and `adapt` batch with `ServeConfig::window`'s
+//! policy. `check-bench` reads the reports that `cargo bench -p
+//! sbe-bench --bench fastpath|trainpath|sbed|drift` writes at the
+//! workspace root (`BENCH_fastpath.json`, `BENCH_train.json`,
 //! `BENCH_sbed.json`, `BENCH_drift.json`, all schema
 //! `sbe-bench/report/1`) and fails if a metric breaks the floor or
 //! ceiling its bench recorded: the CI guard on every performance
@@ -58,11 +62,9 @@
 //! to `LOG` and, after the run, replays it through a fresh in-process
 //! session as a determinism self-check — the replayed response
 //! checksum, report, and metrics snapshot must be byte-identical to
-//! the live run. `adapt --threads N` sets the retraining workers; it
-//! falls back to the `SBE_THREADS` environment variable when unset (the
-//! CI parity matrix's knob). Serving needs no thread count: each batch
-//! is assembled and scored on the calling thread, and telemetry queries
-//! run under the trace's policy (`SBE_THREADS` when set).
+//! the live run. No command takes a thread count: `SBE_THREADS` sets
+//! the workers of training, retraining and telemetry queries, and each
+//! serving batch is assembled and scored on the calling thread.
 
 use sbe_bench::{persist_json, BenchReport, WallClock, REPORT_SCHEMA};
 use sbepred::experiments::{
@@ -70,277 +72,423 @@ use sbepred::experiments::{
 };
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
+use std::time::Instant;
+use streamd::artifact::PipelineArtifact;
 use titan_sim::config::SimConfig;
 use titan_sim::trace::TraceSet;
 
-const CHARACTERIZATION: [&str; 8] = [
-    "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
-];
-const PREDICTION: [&str; 10] = [
-    "table1", "fig10", "table2", "table3", "fig11", "table4", "fig12", "fig13", "table5", "table6",
-];
-const EXTENSIONS: [&str; 5] = [
-    "ext_forecast",
-    "ext_imbalance",
-    "ext_retrain",
-    "ext_oracle",
-    "ext_importance",
+/// A paper experiment's driver.
+type Driver = fn(&Lab<'_>) -> sbepred::Result<ExperimentOutput>;
+
+/// Every experiment: its id, its group and its driver, in the order
+/// `all` runs them.
+const EXPERIMENTS: [(&str, &str, Driver); 23] = [
+    ("fig1", "characterization", ch::fig1),
+    ("fig2", "characterization", ch::fig2),
+    ("fig3", "characterization", ch::fig3),
+    ("fig4", "characterization", ch::fig4),
+    ("fig5", "characterization", ch::fig5),
+    ("fig6", "characterization", ch::fig6),
+    ("fig7", "characterization", ch::fig7),
+    ("fig8", "characterization", ch::fig8),
+    ("table1", "prediction", pr::table1),
+    ("fig10", "prediction", pr::fig10),
+    ("table2", "prediction", |lab| {
+        Ok(tables_2_and_3(lab)?.0.clone())
+    }),
+    ("table3", "prediction", |lab| {
+        Ok(tables_2_and_3(lab)?.1.clone())
+    }),
+    ("fig11", "prediction", pr::fig11),
+    ("table4", "prediction", pr::table4),
+    ("fig12", "prediction", pr::fig12),
+    ("fig13", "prediction", pr::fig13),
+    ("table5", "prediction", pr::table5),
+    ("table6", "prediction", pr::table6),
+    ("ext_forecast", "extensions", ext::ext_forecast),
+    ("ext_imbalance", "extensions", ext::ext_imbalance),
+    ("ext_retrain", "extensions", ext::ext_retrain),
+    ("ext_oracle", "extensions", ext::ext_oracle),
+    ("ext_importance", "extensions", ext::ext_importance),
 ];
 
+/// Tables II and III come from one pass, which the first of them to run
+/// keeps for the other.
+fn tables_2_and_3(lab: &Lab<'_>) -> sbepred::Result<&'static (ExperimentOutput, ExperimentOutput)> {
+    static PAIR: std::sync::OnceLock<(ExperimentOutput, ExperimentOutput)> =
+        std::sync::OnceLock::new();
+    if let Some(pair) = PAIR.get() {
+        return Ok(pair);
+    }
+    let pair = pr::table2_table3(lab)?;
+    Ok(PAIR.get_or_init(|| pair))
+}
+
+/// A subcommand's body.
+type Command = fn(&Flags) -> Run;
+
+/// Each subcommand: its name, the flags it reads, and its body. Any
+/// other first argument runs the paper's experiments.
+const COMMANDS: [(&str, &str, Command); 7] = [
+    ("save-trace", "--config --seed --out", cmd_save_trace),
+    (
+        "train",
+        "--config --seed --trace --split --model --features --out",
+        cmd_train,
+    ),
+    (
+        "serve",
+        "--model --trace --alerts-out --metrics-out --from --until",
+        cmd_serve,
+    ),
+    (
+        "serve-net",
+        "--model --listen --topology --from --until --record",
+        cmd_serve_net,
+    ),
+    (
+        "fleet",
+        "--addr --conns --nodes --minutes --rate --sbe-rate --seed --metrics-out",
+        cmd_fleet,
+    ),
+    (
+        "adapt",
+        "--model --trace --from --until --verdicts-out --metrics-out",
+        cmd_adapt,
+    ),
+    ("check-bench", "--file", cmd_check_bench),
+];
+
+/// The flags the experiments read.
+const EXPERIMENT_FLAGS: &str = "--config --seed --out --metrics-out";
+
 fn usage() -> ExitCode {
+    let ids: Vec<&str> = EXPERIMENTS.iter().map(|e| e.0).collect();
+    let mut groups: Vec<&str> = EXPERIMENTS.iter().map(|e| e.1).collect();
+    groups.dedup();
     eprintln!(
         "usage: repro [--config scaled|tiny|titan] [--seed N] [--out DIR] \
          [--metrics-out FILE] <experiment>...\n\
          repro save-trace [--config C] [--seed N] --out FILE\n\
          repro train [--config C] [--seed N | --trace PATH] [--split ds1|ds2|ds3] \
-         [--model gbdt|lr] [--train-mode reference|exact|fast] \
-         [--features all|no-telemetry] --out ARTIFACT\n\
+         [--model gbdt|lr] [--features all|no-telemetry] --out ARTIFACT\n\
          repro serve --model ARTIFACT --trace PATH [--alerts-out FILE] \
-         [--metrics-out FILE] [--batch N] [--delay N] [--from M] [--until M]\n\
+         [--metrics-out FILE] [--from M] [--until M]\n\
          repro serve-net --model ARTIFACT [--listen ADDR] [--topology tiny|scaled|titan] \
-         [--from M] [--until M] [--batch N] [--delay N] \
-         [--queue-cap N] [--conn-window N] [--record LOG]\n\
+         [--from M] [--until M] [--record LOG]\n\
          repro fleet --addr ADDR [--conns N] [--nodes N] [--minutes N] [--rate N] \
-         [--sbe-rate N] [--seed N] [--window N] [--failure-conns N] [--corrupt-every N] \
-         [--metrics-out FILE]\n\
+         [--sbe-rate N] [--seed N] [--metrics-out FILE]\n\
          repro adapt --model ARTIFACT --trace PATH [--from M] [--until M] \
-         [--check-every N] [--threads N] [--verdicts-out FILE] [--metrics-out FILE]\n\
+         [--verdicts-out FILE] [--metrics-out FILE]\n\
          repro check-bench --file BENCH_<bench>.json [--file BENCH_<bench>.json ...]\n\
-         experiments: {} {} {} | groups: characterization prediction extensions all",
-        CHARACTERIZATION.join(" "),
-        PREDICTION.join(" "),
-        EXTENSIONS.join(" ")
+         experiments: {} | groups: {} all",
+        ids.join(" "),
+        groups.join(" ")
     );
     ExitCode::FAILURE
 }
 
+/// Why a command stopped early: a usage error prints the usage text,
+/// and a failure has already said what failed.
+enum Exit {
+    Usage,
+    Failure,
+}
+
+/// What a command returns.
+type Run = Result<(), Exit>;
+
+/// Says what failed and fails the command.
+fn fail(message: impl std::fmt::Display) -> Exit {
+    eprintln!("{message}");
+    Exit::Failure
+}
+
+/// One command's arguments: each flag with its value, in the order
+/// given, and the arguments that are not flags.
+struct Flags {
+    pairs: Vec<(String, String)>,
+    rest: Vec<String>,
+}
+
+impl Flags {
+    /// Reads `args`: every flag in `known` (space-separated) takes the
+    /// next argument as its value, any other argument that starts with
+    /// `-` is an unknown flag, and the rest are kept in order.
+    fn read(args: &[String], known: &str) -> Result<Flags, Exit> {
+        let mut flags = Flags {
+            pairs: Vec::new(),
+            rest: Vec::new(),
+        };
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            if known.split(' ').any(|k| k == arg) {
+                let Some(value) = it.next() else {
+                    eprintln!("{arg} needs a value");
+                    return Err(Exit::Usage);
+                };
+                flags.pairs.push((arg.clone(), value.clone()));
+            } else if arg.starts_with('-') {
+                eprintln!("unknown flag `{arg}`");
+                return Err(Exit::Usage);
+            } else {
+                flags.rest.push(arg.clone());
+            }
+        }
+        Ok(flags)
+    }
+
+    /// The last value given for `flag`, parsed; `None` if it was not
+    /// given.
+    fn get<T: FromStr>(&self, flag: &str) -> Result<Option<T>, Exit> {
+        let Some((_, value)) = self.pairs.iter().rev().find(|(f, _)| f == flag) else {
+            return Ok(None);
+        };
+        match value.parse() {
+            Ok(v) => Ok(Some(v)),
+            Err(_) => {
+                eprintln!("bad value `{value}` for {flag}");
+                Err(Exit::Usage)
+            }
+        }
+    }
+
+    /// The last value given for `flag`, parsed, or `default`.
+    fn or<T: FromStr>(&self, flag: &str, default: T) -> Result<T, Exit> {
+        Ok(self.get(flag)?.unwrap_or(default))
+    }
+
+    /// The value of a flag `command` cannot run without.
+    fn required<T: FromStr>(&self, command: &str, flag: &str) -> Result<T, Exit> {
+        self.get(flag)?
+            .ok_or_else(|| fail(format!("{command} requires {flag}")))
+    }
+
+    /// Every value given for `flag`, in order.
+    fn all(&self, flag: &str) -> Vec<&str> {
+        self.pairs
+            .iter()
+            .filter(|(f, _)| f == flag)
+            .map(|(_, v)| v.as_str())
+            .collect()
+    }
+}
+
+/// Writes `bytes` to `path`, creating its directory first, and says so.
+fn write_out(path: &Path, what: &str, bytes: impl AsRef<[u8]>) -> Run {
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        std::fs::create_dir_all(dir).ok();
+    }
+    std::fs::write(path, bytes)
+        .map_err(|e| fail(format!("could not write {what} `{}`: {e}", path.display())))?;
+    eprintln!("{what} written to {}", path.display());
+    Ok(())
+}
+
+/// A full recorder when its snapshot will be written, else the null
+/// recorder, whose path is a single branch per event.
+fn recorder(wanted: bool) -> obskit::Recorder {
+    if wanted {
+        obskit::Recorder::new()
+    } else {
+        obskit::Recorder::null()
+    }
+}
+
 /// Builds the named simulator config.
-fn build_config(config: &str, seed: u64) -> Option<SimConfig> {
+fn build_config(config: &str, seed: u64) -> Result<SimConfig, Exit> {
     match config {
-        "scaled" => Some(SimConfig::scaled(seed)),
-        "tiny" => Some(SimConfig::tiny(seed)),
-        "titan" => Some(SimConfig::titan_scale(seed)),
+        "scaled" => Ok(SimConfig::scaled(seed)),
+        "tiny" => Ok(SimConfig::tiny(seed)),
+        "titan" => Ok(SimConfig::titan_scale(seed)),
         other => {
             eprintln!("unknown config `{other}`");
-            None
+            Err(Exit::Usage)
         }
     }
 }
 
 /// Generates a trace into `rec`, narrating progress to stderr.
-fn generate_trace(cfg: &SimConfig, seed: u64, rec: &mut obskit::Recorder) -> Option<TraceSet> {
+fn generate_trace(
+    cfg: &SimConfig,
+    seed: u64,
+    rec: &mut obskit::Recorder,
+) -> Result<TraceSet, Exit> {
     eprintln!(
         "generating trace: {} nodes, {} days, seed {seed}...",
         cfg.topology.n_nodes(),
         cfg.days
     );
-    let t0 = std::time::Instant::now();
-    match titan_sim::engine::generate_full(cfg, rec) {
-        Ok((t, _)) => {
-            eprintln!(
-                "trace ready in {:.1?}: {} apruns, {} samples, positive rate {:.4}",
-                t0.elapsed(),
-                t.apruns().len(),
-                t.samples().len(),
-                t.positive_rate()
-            );
-            Some(t)
-        }
-        Err(e) => {
-            eprintln!("trace generation failed: {e}");
-            None
-        }
-    }
+    let t0 = Instant::now();
+    let (t, _) = titan_sim::engine::generate_full(cfg, rec)
+        .map_err(|e| fail(format!("trace generation failed: {e}")))?;
+    eprintln!(
+        "trace ready in {:.1?}: {} apruns, {} samples, positive rate {:.4}",
+        t0.elapsed(),
+        t.apruns().len(),
+        t.samples().len(),
+        t.positive_rate()
+    );
+    Ok(t)
 }
 
 /// Loads a persisted trace from a JSON file or a directory holding
 /// `trace.json`.
-fn load_trace(path: &Path) -> Option<TraceSet> {
+fn load_trace(path: &Path) -> Result<TraceSet, Exit> {
     let file = if path.is_dir() {
         path.join("trace.json")
     } else {
         path.to_path_buf()
     };
-    let text = match std::fs::read_to_string(&file) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("could not read trace `{}`: {e}", file.display());
-            return None;
+    let text = std::fs::read_to_string(&file)
+        .map_err(|e| fail(format!("could not read trace `{}`: {e}", file.display())))?;
+    serde_json::from_str(&text)
+        .map_err(|e| fail(format!("could not parse trace `{}`: {e}", file.display())))
+}
+
+/// Loads a pipeline artifact.
+fn load_artifact(path: &Path) -> Result<PipelineArtifact, Exit> {
+    PipelineArtifact::load(path)
+        .map_err(|e| fail(format!("could not load artifact `{}`: {e}", path.display())))
+}
+
+/// `repro <experiment>...`: regenerate the paper's tables and figures.
+fn cmd_experiments(flags: &Flags) -> Run {
+    let config: String = flags.or("--config", "scaled".into())?;
+    let seed: u64 = flags.or("--seed", 42)?;
+    let out_dir: Option<PathBuf> = flags.get("--out")?;
+    let metrics_out: Option<PathBuf> = flags.get("--metrics-out")?;
+    if flags.rest.is_empty() {
+        return Err(Exit::Usage);
+    }
+    let mut picked: Vec<&(&str, &str, Driver)> = Vec::new();
+    for wanted in &flags.rest {
+        let before = picked.len();
+        picked.extend(
+            EXPERIMENTS
+                .iter()
+                .filter(|e| wanted == "all" || wanted == e.0 || wanted == e.1),
+        );
+        if picked.len() == before {
+            eprintln!("unknown experiment `{wanted}`");
+            return Err(Exit::Usage);
         }
-    };
-    match serde_json::from_str(&text) {
-        Ok(t) => Some(t),
-        Err(e) => {
-            eprintln!("could not parse trace `{}`: {e}", file.display());
-            None
+    }
+    picked.dedup_by_key(|e| e.0);
+
+    let cfg = build_config(&config, seed)?;
+    let mut rec = recorder(metrics_out.is_some());
+    let trace = generate_trace(&cfg, seed, &mut rec)?;
+    // The bench crate owns the workspace's only wall clock; injecting it
+    // restores real train-time columns in the tables.
+    let wall = WallClock::new();
+    let lab = Lab::new(&trace)
+        .map_err(|e| fail(format!("lab construction failed: {e}")))?
+        .with_clock(&wall);
+
+    let mut failed = false;
+    for &(id, _, driver) in picked {
+        let started = Instant::now();
+        match driver(&lab) {
+            Ok(out) => {
+                println!("{out}");
+                if let Some(dir) = &out_dir {
+                    if let Err(e) = persist_json(dir, &out) {
+                        eprintln!("warning: could not persist {id}: {e}");
+                    }
+                }
+                eprintln!("[{id} done in {:.1?}]\n", started.elapsed());
+            }
+            Err(e) => {
+                eprintln!("{id} failed: {e}");
+                failed = true;
+            }
         }
+    }
+    if let Some(path) = &metrics_out {
+        // One observed DS1 GBDT pass exercises the whole instrumented
+        // pipeline (features -> TwoStage -> GBDT training loop) so the
+        // snapshot covers every layer, not just trace generation.
+        let mut observed_pass = || -> sbepred::Result<()> {
+            let split = sbepred::datasets::DsSplit::ds1(lab.trace())?;
+            let spec = sbepred::features::FeatureSpec::all();
+            let prepared = sbepred::twostage::prepare_with_extractor_observed(
+                lab.extractor(),
+                lab.samples(),
+                &split,
+                &spec,
+                &mut rec,
+            )?;
+            let mut model = ModelKind::Gbdt.build(seed);
+            sbepred::twostage::run_classifier_observed(
+                &prepared,
+                &mut model,
+                &mut rec,
+                lab.clock(),
+            )?;
+            Ok(())
+        };
+        match observed_pass() {
+            Ok(()) => {
+                eprint!("{}", sbepred::report::MetricsReport::from_recorder(&rec));
+                write_out(path, "metrics snapshot", rec.snapshot_json())?;
+            }
+            Err(e) => {
+                eprintln!("metrics pass failed: {e}");
+                failed = true;
+            }
+        }
+    }
+    if failed {
+        Err(Exit::Failure)
+    } else {
+        Ok(())
     }
 }
 
 /// `repro save-trace`: generate a trace and persist it as JSON.
-fn cmd_save_trace(args: &[String]) -> ExitCode {
-    let mut config = "tiny".to_string();
-    let mut seed = 42u64;
-    let mut out: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--config" => match it.next() {
-                Some(v) => config = v.clone(),
-                None => return usage(),
-            },
-            "--seed" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => seed = v,
-                None => return usage(),
-            },
-            "--out" => match it.next() {
-                Some(v) => out = Some(PathBuf::from(v)),
-                None => return usage(),
-            },
-            _ => return usage(),
-        }
-    }
-    let Some(out) = out else {
-        eprintln!("save-trace requires --out FILE");
-        return ExitCode::FAILURE;
-    };
-    let Some(cfg) = build_config(&config, seed) else {
-        return ExitCode::FAILURE;
-    };
-    let Some(trace) = generate_trace(&cfg, seed, &mut obskit::Recorder::null()) else {
-        return ExitCode::FAILURE;
-    };
-    let json = match serde_json::to_string(&trace) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("could not serialise trace: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Some(dir) = out.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).ok();
-        }
-    }
-    match std::fs::write(&out, json) {
-        Ok(()) => {
-            eprintln!(
-                "trace written to {} ({} apruns, {} samples)",
-                out.display(),
-                trace.apruns().len(),
-                trace.samples().len()
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("could not write `{}`: {e}", out.display());
-            ExitCode::FAILURE
-        }
-    }
+fn cmd_save_trace(flags: &Flags) -> Run {
+    let config: String = flags.or("--config", "tiny".into())?;
+    let seed: u64 = flags.or("--seed", 42)?;
+    let out: PathBuf = flags.required("save-trace", "--out")?;
+    let cfg = build_config(&config, seed)?;
+    let trace = generate_trace(&cfg, seed, &mut obskit::Recorder::null())?;
+    let json = serde_json::to_string(&trace)
+        .map_err(|e| fail(format!("could not serialise trace: {e}")))?;
+    write_out(&out, "trace", json)
 }
 
 /// `repro train`: fit a TwoStage pipeline on a split and ship it as a
 /// versioned artifact.
-fn cmd_train(args: &[String]) -> ExitCode {
-    let mut config = "tiny".to_string();
-    let mut seed = 42u64;
-    let mut trace_path: Option<PathBuf> = None;
-    let mut split_name = "ds1".to_string();
-    let mut model_name = "gbdt".to_string();
-    let mut train_mode = mlkit::hist::TrainMode::Exact;
-    let mut features = "all".to_string();
-    let mut out: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--config" => match it.next() {
-                Some(v) => config = v.clone(),
-                None => return usage(),
-            },
-            "--seed" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => seed = v,
-                None => return usage(),
-            },
-            "--trace" => match it.next() {
-                Some(v) => trace_path = Some(PathBuf::from(v)),
-                None => return usage(),
-            },
-            "--split" => match it.next() {
-                Some(v) => split_name = v.clone(),
-                None => return usage(),
-            },
-            "--model" => match it.next() {
-                Some(v) => model_name = v.clone(),
-                None => return usage(),
-            },
-            "--train-mode" => match it.next().and_then(|v| parse_train_mode(v)) {
-                Some(v) => train_mode = v,
-                None => return usage(),
-            },
-            "--features" => match it.next() {
-                Some(v) => features = v.clone(),
-                None => return usage(),
-            },
-            "--out" => match it.next() {
-                Some(v) => out = Some(PathBuf::from(v)),
-                None => return usage(),
-            },
-            _ => return usage(),
-        }
-    }
-    let Some(out) = out else {
-        eprintln!("train requires --out ARTIFACT");
-        return ExitCode::FAILURE;
-    };
+fn cmd_train(flags: &Flags) -> Run {
+    let config: String = flags.or("--config", "tiny".into())?;
+    let seed: u64 = flags.or("--seed", 42)?;
+    let trace_path: Option<PathBuf> = flags.get("--trace")?;
+    let split: String = flags.or("--split", "ds1".into())?;
+    let model: String = flags.or("--model", "gbdt".into())?;
+    let features: String = flags.or("--features", "all".into())?;
+    let out: PathBuf = flags.required("train", "--out")?;
     let trace = match &trace_path {
-        Some(p) => load_trace(p),
-        None => build_config(&config, seed)
-            .and_then(|cfg| generate_trace(&cfg, seed, &mut obskit::Recorder::null())),
+        Some(p) => load_trace(p)?,
+        None => generate_trace(
+            &build_config(&config, seed)?,
+            seed,
+            &mut obskit::Recorder::null(),
+        )?,
     };
-    let Some(trace) = trace else {
-        return ExitCode::FAILURE;
-    };
-    match train_artifact(
-        &trace,
-        &split_name,
-        &model_name,
-        seed,
-        train_mode,
-        &features,
-    ) {
-        Ok((artifact, f1)) => {
-            eprintln!(
-                "trained {} on {}: test F1 {f1:.3}, {} offender nodes",
-                artifact.model().name(),
-                artifact.split_name(),
-                artifact.offenders().len()
-            );
-            match artifact.save(&out) {
-                Ok(()) => {
-                    eprintln!("artifact written to {}", out.display());
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("could not write artifact: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Err(e) => {
-            eprintln!("training failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// Parses a `--train-mode` value into the GBDT training engine.
-fn parse_train_mode(v: &str) -> Option<mlkit::hist::TrainMode> {
-    match v {
-        "reference" => Some(mlkit::hist::TrainMode::Reference),
-        "exact" => Some(mlkit::hist::TrainMode::Exact),
-        "fast" => Some(mlkit::hist::TrainMode::Fast),
-        _ => None,
-    }
+    let (artifact, f1) = train_artifact(&trace, &split, &model, seed, &features)
+        .map_err(|e| fail(format!("training failed: {e}")))?;
+    eprintln!(
+        "trained {} on {}: test F1 {f1:.3}, {} offender nodes",
+        artifact.model().name(),
+        artifact.split_name(),
+        artifact.offenders().len()
+    );
+    let bytes = artifact
+        .to_bytes()
+        .map_err(|e| fail(format!("could not encode artifact: {e}")))?;
+    write_out(&out, "artifact", bytes)
 }
 
 /// Fits the requested classifier on the split and bundles the pipeline.
@@ -349,13 +497,12 @@ fn train_artifact(
     split_name: &str,
     model_name: &str,
     seed: u64,
-    train_mode: mlkit::hist::TrainMode,
     features: &str,
-) -> Result<(streamd::artifact::PipelineArtifact, f64), Box<dyn std::error::Error>> {
+) -> Result<(PipelineArtifact, f64), Box<dyn std::error::Error>> {
     use sbepred::datasets::DsSplit;
     use sbepred::features::{FeatureExtractor, FeatureSpec};
     use sbepred::twostage::{prepare_with_extractor, run_classifier};
-    use streamd::artifact::{PipelineArtifact, PipelineModel};
+    use streamd::artifact::PipelineModel;
 
     let split = match split_name {
         "ds1" => DsSplit::ds1(trace)?,
@@ -374,30 +521,16 @@ fn train_artifact(
     let samples = sbepred::samples::build_samples(trace)?;
     let fx = FeatureExtractor::new(trace, &samples)?;
     let prepared = prepare_with_extractor(&fx, &samples, &split, &spec)?;
-    // The concrete model types (not `ModelKind`'s boxed trait objects):
-    // the artifact serialises the fitted model itself. Hyper-parameters
-    // mirror `ModelKind::build`.
+    // The concrete model types (not `ModelKind::build`'s boxed trait
+    // objects): the artifact serialises the fitted model itself.
     let (model, outcome) = match model_name {
         "gbdt" => {
-            let mut m = mlkit::gbdt::Gbdt::new()
-                .n_trees(120)
-                .max_depth(5)
-                .learning_rate(0.1)
-                .min_samples_leaf(20)
-                .subsample(0.8)
-                .pos_weight(2.0)
-                .seed(seed)
-                .train_mode(train_mode);
+            let mut m = ModelKind::gbdt(seed);
             let out = run_classifier(&prepared, &mut m)?;
             (PipelineModel::Gbdt(m), out)
         }
         "lr" => {
-            let mut m = mlkit::linear::LogisticRegression::new()
-                .learning_rate(0.5)
-                .epochs(40)
-                .batch_size(256)
-                .pos_weight(2.0)
-                .seed(seed);
+            let mut m = ModelKind::lr(seed);
             let out = run_classifier(&prepared, &mut m)?;
             (PipelineModel::Logistic(m), out)
         }
@@ -427,7 +560,7 @@ fn train_artifact(
 /// ships. A mismatch means the flattening is broken for this specific
 /// fitted ensemble — refuse to ship it.
 fn compiled_self_check(
-    artifact: &streamd::artifact::PipelineArtifact,
+    artifact: &PipelineArtifact,
     test: &mlkit::dataset::Dataset,
 ) -> Result<(), Box<dyn std::error::Error>> {
     use mlkit::fastpath::FeatureFrame;
@@ -454,66 +587,16 @@ fn compiled_self_check(
 }
 
 /// `repro serve`: replay a trace through the streaming scoring loop.
-fn cmd_serve(args: &[String]) -> ExitCode {
+fn cmd_serve(flags: &Flags) -> Run {
     use streamd::serve::{serve_observed, ServeConfig};
 
-    let mut model_path: Option<PathBuf> = None;
-    let mut trace_path: Option<PathBuf> = None;
-    let mut alerts_out: Option<PathBuf> = None;
-    let mut metrics_out: Option<PathBuf> = None;
-    let mut batch = 64usize;
-    let mut delay = 5u64;
-    let mut from: Option<u64> = None;
-    let mut until: Option<u64> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--model" => match it.next() {
-                Some(v) => model_path = Some(PathBuf::from(v)),
-                None => return usage(),
-            },
-            "--trace" => match it.next() {
-                Some(v) => trace_path = Some(PathBuf::from(v)),
-                None => return usage(),
-            },
-            "--alerts-out" => match it.next() {
-                Some(v) => alerts_out = Some(PathBuf::from(v)),
-                None => return usage(),
-            },
-            "--metrics-out" => match it.next() {
-                Some(v) => metrics_out = Some(PathBuf::from(v)),
-                None => return usage(),
-            },
-            "--batch" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => batch = v,
-                None => return usage(),
-            },
-            "--delay" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => delay = v,
-                None => return usage(),
-            },
-            "--from" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => from = Some(v),
-                None => return usage(),
-            },
-            "--until" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => until = Some(v),
-                None => return usage(),
-            },
-            _ => return usage(),
-        }
-    }
-    let (Some(model_path), Some(trace_path)) = (model_path, trace_path) else {
-        eprintln!("serve requires --model ARTIFACT and --trace PATH");
-        return ExitCode::FAILURE;
-    };
-    let artifact = match streamd::artifact::PipelineArtifact::load(&model_path) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("could not load artifact `{}`: {e}", model_path.display());
-            return ExitCode::FAILURE;
-        }
-    };
+    let model_path: PathBuf = flags.required("serve", "--model")?;
+    let trace_path: PathBuf = flags.required("serve", "--trace")?;
+    let alerts_out: Option<PathBuf> = flags.get("--alerts-out")?;
+    let metrics_out: Option<PathBuf> = flags.get("--metrics-out")?;
+    let from: Option<u64> = flags.get("--from")?;
+    let until: Option<u64> = flags.get("--until")?;
+    let artifact = load_artifact(&model_path)?;
     eprintln!(
         "artifact: {} trained on {} up to minute {}, {} offender nodes, schema {:#018x}",
         artifact.model().name(),
@@ -522,31 +605,15 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         artifact.offenders().len(),
         artifact.schema_hash()
     );
-    let Some(trace) = load_trace(&trace_path) else {
-        return ExitCode::FAILURE;
-    };
+    let trace = load_trace(&trace_path)?;
     let score_from = from.unwrap_or_else(|| artifact.trained_end_min());
     let score_until = until.unwrap_or_else(|| trace.config().total_minutes());
-    let cfg = ServeConfig {
-        batch_capacity: batch,
-        max_delay_min: delay,
-        score_from_min: score_from,
-        score_until_min: score_until,
-    };
-    let mut rec = if metrics_out.is_some() {
-        obskit::Recorder::new()
-    } else {
-        obskit::Recorder::null()
-    };
+    let cfg = ServeConfig::window(score_from, score_until);
+    let mut rec = recorder(metrics_out.is_some());
     let mut alerts: Vec<streamd::serve::Alert> = Vec::new();
-    let t0 = std::time::Instant::now();
-    let report = match serve_observed(&trace, &artifact, &cfg, &mut alerts, &mut rec) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("serve failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let t0 = Instant::now();
+    let report = serve_observed(&trace, &artifact, &cfg, &mut alerts, &mut rec)
+        .map_err(|e| fail(format!("serve failed: {e}")))?;
     let elapsed = t0.elapsed();
     let rate = report.scored.len() as f64 / elapsed.as_secs_f64().max(1e-9);
     eprintln!(
@@ -563,48 +630,15 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         "scored {} launch-nodes in {elapsed:.1?} ({rate:.0} samples/sec)",
         report.scored.len()
     );
-    let mut failures = 0;
     if let Some(path) = &alerts_out {
-        match serde_json::to_string(&alerts) {
-            Ok(json) => {
-                if let Some(dir) = path.parent() {
-                    if !dir.as_os_str().is_empty() {
-                        std::fs::create_dir_all(dir).ok();
-                    }
-                }
-                match std::fs::write(path, json) {
-                    Ok(()) => eprintln!("alert log written to {}", path.display()),
-                    Err(e) => {
-                        eprintln!("could not write alert log: {e}");
-                        failures += 1;
-                    }
-                }
-            }
-            Err(e) => {
-                eprintln!("could not serialise alerts: {e}");
-                failures += 1;
-            }
-        }
+        let json = serde_json::to_string(&alerts)
+            .map_err(|e| fail(format!("could not serialise alerts: {e}")))?;
+        write_out(path, "alert log", json)?;
     }
     if let Some(path) = &metrics_out {
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir).ok();
-            }
-        }
-        match std::fs::write(path, rec.snapshot_json()) {
-            Ok(()) => eprintln!("metrics snapshot written to {}", path.display()),
-            Err(e) => {
-                eprintln!("could not write metrics snapshot: {e}");
-                failures += 1;
-            }
-        }
+        write_out(path, "metrics snapshot", rec.snapshot_json())?;
     }
-    if failures > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    Ok(())
 }
 
 /// `repro adapt`: continual-learning serve — replay a trace through the
@@ -613,95 +647,29 @@ fn cmd_serve(args: &[String]) -> ExitCode {
 /// retrain points, promoted artifact checksums, final scores
 /// fingerprint) to stdout. CI byte-compares that log across
 /// `SBE_THREADS` settings.
-fn cmd_adapt(args: &[String]) -> ExitCode {
+fn cmd_adapt(flags: &Flags) -> Run {
     use driftd::adapt::{run_adapt, AdaptConfig};
 
-    let mut model_path: Option<PathBuf> = None;
-    let mut trace_path: Option<PathBuf> = None;
-    let mut verdicts_out: Option<PathBuf> = None;
-    let mut metrics_out: Option<PathBuf> = None;
-    let mut from: Option<u64> = None;
-    let mut until: Option<u64> = None;
-    let mut check_every: Option<u64> = None;
-    let mut threads = parkit::Threads::Auto;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--model" => match it.next() {
-                Some(v) => model_path = Some(PathBuf::from(v)),
-                None => return usage(),
-            },
-            "--trace" => match it.next() {
-                Some(v) => trace_path = Some(PathBuf::from(v)),
-                None => return usage(),
-            },
-            "--verdicts-out" => match it.next() {
-                Some(v) => verdicts_out = Some(PathBuf::from(v)),
-                None => return usage(),
-            },
-            "--metrics-out" => match it.next() {
-                Some(v) => metrics_out = Some(PathBuf::from(v)),
-                None => return usage(),
-            },
-            "--from" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => from = Some(v),
-                None => return usage(),
-            },
-            "--until" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => until = Some(v),
-                None => return usage(),
-            },
-            "--check-every" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => check_every = Some(v),
-                None => return usage(),
-            },
-            "--threads" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => threads = parkit::Threads::Fixed(v),
-                None => return usage(),
-            },
-            _ => return usage(),
-        }
-    }
-    let (Some(model_path), Some(trace_path)) = (model_path, trace_path) else {
-        eprintln!("adapt requires --model ARTIFACT and --trace PATH");
-        return ExitCode::FAILURE;
-    };
-    let artifact = match streamd::artifact::PipelineArtifact::load(&model_path) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("could not load artifact `{}`: {e}", model_path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let Some(trace) = load_trace(&trace_path) else {
-        return ExitCode::FAILURE;
-    };
+    let model_path: PathBuf = flags.required("adapt", "--model")?;
+    let trace_path: PathBuf = flags.required("adapt", "--trace")?;
+    let from: Option<u64> = flags.get("--from")?;
+    let until: Option<u64> = flags.get("--until")?;
+    let verdicts_out: Option<PathBuf> = flags.get("--verdicts-out")?;
+    let metrics_out: Option<PathBuf> = flags.get("--metrics-out")?;
+    let artifact = load_artifact(&model_path)?;
+    let trace = load_trace(&trace_path)?;
     let score_from = from.unwrap_or_else(|| artifact.trained_end_min());
     let score_until = until.unwrap_or_else(|| trace.config().total_minutes());
-    let mut cfg = AdaptConfig::window(score_from, score_until);
-    cfg.retrain.threads = threads;
-    if let Some(every) = check_every {
-        cfg.check_every_min = every;
-    }
-    let mut rec = if metrics_out.is_some() {
-        obskit::Recorder::new()
-    } else {
-        obskit::Recorder::null()
-    };
+    let cfg = AdaptConfig::window(score_from, score_until);
+    let mut rec = recorder(metrics_out.is_some());
     let mut alerts: Vec<streamd::serve::Alert> = Vec::new();
-    let t0 = std::time::Instant::now();
-    let report = match run_adapt(&trace, &artifact, &cfg, &mut alerts, &mut rec) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("adapt failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let elapsed = t0.elapsed();
+    let t0 = Instant::now();
+    let report = run_adapt(&trace, &artifact, &cfg, &mut alerts, &mut rec)
+        .map_err(|e| fail(format!("adapt failed: {e}")))?;
     eprintln!(
         "adapted window [{score_from}, {score_until}): {} events, {} requests \
          ({} stage-2), {} labeled pairs, {} verdicts, {} retrains, {} promotions, \
-         final generation {} in {elapsed:.1?}",
+         final generation {} in {:.1?}",
         report.n_events,
         report.n_requests,
         report.n_stage2,
@@ -709,163 +677,58 @@ fn cmd_adapt(args: &[String]) -> ExitCode {
         report.verdicts.len(),
         report.retrains.len(),
         report.promotions.len(),
-        report.final_generation
+        report.final_generation,
+        t0.elapsed()
     );
     let log = report.drift_log();
     print!("{log}");
-    let mut failures = 0;
     if let Some(path) = &verdicts_out {
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir).ok();
-            }
-        }
-        match std::fs::write(path, &log) {
-            Ok(()) => eprintln!("drift log written to {}", path.display()),
-            Err(e) => {
-                eprintln!("could not write drift log: {e}");
-                failures += 1;
-            }
-        }
+        write_out(path, "drift log", &log)?;
     }
     if let Some(path) = &metrics_out {
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir).ok();
-            }
-        }
-        match std::fs::write(path, rec.snapshot_json()) {
-            Ok(()) => eprintln!("metrics snapshot written to {}", path.display()),
-            Err(e) => {
-                eprintln!("could not write metrics snapshot: {e}");
-                failures += 1;
-            }
-        }
+        write_out(path, "metrics snapshot", rec.snapshot_json())?;
     }
-    if failures > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    Ok(())
 }
 
 /// Parses a `--topology` value into a node universe.
-fn parse_topology(v: &str) -> Option<titan_sim::topology::Topology> {
+fn parse_topology(v: &str) -> Result<titan_sim::topology::Topology, Exit> {
     use titan_sim::topology::Topology;
     let built = match v {
         "tiny" => Topology::tiny(),
         "scaled" => Topology::scaled(),
         "titan" => Topology::titan(),
         other => {
-            eprintln!("unknown topology `{other}` (tiny|scaled|titan)");
-            return None;
+            return Err(fail(format!(
+                "unknown topology `{other}` (tiny|scaled|titan)"
+            )))
         }
     };
-    match built {
-        Ok(t) => Some(t),
-        Err(e) => {
-            eprintln!("could not build topology `{v}`: {e}");
-            None
-        }
-    }
+    built.map_err(|e| fail(format!("could not build topology `{v}`: {e}")))
 }
 
 /// `repro serve-net`: bind the sbed TCP scoring daemon and serve until
 /// a client FINISH frame arrives.
-fn cmd_serve_net(args: &[String]) -> ExitCode {
+fn cmd_serve_net(flags: &Flags) -> Run {
     use sbed::daemon::{Daemon, DaemonConfig};
     use std::sync::Arc;
     use streamd::serve::ServeConfig;
 
-    let mut model_path: Option<PathBuf> = None;
-    let mut listen = "127.0.0.1:7811".to_string();
-    let mut topology_name = "tiny".to_string();
-    let mut batch = 64usize;
-    let mut delay = 5u64;
-    let mut from: Option<u64> = None;
-    let mut until: Option<u64> = None;
-    let mut queue_cap = 1024usize;
-    let mut conn_window = 64usize;
-    let mut record: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--model" => match it.next() {
-                Some(v) => model_path = Some(PathBuf::from(v)),
-                None => return usage(),
-            },
-            "--listen" => match it.next() {
-                Some(v) => listen = v.clone(),
-                None => return usage(),
-            },
-            "--topology" => match it.next() {
-                Some(v) => topology_name = v.clone(),
-                None => return usage(),
-            },
-            "--batch" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => batch = v,
-                None => return usage(),
-            },
-            "--delay" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => delay = v,
-                None => return usage(),
-            },
-            "--from" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => from = Some(v),
-                None => return usage(),
-            },
-            "--until" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => until = Some(v),
-                None => return usage(),
-            },
-            "--queue-cap" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => queue_cap = v,
-                None => return usage(),
-            },
-            "--conn-window" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => conn_window = v,
-                None => return usage(),
-            },
-            "--record" => match it.next() {
-                Some(v) => record = Some(PathBuf::from(v)),
-                None => return usage(),
-            },
-            _ => return usage(),
-        }
-    }
-    let Some(model_path) = model_path else {
-        eprintln!("serve-net requires --model ARTIFACT");
-        return ExitCode::FAILURE;
-    };
-    let artifact = match streamd::artifact::PipelineArtifact::load(&model_path) {
-        Ok(a) => Arc::new(a),
-        Err(e) => {
-            eprintln!("could not load artifact `{}`: {e}", model_path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let Some(topology) = parse_topology(&topology_name) else {
-        return ExitCode::FAILURE;
-    };
+    let model_path: PathBuf = flags.required("serve-net", "--model")?;
+    let listen: String = flags.or("--listen", "127.0.0.1:7811".into())?;
+    let topology_name: String = flags.or("--topology", "tiny".into())?;
+    let from: Option<u64> = flags.get("--from")?;
+    let until: Option<u64> = flags.get("--until")?;
+    let record: Option<PathBuf> = flags.get("--record")?;
+    let artifact = Arc::new(load_artifact(&model_path)?);
+    let topology = parse_topology(&topology_name)?;
     let score_from = from.unwrap_or_else(|| artifact.trained_end_min());
     let score_until = until.unwrap_or(score_from + 1440);
-    let serve_cfg = ServeConfig {
-        batch_capacity: batch,
-        max_delay_min: delay,
-        score_from_min: score_from,
-        score_until_min: score_until,
-    };
+    let serve_cfg = ServeConfig::window(score_from, score_until);
     let mut cfg = DaemonConfig::new(&listen, serve_cfg, topology);
-    cfg.queue_capacity = queue_cap;
-    cfg.conn_window = conn_window;
     cfg.record_log = record.clone();
-    let daemon = match Daemon::spawn(Arc::clone(&artifact), cfg) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("could not start daemon on `{listen}`: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let daemon = Daemon::spawn(Arc::clone(&artifact), cfg)
+        .map_err(|e| fail(format!("could not start daemon on `{listen}`: {e}")))?;
     // The bound address goes to stdout so scripts can capture it even
     // with `--listen 127.0.0.1:0`.
     println!("listening {}", daemon.addr());
@@ -875,13 +738,9 @@ fn cmd_serve_net(args: &[String]) -> ExitCode {
         daemon.addr(),
         topology.n_nodes(),
     );
-    let report = match daemon.join() {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("daemon failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let report = daemon
+        .join()
+        .map_err(|e| fail(format!("daemon failed: {e}")))?;
     eprintln!(
         "served {} events over {} connections: {} requests ({} stage-2), {} batches, \
          {} alerts; {} rejected, {} overloads, {} transport errors",
@@ -899,113 +758,50 @@ fn cmd_serve_net(args: &[String]) -> ExitCode {
     // line across SBE_THREADS values.
     println!("response_fnv {:#018x}", report.response_fnv);
     let Some(log_path) = record else {
-        return ExitCode::SUCCESS;
+        return Ok(());
     };
     // Replay self-check: re-feed the recorded admission sequence through
     // a fresh in-process session; every determinism surface must match
     // the live run byte for byte.
-    match sbed::replay::replay_log_file(&log_path, &artifact, &serve_cfg, topology) {
-        Ok(replayed) => {
-            let fnv_ok = replayed.response_fnv == report.response_fnv;
-            let report_ok = replayed.report == report.report;
-            let snapshot_ok = replayed.snapshot == report.snapshot;
-            if fnv_ok && report_ok && snapshot_ok {
-                eprintln!(
-                    "replay self-check: PASS ({} frames, response checksum, report, and \
-                     metrics snapshot all byte-identical)",
-                    replayed.n_frames
-                );
-                ExitCode::SUCCESS
-            } else {
-                eprintln!(
-                    "replay self-check: FAIL (checksum match: {fnv_ok}, report match: \
-                     {report_ok}, snapshot match: {snapshot_ok})"
-                );
-                ExitCode::FAILURE
-            }
-        }
-        Err(e) => {
-            eprintln!(
+    let replayed = sbed::replay::replay_log_file(&log_path, &artifact, &serve_cfg, topology)
+        .map_err(|e| {
+            fail(format!(
                 "replay self-check: FAIL: could not replay `{}`: {e}",
                 log_path.display()
-            );
-            ExitCode::FAILURE
-        }
+            ))
+        })?;
+    let fnv_ok = replayed.response_fnv == report.response_fnv;
+    let report_ok = replayed.report == report.report;
+    let snapshot_ok = replayed.snapshot == report.snapshot;
+    if !(fnv_ok && report_ok && snapshot_ok) {
+        return Err(fail(format!(
+            "replay self-check: FAIL (checksum match: {fnv_ok}, report match: \
+             {report_ok}, snapshot match: {snapshot_ok})"
+        )));
     }
+    eprintln!(
+        "replay self-check: PASS ({} frames, response checksum, report, and \
+         metrics snapshot all byte-identical)",
+        replayed.n_frames
+    );
+    Ok(())
 }
 
 /// `repro fleet`: drive a running sbed daemon with the seeded mock
 /// fleet and print the outcome.
-fn cmd_fleet(args: &[String]) -> ExitCode {
+fn cmd_fleet(flags: &Flags) -> Run {
     use sbed::client::{run_fleet, Connection, FleetConfig};
     use sbed::fleet::{synth_events, SynthConfig};
     use std::net::SocketAddr;
 
-    let mut addr: Option<SocketAddr> = None;
-    let mut conns = 8usize;
-    let mut nodes = 64u32;
-    let mut minutes = 30u64;
-    let mut rate = 4u32;
-    let mut sbe_rate = 2u32;
-    let mut seed = 42u64;
-    let mut window = 32usize;
-    let mut failure_conns = 0usize;
-    let mut corrupt_every = 0u64;
-    let mut metrics_out: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--addr" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => addr = Some(v),
-                None => return usage(),
-            },
-            "--conns" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => conns = v,
-                None => return usage(),
-            },
-            "--nodes" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => nodes = v,
-                None => return usage(),
-            },
-            "--minutes" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => minutes = v,
-                None => return usage(),
-            },
-            "--rate" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => rate = v,
-                None => return usage(),
-            },
-            "--sbe-rate" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => sbe_rate = v,
-                None => return usage(),
-            },
-            "--seed" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => seed = v,
-                None => return usage(),
-            },
-            "--window" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => window = v,
-                None => return usage(),
-            },
-            "--failure-conns" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => failure_conns = v,
-                None => return usage(),
-            },
-            "--corrupt-every" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => corrupt_every = v,
-                None => return usage(),
-            },
-            "--metrics-out" => match it.next() {
-                Some(v) => metrics_out = Some(PathBuf::from(v)),
-                None => return usage(),
-            },
-            _ => return usage(),
-        }
-    }
-    let Some(addr) = addr else {
-        eprintln!("fleet requires --addr HOST:PORT");
-        return ExitCode::FAILURE;
-    };
+    let addr: SocketAddr = flags.required("fleet", "--addr")?;
+    let conns: usize = flags.or("--conns", 8)?;
+    let nodes: u32 = flags.or("--nodes", 64)?;
+    let minutes: u64 = flags.or("--minutes", 30)?;
+    let rate: u32 = flags.or("--rate", 4)?;
+    let sbe_rate: u32 = flags.or("--sbe-rate", 2)?;
+    let seed: u64 = flags.or("--seed", 42)?;
+    let metrics_out: Option<PathBuf> = flags.get("--metrics-out")?;
     let synth = SynthConfig {
         seed,
         n_nodes: nodes,
@@ -1016,21 +812,12 @@ fn cmd_fleet(args: &[String]) -> ExitCode {
         sbe_per_min: sbe_rate,
     };
     let events = synth_events(&synth);
-    let fleet_cfg = FleetConfig {
-        conns,
-        window,
-        failure_conns,
-        corrupt_every,
-    };
+    let fleet_cfg = FleetConfig::healthy(conns);
     eprintln!(
-        "fleet: {} events over {} nodes / {} minutes -> {addr} ({} connections, \
-         window {}, {} failure connections)",
+        "fleet: {} events over {nodes} nodes / {minutes} minutes -> {addr} \
+         ({conns} connections, window {})",
         events.len(),
-        nodes,
-        minutes,
-        conns,
-        window,
-        failure_conns,
+        fleet_cfg.window,
     );
     // Wait for the daemon to come up — serve-net typically starts in a
     // sibling process an instant before us.
@@ -1043,23 +830,16 @@ fn cmd_fleet(args: &[String]) -> ExitCode {
         std::thread::sleep(std::time::Duration::from_millis(250));
     }
     if !up {
-        eprintln!("no daemon reachable at {addr} after 10s");
-        return ExitCode::FAILURE;
+        return Err(fail(format!("no daemon reachable at {addr} after 10s")));
     }
     let clock = WallClock::new();
-    let t0 = std::time::Instant::now();
-    let outcome = match run_fleet(addr, &events, &fleet_cfg, &clock) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("fleet run failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let t0 = Instant::now();
+    let outcome = run_fleet(addr, &events, &fleet_cfg, &clock)
+        .map_err(|e| fail(format!("fleet run failed: {e}")))?;
     let elapsed = t0.elapsed();
     let n_requests = events.len() as u64 + 1; // + FINISH
     let rps = n_requests as f64 / elapsed.as_secs_f64().max(1e-9);
     let overload_retries: u64 = outcome.stats.iter().map(|s| s.overload_retries).sum();
-    let corruption_retries: u64 = outcome.stats.iter().map(|s| s.corruption_retries).sum();
     let mut latencies: Vec<u64> = outcome
         .stats
         .iter()
@@ -1075,7 +855,7 @@ fn cmd_fleet(args: &[String]) -> ExitCode {
     };
     eprintln!(
         "fleet done in {elapsed:.1?}: {} acks, {} score responses ({rps:.0} req/s); \
-         {overload_retries} overload retries, {corruption_retries} corruption retries",
+         {overload_retries} overload retries",
         outcome.n_acks,
         outcome.scores.len(),
     );
@@ -1097,20 +877,9 @@ fn cmd_fleet(args: &[String]) -> ExitCode {
     if let Some(path) = &metrics_out {
         let mut rec = obskit::Recorder::new();
         outcome.observe(&mut rec);
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir).ok();
-            }
-        }
-        match std::fs::write(path, rec.snapshot_json()) {
-            Ok(()) => eprintln!("metrics snapshot written to {}", path.display()),
-            Err(e) => {
-                eprintln!("could not write metrics snapshot: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        write_out(path, "metrics snapshot", rec.snapshot_json())?;
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// `repro check-bench`: gate CI on the performance trajectories.
@@ -1121,24 +890,15 @@ fn cmd_fleet(args: &[String]) -> ExitCode {
 /// ceiling the bench recorded. A missing or unreadable file is a hard
 /// failure, and all files are checked before the verdict so one run
 /// surfaces every regression.
-fn cmd_check_bench(args: &[String]) -> ExitCode {
-    let mut files: Vec<PathBuf> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--file" => match it.next() {
-                Some(v) => files.push(PathBuf::from(v)),
-                None => return usage(),
-            },
-            _ => return usage(),
-        }
-    }
+fn cmd_check_bench(flags: &Flags) -> Run {
+    let files = flags.all("--file");
     if files.is_empty() {
-        eprintln!("check-bench requires at least one --file BENCH_<bench>.json");
-        return ExitCode::FAILURE;
+        return Err(fail(
+            "check-bench requires at least one --file BENCH_<bench>.json",
+        ));
     }
     let mut failed = false;
-    for file in &files {
+    for file in files {
         let outcome = std::fs::read_to_string(file)
             .map_err(|e| format!("could not read: {e}"))
             .and_then(|text| {
@@ -1150,233 +910,44 @@ fn cmd_check_bench(args: &[String]) -> ExitCode {
                 report.check()
             });
         match outcome {
-            Ok(()) => eprintln!("check-bench: PASS `{}`", file.display()),
+            Ok(()) => eprintln!("check-bench: PASS `{file}`"),
             Err(e) => {
-                eprintln!("check-bench: FAIL `{}`: {e}", file.display());
+                eprintln!("check-bench: FAIL `{file}`: {e}");
                 failed = true;
             }
         }
     }
     if failed {
-        ExitCode::FAILURE
+        Err(Exit::Failure)
     } else {
-        ExitCode::SUCCESS
+        Ok(())
     }
 }
 
 fn main() -> ExitCode {
-    let all_args: Vec<String> = std::env::args().skip(1).collect();
-    match all_args.first().map(String::as_str) {
-        Some("save-trace") => return cmd_save_trace(&all_args[1..]),
-        Some("train") => return cmd_train(&all_args[1..]),
-        Some("serve") => return cmd_serve(&all_args[1..]),
-        Some("adapt") => return cmd_adapt(&all_args[1..]),
-        Some("serve-net") => return cmd_serve_net(&all_args[1..]),
-        Some("fleet") => return cmd_fleet(&all_args[1..]),
-        Some("check-bench") => return cmd_check_bench(&all_args[1..]),
-        _ => {}
-    }
-
-    let mut config = "scaled".to_string();
-    let mut seed = 42u64;
-    let mut out_dir: Option<PathBuf> = None;
-    let mut metrics_out: Option<PathBuf> = None;
-    let mut wanted: Vec<String> = Vec::new();
-
-    let mut args = all_args.into_iter();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--config" => match args.next() {
-                Some(v) => config = v,
-                None => return usage(),
-            },
-            "--seed" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) => seed = v,
-                None => return usage(),
-            },
-            "--out" => match args.next() {
-                Some(v) => out_dir = Some(PathBuf::from(v)),
-                None => return usage(),
-            },
-            "--metrics-out" => match args.next() {
-                Some(v) => metrics_out = Some(PathBuf::from(v)),
-                None => return usage(),
-            },
-            "--help" | "-h" => {
-                usage();
-                return ExitCode::SUCCESS;
-            }
-            other => wanted.push(other.to_string()),
-        }
-    }
-    if wanted.is_empty() {
-        return usage();
-    }
-
-    // Expand groups.
-    let mut ids: Vec<&str> = Vec::new();
-    for w in &wanted {
-        match w.as_str() {
-            "all" => {
-                ids.extend(CHARACTERIZATION);
-                ids.extend(PREDICTION);
-                ids.extend(EXTENSIONS);
-            }
-            "characterization" => ids.extend(CHARACTERIZATION),
-            "prediction" => ids.extend(PREDICTION),
-            "extensions" => ids.extend(EXTENSIONS),
-            other
-                if CHARACTERIZATION.contains(&other)
-                    || PREDICTION.contains(&other)
-                    || EXTENSIONS.contains(&other) =>
-            {
-                ids.push(Box::leak(other.to_string().into_boxed_str()))
-            }
-            other => {
-                eprintln!("unknown experiment `{other}`");
-                return usage();
-            }
-        }
-    }
-    ids.dedup();
-
-    let Some(cfg) = build_config(&config, seed) else {
-        return usage();
-    };
-    // A full recorder only when metrics were requested; the null recorder
-    // path is a single branch per event.
-    let mut rec = if metrics_out.is_some() {
-        obskit::Recorder::new()
-    } else {
-        obskit::Recorder::null()
-    };
-    let Some(trace) = generate_trace(&cfg, seed, &mut rec) else {
-        return ExitCode::FAILURE;
-    };
-    // The bench crate owns the workspace's only wall clock; injecting it
-    // restores real train-time columns in the tables.
-    let wall = WallClock::new();
-    let lab = match Lab::new(&trace) {
-        Ok(l) => l.with_clock(&wall),
-        Err(e) => {
-            eprintln!("lab construction failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let mut failures = 0;
-    let emit = |out: ExperimentOutput| {
-        println!("{out}");
-        if let Some(dir) = &out_dir {
-            if let Err(e) = persist_json(dir, &out) {
-                eprintln!("warning: could not persist {}: {e}", out.id);
-            }
-        }
-    };
-
-    // table2 and table3 come from one pass; cache when both requested.
-    let mut t2t3: Option<(ExperimentOutput, ExperimentOutput)> = None;
-    for id in ids {
-        let started = std::time::Instant::now();
-        let result: sbepred::Result<ExperimentOutput> = match id {
-            "fig1" => ch::fig1(&lab),
-            "fig2" => ch::fig2(&lab),
-            "fig3" => ch::fig3(&lab),
-            "fig4" => ch::fig4(&lab),
-            "fig5" => ch::fig5(&lab),
-            "fig6" => ch::fig6(&lab),
-            "fig7" => ch::fig7(&lab),
-            "fig8" => ch::fig8(&lab),
-            "table1" => pr::table1(&lab),
-            "fig10" => pr::fig10(&lab),
-            "table2" | "table3" => {
-                if t2t3.is_none() {
-                    match pr::table2_table3(&lab) {
-                        Ok(pair) => t2t3 = Some(pair),
-                        Err(e) => {
-                            eprintln!("{id} failed: {e}");
-                            failures += 1;
-                            continue;
-                        }
-                    }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let command = COMMANDS
+        .iter()
+        .find(|c| args.first().is_some_and(|a| a == c.0));
+    let run = match command {
+        Some(&(name, known, body)) => {
+            Flags::read(&args[1..], known).and_then(|flags| match flags.rest.first() {
+                Some(extra) => {
+                    eprintln!("{name} takes no argument `{extra}`");
+                    Err(Exit::Usage)
                 }
-                let (t2, t3) = t2t3.clone().expect("cached above");
-                Ok(if id == "table2" { t2 } else { t3 })
-            }
-            "fig11" => pr::fig11(&lab),
-            "table4" => pr::table4(&lab),
-            "fig12" => pr::fig12(&lab),
-            "fig13" => pr::fig13(&lab),
-            "table5" => pr::table5(&lab),
-            "table6" => pr::table6(&lab),
-            "ext_forecast" => ext::ext_forecast(&lab),
-            "ext_imbalance" => ext::ext_imbalance(&lab),
-            "ext_retrain" => ext::ext_retrain(&lab),
-            "ext_oracle" => ext::ext_oracle(&lab),
-            "ext_importance" => ext::ext_importance(&lab),
-            other => {
-                eprintln!("unknown experiment `{other}`");
-                failures += 1;
-                continue;
-            }
-        };
-        match result {
-            Ok(out) => {
-                emit(out);
-                eprintln!("[{id} done in {:.1?}]\n", started.elapsed());
-            }
-            Err(e) => {
-                eprintln!("{id} failed: {e}");
-                failures += 1;
-            }
+                None => body(&flags),
+            })
         }
-    }
-    if let Some(path) = &metrics_out {
-        // One observed DS1 GBDT pass exercises the whole instrumented
-        // pipeline (features -> TwoStage -> GBDT training loop) so the
-        // snapshot covers every layer, not just trace generation.
-        let mut observed_pass = || -> sbepred::Result<()> {
-            let split = sbepred::datasets::DsSplit::ds1(lab.trace())?;
-            let spec = sbepred::features::FeatureSpec::all();
-            let prepared = sbepred::twostage::prepare_with_extractor_observed(
-                lab.extractor(),
-                lab.samples(),
-                &split,
-                &spec,
-                &mut rec,
-            )?;
-            let mut model = ModelKind::Gbdt.build(seed);
-            sbepred::twostage::run_classifier_observed(
-                &prepared,
-                &mut model,
-                &mut rec,
-                lab.clock(),
-            )?;
-            Ok(())
-        };
-        if let Err(e) = observed_pass() {
-            eprintln!("metrics pass failed: {e}");
-            failures += 1;
-        } else {
-            eprint!("{}", sbepred::report::MetricsReport::from_recorder(&rec));
-            if let Some(dir) = path.parent() {
-                if !dir.as_os_str().is_empty() {
-                    std::fs::create_dir_all(dir).ok();
-                }
-            }
-            match std::fs::write(path, rec.snapshot_json()) {
-                Ok(()) => eprintln!("metrics snapshot written to {}", path.display()),
-                Err(e) => {
-                    eprintln!("could not write metrics snapshot: {e}");
-                    failures += 1;
-                }
-            }
+        None if args.iter().any(|a| a == "--help" || a == "-h") => {
+            usage();
+            return ExitCode::SUCCESS;
         }
-    }
-
-    if failures > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
+        None => Flags::read(&args, EXPERIMENT_FLAGS).and_then(|flags| cmd_experiments(&flags)),
+    };
+    match run {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(Exit::Usage) => usage(),
+        Err(Exit::Failure) => ExitCode::FAILURE,
     }
 }

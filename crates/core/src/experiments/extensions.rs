@@ -464,13 +464,7 @@ pub fn ext_importance(lab: &Lab<'_>) -> Result<ExperimentOutput> {
     let split = DsSplit::ds1(lab.trace())?;
     let spec = FeatureSpec::all();
     let prepared = prepare_with_extractor(lab.extractor(), lab.samples(), &split, &spec)?;
-    let mut model = mlkit::gbdt::Gbdt::new()
-        .n_trees(120)
-        .max_depth(5)
-        .min_samples_leaf(20)
-        .subsample(0.8)
-        .pos_weight(2.0)
-        .seed(MODEL_SEED);
+    let mut model = ModelKind::gbdt(MODEL_SEED);
     model.fit(&prepared.train, &mut obskit::Recorder::null())?;
     let importances = model
         .feature_importances()

@@ -78,38 +78,38 @@ impl ModelKind {
         }
     }
 
+    /// The GBDT with the evaluation's hyper-parameters: the paper's
+    /// champion, and the stage-2 model `repro train` ships. It trains
+    /// with the default `Exact` engine, so published outputs stay
+    /// pinned.
+    pub fn gbdt(seed: u64) -> Gbdt {
+        Gbdt::new()
+            .n_trees(120)
+            .max_depth(5)
+            .learning_rate(0.1)
+            .min_samples_leaf(20)
+            .subsample(0.8)
+            .pos_weight(2.0)
+            .seed(seed)
+    }
+
+    /// The logistic regression with the evaluation's hyper-parameters.
+    pub fn lr(seed: u64) -> LogisticRegression {
+        LogisticRegression::new()
+            .learning_rate(0.5)
+            .epochs(40)
+            .batch_size(256)
+            .pos_weight(2.0)
+            .seed(seed)
+    }
+
     /// Builds the classifier with the hyper-parameters used throughout
     /// the evaluation (tuned once on DS1, then frozen — mirroring the
     /// paper's methodology).
     pub fn build(&self, seed: u64) -> Box<dyn Classifier> {
-        self.build_with_mode(seed, mlkit::hist::TrainMode::Exact)
-    }
-
-    /// Like [`ModelKind::build`], but selecting the GBDT training engine
-    /// (`TrainMode`). Non-GBDT models ignore the mode. `Exact` is the
-    /// default everywhere so published experiment outputs stay pinned;
-    /// `Fast` is the opt-in throughput engine for wide sweeps.
-    pub fn build_with_mode(&self, seed: u64, mode: mlkit::hist::TrainMode) -> Box<dyn Classifier> {
         match self {
-            ModelKind::Lr => Box::new(
-                LogisticRegression::new()
-                    .learning_rate(0.5)
-                    .epochs(40)
-                    .batch_size(256)
-                    .pos_weight(2.0)
-                    .seed(seed),
-            ),
-            ModelKind::Gbdt => Box::new(
-                Gbdt::new()
-                    .n_trees(120)
-                    .max_depth(5)
-                    .learning_rate(0.1)
-                    .min_samples_leaf(20)
-                    .subsample(0.8)
-                    .pos_weight(2.0)
-                    .seed(seed)
-                    .train_mode(mode),
-            ),
+            ModelKind::Lr => Box::new(ModelKind::lr(seed)),
+            ModelKind::Gbdt => Box::new(ModelKind::gbdt(seed)),
             ModelKind::Svm => Box::new(
                 SvmRbf::new()
                     .gamma(0.02)

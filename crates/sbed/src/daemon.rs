@@ -9,7 +9,7 @@
 //!   its own refusals with typed error responses, and enqueues
 //!   well-formed frames;
 //! * one **engine** thread that owns the [`ScoreSession`]. It takes
-//!   every message already queued (at most `queue_capacity`), collects
+//!   every message already queued (at most 1024), collects
 //!   each connection's replies in the order it makes them, and then
 //!   writes each connection's bytes with one write.
 //!
@@ -26,13 +26,17 @@
 //!
 //! Back-pressure is bounded and typed at three points: a per-connection
 //! in-flight window (checked by the reader), the engine's bounded
-//! request queue (shared by all connections), and the bounded reorder
-//! buffer (checked by the engine). All three refuse with a
-//! [`wire::ERR_OVERLOAD`] response (the client retransmits) — requests
-//! are never silently dropped. The engine frees a request's window slot
-//! as soon as it collects the final reply, before writing it, so a
-//! client that sends only after reading a final reply never meets a
-//! full window.
+//! request queue (1024 frames, shared by all connections), and the
+//! bounded reorder buffer (checked by the engine). All three refuse with
+//! a [`wire::ERR_OVERLOAD`] response (the client retransmits) — requests
+//! are never silently dropped. A frame holds its window slot until the
+//! engine collects its first reply (an ACK, an error or the REPORT),
+//! before writing it, so a client that sends only after reading a
+//! frame's first reply never meets a full window. A launch's SCORES
+//! comes later and holds no slot: every launch still awaiting its
+//! SCORES has at least one stage-2 request pending, and a batch flushes
+//! at `batch_capacity` requests, so open launches stay bounded without
+//! the window.
 //!
 //! Replies are bounded by the socket, not by daemon memory: the engine
 //! holds at most one burst's replies, and each write carries a timeout.
@@ -71,6 +75,9 @@ use titan_sim::topology::Topology;
 const POLL: Duration = Duration::from_millis(5);
 /// Socket read timeout so readers notice shutdown.
 const READ_TIMEOUT: Duration = Duration::from_millis(100);
+/// Engine request-queue bound: frames queued across all connections
+/// awaiting the sequencer, and the most messages one engine burst takes.
+const QUEUE_CAPACITY: usize = 1024;
 /// Socket write timeout: the longest one write may wait for socket
 /// buffer space. A write that waits it out closes its connection, so a
 /// client that stops reading holds the engine up at most this long.
@@ -85,11 +92,8 @@ pub struct DaemonConfig {
     pub serve: ServeConfig,
     /// The node universe events are validated against.
     pub topology: Topology,
-    /// Engine request-queue bound (frames queued across all
-    /// connections awaiting the sequencer).
-    pub queue_capacity: usize,
-    /// Per-connection in-flight window (requests admitted but not yet
-    /// fully answered).
+    /// Per-connection in-flight window (requests admitted whose first
+    /// reply the engine has not yet collected).
     pub conn_window: usize,
     /// Reorder-buffer bound (early arrivals held for the sequencer).
     pub reorder_capacity: usize,
@@ -102,15 +106,14 @@ pub struct DaemonConfig {
 }
 
 impl DaemonConfig {
-    /// A config with the defaults: 1024-frame queue, 64-frame
-    /// connection window, 4096-frame reorder buffer, no recording,
-    /// exit on finish.
+    /// A config with the defaults: 64-frame connection window,
+    /// 4096-frame reorder buffer, no recording, exit on finish. The
+    /// engine's request queue holds 1024 frames, whatever the config.
     pub fn new(listen: &str, serve: ServeConfig, topology: Topology) -> DaemonConfig {
         DaemonConfig {
             listen: listen.to_string(),
             serve,
             topology,
-            queue_capacity: 1024,
             conn_window: 64,
             reorder_capacity: 4096,
             record_log: None,
@@ -119,10 +122,9 @@ impl DaemonConfig {
     }
 
     fn validate(&self) -> Result<()> {
-        if self.queue_capacity == 0 || self.conn_window == 0 || self.reorder_capacity == 0 {
+        if self.conn_window == 0 || self.reorder_capacity == 0 {
             return Err(SbedError::InvalidConfig {
-                reason: "queue_capacity, conn_window, and reorder_capacity must be at least 1"
-                    .into(),
+                reason: "conn_window and reorder_capacity must be at least 1".into(),
             });
         }
         Ok(())
@@ -175,7 +177,7 @@ struct Conn {
     id: u64,
     /// The socket's write half.
     out: Mutex<TcpStream>,
-    /// Requests queued for the engine whose final reply it has not yet
+    /// Requests queued for the engine whose first reply it has not yet
     /// collected.
     inflight: AtomicUsize,
 }
@@ -286,7 +288,7 @@ impl Daemon {
         let n_overloads = Arc::new(AtomicU64::new(0));
         let conn_handles: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
-        let (engine_tx, engine_rx) = mpsc::sync_channel::<ToEngine>(cfg.queue_capacity);
+        let (engine_tx, engine_rx) = mpsc::sync_channel::<ToEngine>(QUEUE_CAPACITY);
 
         let engine = {
             let artifact = Arc::clone(&artifact);
@@ -676,8 +678,9 @@ fn collect(outbox: &mut BTreeMap<u64, (Arc<Conn>, Vec<u8>)>, conn: &Arc<Conn>, b
 struct Engine<'a> {
     session: ScoreSession<'a>,
     buffer: BTreeMap<u64, PendingFrame>,
-    /// Admitted requests still owed their final reply.
-    open: BTreeMap<u64, Arc<Conn>>,
+    /// Admitted requests still owed their final reply, each with
+    /// whether it still holds its window slot (until its first reply).
+    open: BTreeMap<u64, (Arc<Conn>, bool)>,
     /// This burst's replies, per connection id, in the order the engine
     /// made them; [`Engine::flush`] writes them.
     outbox: BTreeMap<u64, (Arc<Conn>, Vec<u8>)>,
@@ -694,16 +697,19 @@ struct Engine<'a> {
 
 impl Engine<'_> {
     /// Collects session responses for their requesters, freeing a
-    /// window slot at each final response.
+    /// request's window slot at its first response: a launch's ACK
+    /// frees it, and its SCORES follows without one.
     fn route(&mut self, responses: Vec<wire::EncodedResponse>) {
         for r in responses {
+            let Some((conn, holds_slot)) = self.open.get_mut(&r.request_id) else {
+                continue;
+            };
+            if std::mem::take(holds_slot) {
+                conn.inflight.fetch_sub(1, Ordering::SeqCst);
+            }
+            collect(&mut self.outbox, conn, r.bytes);
             if r.last {
-                if let Some(conn) = self.open.remove(&r.request_id) {
-                    conn.inflight.fetch_sub(1, Ordering::SeqCst);
-                    collect(&mut self.outbox, &conn, r.bytes);
-                }
-            } else if let Some(conn) = self.open.get(&r.request_id) {
-                collect(&mut self.outbox, conn, r.bytes);
+                self.open.remove(&r.request_id);
             }
         }
     }
@@ -811,7 +817,7 @@ impl Engine<'_> {
             }
             match self.session.handle(frame.kind, seq, &frame.payload) {
                 Ok(responses) => {
-                    self.open.insert(seq, frame.conn);
+                    self.open.insert(seq, (frame.conn, true));
                     self.route(responses);
                 }
                 Err(e) => {
@@ -903,7 +909,7 @@ fn run_engine(
             Err(RecvTimeoutError::Disconnected) => break,
         };
         // One burst: every message already queued, at most
-        // `queue_capacity` of them (all of them once a drain starts),
+        // `QUEUE_CAPACITY` of them (all of them once a drain starts),
         // then one write per connection.
         let mut taken = 0usize;
         while let Some(msg) = next {
@@ -932,7 +938,7 @@ fn run_engine(
                 break;
             }
             let done = !drained && engine.session.finished() && cfg.exit_on_finish;
-            next = if !done && (drained || taken < cfg.queue_capacity) {
+            next = if !done && (drained || taken < QUEUE_CAPACITY) {
                 rx.try_recv().ok()
             } else {
                 None

@@ -15,8 +15,9 @@
 //!   snapshot).
 //!
 //! A third check pins flow control: a client that keeps exactly the
-//! daemon's window outstanding is never refused, and its response
-//! checksum is an in-process session's.
+//! daemon's window of frames awaiting their first reply is never
+//! refused, with or without launches whose SCORES come later, and its
+//! response checksum is an in-process session's.
 
 use gpu_error_prediction::{mlkit, obskit, sbed, sbepred, streamd, titan_sim};
 use mlkit::dataset::Dataset;
@@ -37,6 +38,7 @@ use sbepred::samples::build_samples;
 use sbepred::twostage::prepare_with_extractor;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 use streamd::artifact::{PipelineArtifact, PipelineModel};
 use streamd::serve::{serve, NullSink, ServeConfig};
 use titan_sim::config::SimConfig;
@@ -114,10 +116,11 @@ fn train_wire_artifact() -> (TraceSet, PipelineArtifact, (u64, u64)) {
     (trace, artifact, split.test_window())
 }
 
-/// A deterministic synthetic artifact sized for `n_nodes` (seeded
-/// random training rows; model quality is irrelevant — bit-identity of
-/// scoring is what the suite checks).
-fn synthetic_artifact(n_nodes: u32) -> PipelineArtifact {
+/// A deterministic synthetic artifact sized for `n_nodes`, with every
+/// `offender_every`-th node an offender (seeded random training rows;
+/// model quality is irrelevant — bit-identity of scoring is what the
+/// suite checks).
+fn synthetic_artifact(n_nodes: u32, offender_every: usize) -> PipelineArtifact {
     let spec = FeatureSpec::no_telemetry();
     let n = spec.n_features();
     let mut rng = StdRng::seed_from_u64(42);
@@ -145,7 +148,7 @@ fn synthetic_artifact(n_nodes: u32) -> PipelineArtifact {
     model
         .fit(&scaled, &mut obskit::Recorder::null())
         .expect("fit");
-    let offenders: Vec<u32> = (0..n_nodes).step_by(2).collect();
+    let offenders: Vec<u32> = (0..n_nodes).step_by(offender_every).collect();
     PipelineArtifact::new(
         spec,
         offenders,
@@ -255,7 +258,7 @@ fn fleet_at_scale_is_thread_invariant_and_replays_byte_identically() {
         "workload too small: {}",
         events.len()
     );
-    let artifact = synthetic_artifact(n_nodes);
+    let artifact = synthetic_artifact(n_nodes, 2);
     let fleet_cfg = FleetConfig::healthy(100);
 
     // Three live runs: each interleaves its 100 connections' reader
@@ -318,7 +321,7 @@ fn failure_injection_does_not_change_scores() {
     let topology = Topology::tiny().expect("tiny topology");
     let synth = SynthConfig::demo(9, topology.n_nodes());
     let events = synth_events(&synth);
-    let artifact = synthetic_artifact(topology.n_nodes());
+    let artifact = synthetic_artifact(topology.n_nodes(), 2);
     let serve_cfg = ServeConfig::window(0, synth.minutes);
 
     let (clean, clean_report) = run_loopback(
@@ -349,36 +352,64 @@ fn failure_injection_does_not_change_scores() {
 
 #[test]
 fn window_slot_is_free_before_its_reply_can_be_read() {
-    // Ticks and SBE deltas only: each ACK is its frame's final reply
-    // (a launch would hold its slot until its SCORES).
-    let topology = Topology::tiny().expect("tiny topology");
-    let synth = SynthConfig {
+    // Ticks and SBE deltas only: each ACK is its frame's only reply.
+    let tiny = Topology::tiny().expect("tiny topology");
+    let quiet = SynthConfig {
         minutes: 400,
         launches_per_min: 0,
         sbe_per_min: 9,
-        ..SynthConfig::demo(31, topology.n_nodes())
+        ..SynthConfig::demo(31, tiny.n_nodes())
     };
-    let events = synth_events(&synth);
+    keep_the_window_full(tiny, &quiet, &synthetic_artifact(tiny.n_nodes(), 2));
+
+    // With launches: a launch's SCORES follows its ACK once its stage-2
+    // batch flushes, and a launch that held its slot until then could
+    // fill the window with frames the daemon cannot answer yet.
+    let scaled = Topology::scaled().expect("scaled topology");
+    let busy = SynthConfig {
+        seed: 31,
+        n_nodes: scaled.n_nodes(),
+        minutes: 400,
+        launches_per_min: 30,
+        max_nodes_per_launch: 8,
+        n_apps: 12,
+        sbe_per_min: 20,
+    };
+    keep_the_window_full(scaled, &busy, &synthetic_artifact(scaled.n_nodes(), 16));
+}
+
+/// Drives one connection that keeps exactly the daemon's `conn_window`
+/// frames awaiting their first reply (an ACK, an error or the REPORT)
+/// and sends the next frame only after it reads one; a launch's SCORES
+/// comes later and frees nothing. A refused frame goes out again, so a
+/// refusal shows in the overload count, and a stall fails at the
+/// deadline instead of hanging.
+fn keep_the_window_full(topology: Topology, synth: &SynthConfig, artifact: &PipelineArtifact) {
+    let events = synth_events(synth);
     let mut frames: Vec<(u16, Vec<u8>)> = events
         .iter()
         .map(|ev| (wire::KIND_EVENT, ev.encode()))
         .collect();
     frames.push((wire::KIND_FINISH, Vec::new()));
-    let artifact = synthetic_artifact(topology.n_nodes());
     let serve_cfg = ServeConfig::window(0, synth.minutes);
     let cfg = DaemonConfig::new("127.0.0.1:0", serve_cfg, topology);
     let window = cfg.conn_window;
     let daemon = Daemon::spawn(Arc::new(artifact.clone()), cfg).expect("daemon spawns");
 
-    // One connection keeps exactly `window` frames outstanding and
-    // sends the next only after it reads a final reply. A refused frame
-    // goes out again, so the run completes and the overload count
-    // below shows the refusal.
+    let deadline = Instant::now() + Duration::from_secs(30);
     let mut conn = Connection::connect(daemon.addr()).expect("connect");
     let mut unsent: VecDeque<u64> = (0..frames.len() as u64).collect();
     let mut outstanding = 0usize;
+    let mut awaiting_scores = 0usize;
+    let mut most_awaiting_scores = 0usize;
     let mut finished = false;
     while !finished {
+        assert!(
+            Instant::now() < deadline,
+            "stalled with {} of {} frames unsent",
+            unsent.len(),
+            frames.len()
+        );
         while outstanding < window {
             let Some(seq) = unsent.pop_front() else {
                 break;
@@ -389,12 +420,23 @@ fn window_slot_is_free_before_its_reply_can_be_read() {
             outstanding += 1;
         }
         let r = conn.recv().expect("recv").expect("daemon closed early");
-        outstanding -= 1;
         match r.body {
-            ResponseBody::Ack => {}
-            ResponseBody::Report(_) => finished = true,
+            ResponseBody::Scores(_) => awaiting_scores -= 1,
+            ResponseBody::Ack => {
+                outstanding -= 1;
+                let launch = events.get(r.request_id as usize);
+                if matches!(launch, Some(WireEvent::Launch { .. })) {
+                    awaiting_scores += 1;
+                    most_awaiting_scores = most_awaiting_scores.max(awaiting_scores);
+                }
+            }
+            ResponseBody::Report(_) => {
+                outstanding -= 1;
+                finished = true;
+            }
             ResponseBody::Error(e) if e.code == wire::ERR_OVERLOAD => {
-                unsent.push_front(r.request_id)
+                outstanding -= 1;
+                unsent.push_front(r.request_id);
             }
             other => panic!("seq {}: unexpected {other:?}", r.request_id),
         }
@@ -405,8 +447,13 @@ fn window_slot_is_free_before_its_reply_can_be_read() {
         live.n_overloads, 0,
         "a client that keeps to the window was refused"
     );
+    assert_eq!(awaiting_scores, 0, "a launch was never scored");
+    assert!(
+        most_awaiting_scores <= serve_cfg.batch_capacity,
+        "{most_awaiting_scores} launches awaited their SCORES at once"
+    );
 
-    let mut session = ScoreSession::new(&artifact, &serve_cfg, topology).expect("session");
+    let mut session = ScoreSession::new(artifact, &serve_cfg, topology).expect("session");
     for (seq, (kind, payload)) in frames.iter().enumerate() {
         session.handle(*kind, seq as u64, payload).expect("handle");
     }
