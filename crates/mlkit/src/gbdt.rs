@@ -69,8 +69,7 @@ pub struct Gbdt {
     #[serde(skip)]
     threads: parkit::Threads,
     /// Split-finding engine (see [`TrainMode`]). Training detail — the
-    /// default `Exact` engine is bit-identical to `Reference`, and
-    /// `Fast` is locked split-identical by the differential suite — so
+    /// default `Exact` engine is bit-identical to `Reference` — so
     /// fitted-model serialization excludes it.
     #[serde(skip)]
     train_mode: TrainMode,
@@ -179,11 +178,12 @@ impl Gbdt {
         self
     }
 
-    /// Sets the split-finding engine. `Exact` (the default) is
-    /// bit-identical to the pre-engine `Reference` path; `Fast` adds
-    /// sibling subtraction and row-block parallelism for a ≥2x
-    /// training-throughput gain at the cost of last-ulp floating-point
-    /// identity (see [`crate::hist`] for the contract).
+    /// Sets the split-finding engine. `Exact` (the default) is the
+    /// histogram engine and is bit-identical to the pre-engine
+    /// `Reference` path, which stays as the training bench's baseline
+    /// and the differential suite's oracle (see [`crate::hist`] for the
+    /// contract). Either engine yields the same model bit for bit; this
+    /// only changes training time.
     pub fn train_mode(mut self, mode: TrainMode) -> Gbdt {
         self.train_mode = mode;
         self
@@ -312,9 +312,10 @@ impl Classifier for Gbdt {
         self.trees.clear();
         let mut all_idx: Vec<usize> = (0..n).collect();
         let sub_n = ((n as f64) * self.subsample).ceil() as usize;
-        // One scratch arena for the whole boosting run: gathers, slabs,
-        // and partials allocate during the first tree and are reused by
-        // every later one, so steady-state training is allocation-free.
+        // One scratch arena for the whole boosting run: the slab is sized
+        // here and the gathers grow during the first tree, then every
+        // later one reuses them, so steady-state training is
+        // allocation-free.
         let mut scratch = TrainScratch::for_binner(&binner);
 
         for _ in 0..self.n_trees {

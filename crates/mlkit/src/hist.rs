@@ -1,4 +1,4 @@
-//! Cache-blocked histogram training engine for [`crate::tree`].
+//! Histogram training engine for [`crate::tree`].
 //!
 //! The reference split finder re-walks a node's index list once **per
 //! feature** through indirect `grad[i]` / `binned.get(i, j)` accesses.
@@ -7,24 +7,19 @@
 //! 1. **Node scratch gather** (`gather_node`) — the node's gradients,
 //!    hessians, and binned rows are packed into contiguous scratch once
 //!    per node, so every later pass is a linear sweep.
-//! 2. **Single-pass histogram build** (`accumulate_all` /
-//!    `accumulate_subset`) — one sweep over the gathered rows fills
-//!    *all* features' `(g, h, count)` histograms. Per-(feature, bin)
+//! 2. **Single-pass histogram build** (`accumulate_group`) — one sweep
+//!    over the gathered rows fills the `(g, h, count)` histograms of a
+//!    whole group of sampled features. A serial build is one group
+//!    holding every sampled feature; a parallel build splits the
+//!    features into groups of `FEATS_PER_GROUP` and fills each group's
+//!    disjoint slab window on its own worker. Per-(feature, bin)
 //!    accumulators are independent and see rows in index order, so the
 //!    per-bin sums are **bit-identical** to the reference per-feature
-//!    build.
-//! 3. **Sibling subtraction** (`derive_sibling`, [`TrainMode::Fast`]
-//!    only) — only the smaller child's histograms are built from rows;
-//!    the larger child's are derived as `parent − small`.
-//! 4. **Row-block parallelism** ([`TrainMode::Fast`] only) — rows are
-//!    cut into fixed [`ROW_BLOCK`]-sized blocks whose partial histograms
-//!    are merged in block order, so results are bit-identical across
-//!    `SBE_THREADS=1/2/8` (the block structure never depends on the
-//!    thread count, only the dispatch does).
-//! 5. **Reusable scratch arena** ([`TrainScratch`]) — slabs, partials,
-//!    and gather buffers are allocated during the first tree (warm-up)
-//!    and reused for every subsequent node and tree, so steady-state
-//!    training is allocation-free.
+//!    build, whatever the grouping.
+//! 3. **Reusable scratch** ([`TrainScratch`]) — one slab, sized by
+//!    [`TrainScratch::sync_layout`], and gather buffers that grow during
+//!    the first tree (warm-up) and are reused for every later node and
+//!    tree, so steady-state training is allocation-free.
 //!
 //! # Exactness contract
 //!
@@ -34,17 +29,8 @@
 //! * [`TrainMode::Exact`] (the default) uses the gather + single-pass
 //!   build but keeps every floating-point accumulation in the same
 //!   order as the reference path, so fitted trees are **bit-identical**
-//!   to `Reference` — the pinned goldens do not move. When parallel,
-//!   features are partitioned into groups; per-(feature, bin) sums are
-//!   untouched by that partition, so the thread policy cannot change a
-//!   single bit either.
-//! * [`TrainMode::Fast`] adds sibling subtraction and row-block
-//!   parallelism. Derived histograms and block-merged sums differ from
-//!   directly-built ones in floating-point rounding, so `Fast` is *not*
-//!   contractually bit-identical to `Exact`; it is locked instead by a
-//!   differential suite (identical chosen splits on randomized
-//!   ensembles, quality parity on the repro datasets) and is itself
-//!   bit-identical across thread counts.
+//!   to `Reference` — the pinned goldens do not move — and the thread
+//!   policy cannot change a single bit either.
 
 use crate::tree::{
     score, BinnedMatrix, BuildCtx, QuantileBinner, SplitCandidate, TreeParams, PAR_SPLIT_MIN_WORK,
@@ -53,15 +39,8 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use serde::{Deserialize, Serialize};
 
-/// Fixed row-block size for [`TrainMode::Fast`] partial histograms.
-///
-/// Blocks are cut by row position, never by thread count, so the
-/// partial-sum merge order — and therefore every output bit — is
-/// independent of `SBE_THREADS`.
-pub const ROW_BLOCK: usize = 2048;
-
-/// Number of features handed to one parallel task when an
-/// [`TrainMode::Exact`] histogram build fans out by feature group.
+/// Number of features handed to one parallel task when a histogram
+/// build fans out by feature group.
 const FEATS_PER_GROUP: usize = 8;
 
 /// Which split-finding engine [`crate::tree::RegressionTree`] uses.
@@ -74,15 +53,12 @@ pub enum TrainMode {
     /// `Reference` (default — goldens are pinned against this).
     #[default]
     Exact,
-    /// `Exact` plus sibling subtraction and row-block parallelism;
-    /// split-identical in practice, not contractually bit-identical.
-    Fast,
 }
 
 /// One histogram slab: `(g, h, count)` for every (feature, bin) pair,
 /// laid out feature-major with per-feature extents given by
 /// [`TrainScratch`]'s offset table.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct HistSlab {
     g: Vec<f64>,
     h: Vec<f64>,
@@ -106,33 +82,21 @@ impl HistSlab {
     }
 }
 
-/// Where a node's histogram lives when [`crate::tree`] recurses.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum NodeHist {
-    /// No prebuilt histogram: build from rows on demand.
-    Unbuilt,
-    /// Histogram already resident in the scratch slab at this slot
-    /// (built directly or derived by sibling subtraction).
-    Ready(usize),
-}
-
-/// Reusable per-training-run scratch arena.
+/// Reusable per-training-run scratch.
 ///
 /// Create one per fitted binner with [`TrainScratch::for_binner`] and
-/// reuse it across every tree of a boosting run: all growth happens
-/// during the first tree (warm-up), after which node gathers, histogram
-/// builds, and scans run entirely in place.
+/// reuse it across every tree of a boosting run: the slab is sized up
+/// front and the gather buffers grow during the first tree (warm-up),
+/// after which node gathers, histogram builds, and scans run entirely
+/// in place.
 #[derive(Debug, Default)]
 pub struct TrainScratch {
     /// Prefix sums of per-feature bin counts; `offsets[n_features]` is
-    /// the slab length. Entry `(j, b)` of a slab lives at
+    /// the slab length. Entry `(j, b)` of the slab lives at
     /// `offsets[j] + b`.
     offsets: Vec<u32>,
-    /// Histogram slabs indexed by slot (`2 * depth + side` in `Fast`
-    /// mode, always slot 0 in `Exact` mode), grown lazily.
-    slabs: Vec<HistSlab>,
-    /// Per-row-block partial histograms for the `Fast` build.
-    partials: Vec<HistSlab>,
+    /// The histogram slab every node is built into and scanned from.
+    slab: HistSlab,
     /// Gathered per-node gradients (`grad[indices[r]]`).
     gather_g: Vec<f32>,
     /// Gathered per-node hessians.
@@ -153,9 +117,10 @@ impl TrainScratch {
         s
     }
 
-    /// Re-syncs the offset table to `binner`, discarding slabs only when
-    /// the layout actually changed. A no-op (and allocation-free) when
-    /// the layout matches, which is every call after the first.
+    /// Re-syncs the offset table and the slab to `binner`, reallocating
+    /// only when the layout actually changed. A no-op (and
+    /// allocation-free) when the layout matches, which is every call
+    /// after the first.
     pub fn sync_layout(&mut self, binner: &QuantileBinner) {
         let n = binner.n_features();
         let matches = self.offsets.len() == n + 1
@@ -173,21 +138,7 @@ impl TrainScratch {
             acc += binner.n_bins_for(j) as u32;
             self.offsets.push(acc);
         }
-        self.slabs.clear();
-        self.partials.clear();
-    }
-
-    /// Slab length implied by the current offset table.
-    fn total_bins(&self) -> usize {
-        self.offsets.last().map_or(0, |&v| v as usize)
-    }
-
-    /// Grows the slab arena so `slot` exists (warm-up only).
-    fn ensure_slab(&mut self, slot: usize) {
-        let total = self.total_bins();
-        while self.slabs.len() <= slot {
-            self.slabs.push(HistSlab::sized(total));
-        }
+        self.slab = HistSlab::sized(acc as usize);
     }
 }
 
@@ -219,57 +170,12 @@ fn gather_node(
     }
 }
 
-/// Single-pass histogram build over *all* features: one sweep over the
-/// gathered rows, scattering into the slab at `offsets[j] + bin`.
-///
-/// Per-(feature, bin) accumulators are disjoint and see rows in gather
-/// (= index) order, so the per-bin sums are bit-identical to the
-/// reference per-feature build over the same rows.
-fn accumulate_all(
-    rows: &[u8],
-    cols: usize,
-    gg: &[f32],
-    gh: &[f32],
-    offsets: &[u32],
-    slab: &mut HistSlab,
-) {
-    for (row, (&g, &h)) in rows.chunks_exact(cols).zip(gg.iter().zip(gh.iter())) {
-        let (g, h) = (g as f64, h as f64);
-        for (&b, &off) in row.iter().zip(offsets.iter()) {
-            let k = off as usize + b as usize;
-            slab.g[k] += g;
-            slab.h[k] += h;
-            slab.c[k] += 1;
-        }
-    }
-}
-
-/// Like [`accumulate_all`] but touching only the sampled features in
-/// `feats` (the `Exact`-mode build under column subsampling).
-fn accumulate_subset(
-    rows: &[u8],
-    cols: usize,
-    gg: &[f32],
-    gh: &[f32],
-    feats: &[usize],
-    offsets: &[u32],
-    slab: &mut HistSlab,
-) {
-    for (row, (&g, &h)) in rows.chunks_exact(cols).zip(gg.iter().zip(gh.iter())) {
-        let (g, h) = (g as f64, h as f64);
-        for &j in feats {
-            let k = offsets[j] as usize + row[j] as usize;
-            slab.g[k] += g;
-            slab.h[k] += h;
-            slab.c[k] += 1;
-        }
-    }
-}
-
-/// Feature-group variant of [`accumulate_subset`] writing into a slab
-/// *sub-slice* starting at slab position `base` — the unit of work for
-/// the `Exact`-mode parallel build. Identical adds in identical row
-/// order as the serial build, just restricted to one group's columns.
+/// The histogram kernel: one sweep over the gathered rows, adding each
+/// row into its bin of every feature in `feats` (ascending), within a
+/// slab window that starts at slab position `base`. The serial build
+/// passes the whole slab (`base` 0); a parallel build passes each
+/// feature group's disjoint window. Either way every (feature, bin)
+/// sees the same adds in the same row order.
 #[allow(clippy::too_many_arguments)]
 fn accumulate_group(
     rows: &[u8],
@@ -291,39 +197,6 @@ fn accumulate_group(
             h_out[k] += h;
             c_out[k] += 1;
         }
-    }
-}
-
-/// Adds per-block partial histograms into `slab` in block order —
-/// parkit-style fixed-order merge, so the result is independent of
-/// which thread filled which partial.
-fn merge_partials(parts: &[HistSlab], slab: &mut HistSlab) {
-    for p in parts {
-        for (dst, &src) in slab.g.iter_mut().zip(p.g.iter()) {
-            *dst += src;
-        }
-        for (dst, &src) in slab.h.iter_mut().zip(p.h.iter()) {
-            *dst += src;
-        }
-        for (dst, &src) in slab.c.iter_mut().zip(p.c.iter()) {
-            *dst += src;
-        }
-    }
-}
-
-/// Sibling subtraction: `out = parent − small`, per (feature, bin).
-/// Counts are exact integers; gradient/hessian sums inherit one
-/// subtraction's rounding, which is why this lives behind
-/// [`TrainMode::Fast`].
-fn derive_sibling(parent: &HistSlab, small: &HistSlab, out: &mut HistSlab) {
-    for ((dst, &p), &s) in out.g.iter_mut().zip(parent.g.iter()).zip(small.g.iter()) {
-        *dst = p - s;
-    }
-    for ((dst, &p), &s) in out.h.iter_mut().zip(parent.h.iter()).zip(small.h.iter()) {
-        *dst = p - s;
-    }
-    for ((dst, &p), &s) in out.c.iter_mut().zip(parent.c.iter()).zip(small.c.iter()) {
-        *dst = p.saturating_sub(s);
     }
 }
 
@@ -388,66 +261,16 @@ fn scan_features(
     best
 }
 
-/// `Fast`-mode build over all features with fixed row blocks.
+/// Builds the node's histograms over the sampled features.
 ///
-/// Nodes at or under [`ROW_BLOCK`] rows accumulate directly; larger
-/// nodes always go through per-block partials merged in block order,
-/// serial and parallel alike, so the summation tree — and every output
-/// bit — is a function of the row count only, never of `SBE_THREADS`.
+/// Nodes below the parallel grain, or with at most `FEATS_PER_GROUP`
+/// sampled features, take one [`accumulate_group`] sweep over the whole
+/// slab; larger nodes under a parallel policy fan out by *feature
+/// group*, which leaves every per-(feature, bin) accumulation order
+/// untouched — both paths are bit-identical to each other and to the
+/// reference build.
 #[allow(clippy::too_many_arguments)]
-fn build_hist_all(
-    threads: parkit::Threads,
-    rows: &[u8],
-    cols: usize,
-    gg: &[f32],
-    gh: &[f32],
-    offsets: &[u32],
-    partials: &mut Vec<HistSlab>,
-    slab: &mut HistSlab,
-) {
-    slab.fill_zero();
-    let n = gg.len();
-    if n <= ROW_BLOCK {
-        accumulate_all(rows, cols, gg, gh, offsets, slab);
-        return;
-    }
-    let n_blocks = n.div_ceil(ROW_BLOCK);
-    let total = slab.g.len();
-    while partials.len() < n_blocks {
-        // Warm-up only: the arena retains its high-water mark across
-        // nodes and trees.
-        partials.push(HistSlab::sized(total));
-    }
-    let fill = |blk: usize, part: &mut HistSlab| {
-        part.fill_zero();
-        let r0 = blk * ROW_BLOCK;
-        let r1 = (r0 + ROW_BLOCK).min(n);
-        accumulate_all(
-            &rows[r0 * cols..r1 * cols],
-            cols,
-            &gg[r0..r1],
-            &gh[r0..r1],
-            offsets,
-            part,
-        );
-    };
-    let threads = threads.for_work(n * cols, PAR_SPLIT_MIN_WORK);
-    parkit::par_apply_chunks(threads, &mut partials[..n_blocks], |offset, chunk| {
-        for (k, part) in chunk.iter_mut().enumerate() {
-            fill(offset + k, part);
-        }
-    });
-    merge_partials(&partials[..n_blocks], slab);
-}
-
-/// `Exact`-mode build over the sampled features.
-///
-/// Serial small nodes take one [`accumulate_subset`] sweep; large nodes
-/// under a parallel policy fan out by *feature group*, which leaves
-/// every per-(feature, bin) accumulation order untouched — both paths
-/// are bit-identical to each other and to the reference build.
-#[allow(clippy::too_many_arguments)]
-fn build_hist_subset(
+fn build_hist(
     threads: parkit::Threads,
     rows: &[u8],
     cols: usize,
@@ -460,7 +283,8 @@ fn build_hist_subset(
     slab.fill_zero();
     let threads = threads.for_work(gg.len() * feats_sorted.len(), PAR_SPLIT_MIN_WORK);
     if threads.is_serial() || feats_sorted.len() <= FEATS_PER_GROUP {
-        accumulate_subset(rows, cols, gg, gh, feats_sorted, offsets, slab);
+        let HistSlab { g, h, c } = slab;
+        accumulate_group(rows, cols, gg, gh, feats_sorted, offsets, 0, g, h, c);
         return;
     }
     struct GroupTask<'a> {
@@ -507,14 +331,13 @@ fn build_hist_subset(
     });
 }
 
-/// Histogram-engine split finder: gathers the node (when its histogram
-/// is not already resident), builds the histograms in one pass, and
-/// scans the sampled features. Returns the candidate, the scanned
-/// cut-point count, and the slab slot holding this node's histogram.
+/// Histogram-engine split finder: gathers the node, builds its
+/// histograms in one pass, and scans the sampled features. Returns the
+/// candidate and the scanned cut-point count, like the reference
+/// `find_best_split`.
 ///
 /// The RNG interaction (shuffle iff `colsample < 1.0`) is identical to
 /// the reference path, so both engines consume the same random stream.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn find_best_split_hist(
     ctx: &BuildCtx<'_>,
     indices: &[usize],
@@ -522,9 +345,7 @@ pub(crate) fn find_best_split_hist(
     h_total: f64,
     rng: &mut StdRng,
     scratch: &mut TrainScratch,
-    hist: NodeHist,
-    depth: usize,
-) -> (Option<SplitCandidate>, u64, usize) {
+) -> (Option<SplitCandidate>, u64) {
     let n_features = ctx.binned.ncols();
     let params = &ctx.params;
     scratch.features.clear();
@@ -541,69 +362,37 @@ pub(crate) fn find_best_split_hist(
         .sum();
     let parent_score = score(g_total, h_total, params.lambda);
 
-    let (slot, need_build) = match hist {
-        NodeHist::Ready(s) => (s, false),
-        NodeHist::Unbuilt => {
-            let s = if params.mode == TrainMode::Fast {
-                2 * depth
-            } else {
-                0
-            };
-            (s, true)
-        }
-    };
-    scratch.ensure_slab(slot);
     let TrainScratch {
         offsets,
-        slabs,
-        partials,
+        slab,
         gather_g,
         gather_h,
         gather_rows,
         features,
         sorted_feats,
     } = scratch;
-    let Some(slab) = slabs.get_mut(slot) else {
-        return (None, scanned, slot);
-    };
-    if need_build {
-        gather_node(
-            ctx.binned,
-            ctx.grad,
-            ctx.hess,
-            indices,
-            gather_g,
-            gather_h,
-            gather_rows,
-        );
-        let cols = ctx.binned.ncols();
-        if params.mode == TrainMode::Fast {
-            build_hist_all(
-                params.threads,
-                gather_rows,
-                cols,
-                gather_g,
-                gather_h,
-                offsets,
-                partials,
-                slab,
-            );
-        } else {
-            sorted_feats.clear();
-            sorted_feats.extend_from_slice(features);
-            sorted_feats.sort_unstable();
-            build_hist_subset(
-                params.threads,
-                gather_rows,
-                cols,
-                gather_g,
-                gather_h,
-                offsets,
-                sorted_feats,
-                slab,
-            );
-        }
-    }
+    gather_node(
+        ctx.binned,
+        ctx.grad,
+        ctx.hess,
+        indices,
+        gather_g,
+        gather_h,
+        gather_rows,
+    );
+    sorted_feats.clear();
+    sorted_feats.extend_from_slice(features);
+    sorted_feats.sort_unstable();
+    build_hist(
+        params.threads,
+        gather_rows,
+        ctx.binned.ncols(),
+        gather_g,
+        gather_h,
+        offsets,
+        sorted_feats,
+        slab,
+    );
     let best = scan_features(
         slab,
         offsets,
@@ -614,92 +403,7 @@ pub(crate) fn find_best_split_hist(
         parent_score,
         params,
     );
-    (best, scanned, slot)
-}
-
-/// `Fast`-mode child preparation: after a split partitions the node,
-/// build only the *smaller* child's histogram from rows and derive the
-/// larger child's by sibling subtraction from the parent's slab.
-///
-/// Slot discipline: the parent occupies `2·depth` or `2·depth + 1`; the
-/// children take `2·(depth + 1)` (small) and `2·(depth + 1) + 1`
-/// (large). A node's subtree only ever writes slots at depths ≥ two
-/// below it, so the right sibling's slab survives the whole left-side
-/// recursion — this is what makes one slab pair per depth sufficient.
-pub(crate) fn prepare_children(
-    ctx: &BuildCtx<'_>,
-    scratch: &mut TrainScratch,
-    parent_slot: usize,
-    depth: usize,
-    left: &[usize],
-    right: &[usize],
-) -> (NodeHist, NodeHist) {
-    let params = &ctx.params;
-    let child_depth = depth + 1;
-    let needs =
-        |n: usize| child_depth < params.max_depth && n >= 2 * params.min_samples_leaf && n >= 2;
-    let need_l = needs(left.len());
-    let need_r = needs(right.len());
-    if !need_l && !need_r {
-        return (NodeHist::Unbuilt, NodeHist::Unbuilt);
-    }
-    let small_is_left = left.len() <= right.len();
-    let small = if small_is_left { left } else { right };
-    let small_slot = 2 * child_depth;
-    let large_slot = small_slot + 1;
-    scratch.ensure_slab(large_slot);
-    let TrainScratch {
-        offsets,
-        slabs,
-        partials,
-        gather_g,
-        gather_h,
-        gather_rows,
-        ..
-    } = scratch;
-    let (head, tail) = slabs.split_at_mut(small_slot);
-    let (Some(parent), Some((small_slab, tail2))) = (head.get(parent_slot), tail.split_first_mut())
-    else {
-        return (NodeHist::Unbuilt, NodeHist::Unbuilt);
-    };
-    let Some((large_slab, _)) = tail2.split_first_mut() else {
-        return (NodeHist::Unbuilt, NodeHist::Unbuilt);
-    };
-    let cols = ctx.binned.ncols();
-    gather_node(
-        ctx.binned,
-        ctx.grad,
-        ctx.hess,
-        small,
-        gather_g,
-        gather_h,
-        gather_rows,
-    );
-    build_hist_all(
-        params.threads,
-        gather_rows,
-        cols,
-        gather_g,
-        gather_h,
-        offsets,
-        partials,
-        small_slab,
-    );
-    let need_large = if small_is_left { need_r } else { need_l };
-    if need_large {
-        derive_sibling(parent, small_slab, large_slab);
-    }
-    let small_hist = NodeHist::Ready(small_slot);
-    let large_hist = if need_large {
-        NodeHist::Ready(large_slot)
-    } else {
-        NodeHist::Unbuilt
-    };
-    if small_is_left {
-        (small_hist, large_hist)
-    } else {
-        (large_hist, small_hist)
-    }
+    (best, scanned)
 }
 
 #[cfg(test)]
@@ -731,6 +435,47 @@ mod tests {
         idx.shuffle(&mut rng);
         idx.truncate(n_rows * 3 / 4);
         (binned, binner, grad, hess, idx)
+    }
+
+    /// Gathers `idx` into `scratch` and builds its histograms over
+    /// `feats` (ascending) under `threads`; returns the slab.
+    fn build_node(
+        scratch: &mut TrainScratch,
+        binned: &BinnedMatrix,
+        grad: &[f32],
+        hess: &[f32],
+        idx: &[usize],
+        feats: &[usize],
+        threads: parkit::Threads,
+    ) -> HistSlab {
+        gather_node(
+            binned,
+            grad,
+            hess,
+            idx,
+            &mut scratch.gather_g,
+            &mut scratch.gather_h,
+            &mut scratch.gather_rows,
+        );
+        build_hist(
+            threads,
+            &scratch.gather_rows,
+            binned.ncols(),
+            &scratch.gather_g,
+            &scratch.gather_h,
+            &scratch.offsets,
+            feats,
+            &mut scratch.slab,
+        );
+        let total = scratch.slab.g.len();
+        std::mem::replace(&mut scratch.slab, HistSlab::sized(total))
+    }
+
+    fn slab_bits(slab: &HistSlab) -> Vec<u64> {
+        let mut bits: Vec<u64> = slab.g.iter().map(|v| v.to_bits()).collect();
+        bits.extend(slab.h.iter().map(|v| v.to_bits()));
+        bits.extend(slab.c.iter().map(|&v| v as u64));
+        bits
     }
 
     /// Reference per-feature histogram, lifted straight from the old
@@ -768,17 +513,21 @@ mod tests {
                 &mut scratch.gather_h,
                 &mut scratch.gather_rows,
             );
-            scratch.ensure_slab(0);
-            let total = scratch.total_bins();
-            let mut slab = HistSlab::sized(total);
-            accumulate_all(
+            let all: Vec<usize> = (0..binned.ncols()).collect();
+            let HistSlab { g, h, c } = &mut scratch.slab;
+            accumulate_group(
                 &scratch.gather_rows,
                 binned.ncols(),
                 &scratch.gather_g,
                 &scratch.gather_h,
+                &all,
                 &scratch.offsets,
-                &mut slab,
+                0,
+                g,
+                h,
+                c,
             );
+            let slab = &scratch.slab;
             for j in 0..binned.ncols() {
                 let (hg, hh, hc) = reference_feature_hist(&binned, &grad, &hess, &idx, j);
                 let lo = scratch.offsets[j] as usize;
@@ -808,133 +557,60 @@ mod tests {
     fn subset_build_matches_full_build_on_sampled_features() {
         let (binned, binner, grad, hess, idx) = random_node(3, 400, 8, 12);
         let mut scratch = TrainScratch::for_binner(&binner);
-        gather_node(
-            &binned,
-            &grad,
-            &hess,
-            &idx,
-            &mut scratch.gather_g,
-            &mut scratch.gather_h,
-            &mut scratch.gather_rows,
-        );
-        let total = scratch.total_bins();
-        let mut full = HistSlab::sized(total);
-        accumulate_all(
-            &scratch.gather_rows,
-            binned.ncols(),
-            &scratch.gather_g,
-            &scratch.gather_h,
-            &scratch.offsets,
-            &mut full,
-        );
+        let all: Vec<usize> = (0..binned.ncols()).collect();
+        let serial = parkit::Threads::Serial;
+        let full = build_node(&mut scratch, &binned, &grad, &hess, &idx, &all, serial);
         let feats = vec![1usize, 4, 6];
-        let mut sub = HistSlab::sized(total);
-        accumulate_subset(
-            &scratch.gather_rows,
-            binned.ncols(),
-            &scratch.gather_g,
-            &scratch.gather_h,
-            &feats,
-            &scratch.offsets,
-            &mut sub,
-        );
-        for &j in &feats {
+        let sub = build_node(&mut scratch, &binned, &grad, &hess, &idx, &feats, serial);
+        for j in 0..binned.ncols() {
             let lo = scratch.offsets[j] as usize;
             let hi = scratch.offsets[j + 1] as usize;
-            assert_eq!(
-                sub.g[lo..hi]
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>(),
-                full.g[lo..hi]
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>()
-            );
-            assert_eq!(&sub.c[lo..hi], &full.c[lo..hi]);
+            if feats.contains(&j) {
+                assert_eq!(
+                    sub.g[lo..hi]
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .collect::<Vec<_>>(),
+                    full.g[lo..hi]
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .collect::<Vec<_>>()
+                );
+                assert_eq!(&sub.c[lo..hi], &full.c[lo..hi]);
+            } else {
+                // An unsampled feature's bins stay zeroed.
+                assert!(sub.c[lo..hi].iter().all(|&c| c == 0), "feature {j}");
+            }
         }
     }
 
     #[test]
-    fn blocked_build_is_thread_invariant() {
-        // > ROW_BLOCK rows so the partial-merge path engages; the block
-        // structure (and thus every bit) must not depend on the policy.
-        let (binned, binner, grad, hess, _) = random_node(11, 3 * ROW_BLOCK + 37, 6, 16);
-        let idx: Vec<usize> = (0..binned.nrows()).collect();
+    fn feature_group_build_is_thread_invariant() {
+        // More than one grain of work and more than one feature group,
+        // so the parallel policies really fan out by feature group.
+        let n_feats = 3 * FEATS_PER_GROUP + 5;
+        let n_rows = PAR_SPLIT_MIN_WORK / n_feats * 3;
+        let (binned, binner, grad, hess, idx) = random_node(11, n_rows, n_feats, 16);
         let mut scratch = TrainScratch::for_binner(&binner);
-        gather_node(
-            &binned,
-            &grad,
-            &hess,
-            &idx,
-            &mut scratch.gather_g,
-            &mut scratch.gather_h,
-            &mut scratch.gather_rows,
-        );
-        let total = scratch.total_bins();
-        let mut out: Vec<Vec<u64>> = Vec::new();
-        for threads in [
-            parkit::Threads::Serial,
-            parkit::Threads::Fixed(2),
-            parkit::Threads::Fixed(8),
-        ] {
-            let mut slab = HistSlab::sized(total);
-            let mut partials = Vec::new();
-            build_hist_all(
-                threads,
-                &scratch.gather_rows,
-                binned.ncols(),
-                &scratch.gather_g,
-                &scratch.gather_h,
-                &scratch.offsets,
-                &mut partials,
-                &mut slab,
-            );
-            let mut bits: Vec<u64> = slab.g.iter().map(|v| v.to_bits()).collect();
-            bits.extend(slab.h.iter().map(|v| v.to_bits()));
-            bits.extend(slab.c.iter().map(|&v| v as u64));
-            out.push(bits);
-        }
-        assert_eq!(out[0], out[1]);
-        assert_eq!(out[0], out[2]);
-    }
-
-    #[test]
-    fn derive_sibling_counts_are_exact() {
-        let (binned, binner, grad, hess, idx) = random_node(19, 600, 5, 10);
-        let mut scratch = TrainScratch::for_binner(&binner);
-        let total = scratch.total_bins();
-        let (left, right) = idx.split_at(idx.len() / 3);
-        let build = |rows: &[usize], scratch: &mut TrainScratch| {
-            gather_node(
-                &binned,
-                &grad,
-                &hess,
-                rows,
-                &mut scratch.gather_g,
-                &mut scratch.gather_h,
-                &mut scratch.gather_rows,
-            );
-            let mut slab = HistSlab::sized(total);
-            accumulate_all(
-                &scratch.gather_rows,
-                binned.ncols(),
-                &scratch.gather_g,
-                &scratch.gather_h,
-                &scratch.offsets,
-                &mut slab,
-            );
-            slab
-        };
-        let parent = build(&idx, &mut scratch);
-        let small = build(left, &mut scratch);
-        let direct_large = build(right, &mut scratch);
-        let mut derived = HistSlab::sized(total);
-        derive_sibling(&parent, &small, &mut derived);
-        // Counts are exact; g/h agree to f64 rounding of one subtraction.
-        assert_eq!(derived.c, direct_large.c);
-        for (d, e) in derived.g.iter().zip(direct_large.g.iter()) {
-            assert!((d - e).abs() <= 1e-9 * (1.0 + e.abs()), "{d} vs {e}");
+        let all: Vec<usize> = (0..n_feats).collect();
+        // A column-subsampled list with gaps, so group windows skip bins.
+        let sampled: Vec<usize> = (0..n_feats).filter(|j| j % 3 != 1).collect();
+        assert!(sampled.len() > FEATS_PER_GROUP);
+        assert!(idx.len() * sampled.len() > PAR_SPLIT_MIN_WORK);
+        for feats in [&all, &sampled] {
+            let out: Vec<Vec<u64>> = [
+                parkit::Threads::Serial,
+                parkit::Threads::Fixed(2),
+                parkit::Threads::Fixed(8),
+            ]
+            .into_iter()
+            .map(|threads| {
+                let slab = build_node(&mut scratch, &binned, &grad, &hess, &idx, feats, threads);
+                slab_bits(&slab)
+            })
+            .collect();
+            assert_eq!(out[0], out[1]);
+            assert_eq!(out[0], out[2]);
         }
     }
 
@@ -942,13 +618,17 @@ mod tests {
     fn scratch_layout_sync_is_stable() {
         let (_, binner, _, _, _) = random_node(23, 50, 4, 8);
         let mut scratch = TrainScratch::for_binner(&binner);
-        scratch.ensure_slab(3);
-        let slabs_before = scratch.slabs.len();
+        let total = |b: &QuantileBinner| (0..b.n_features()).map(|j| b.n_bins_for(j)).sum();
+        assert_eq!(scratch.slab.g.len(), total(&binner));
+        let before = scratch.slab.g.as_ptr();
         scratch.sync_layout(&binner); // matching layout: a no-op
-        assert_eq!(scratch.slabs.len(), slabs_before);
+        assert_eq!(scratch.slab.g.as_ptr(), before);
         let (_, other, _, _, _) = random_node(29, 50, 6, 8);
-        scratch.sync_layout(&other); // layout changed: slabs discarded
-        assert!(scratch.slabs.is_empty());
+        scratch.sync_layout(&other); // layout changed: slab resized
         assert_eq!(scratch.offsets.len(), 7);
+        let want: usize = total(&other);
+        assert_eq!(scratch.slab.g.len(), want);
+        assert_eq!(scratch.slab.h.len(), want);
+        assert_eq!(scratch.slab.c.len(), want);
     }
 }

@@ -214,8 +214,10 @@ pub struct TreeParams {
     #[serde(skip)]
     pub threads: parkit::Threads,
     /// Split-finding engine (see [`crate::hist::TrainMode`]). Training
-    /// detail only — `Exact` (the default) is bit-identical to
-    /// `Reference` — so it is not serialized with fitted models.
+    /// detail only — both engines grow bit-identical trees, `Exact` (the
+    /// default) through the histogram engine and `Reference` through the
+    /// per-feature scan it replaced — so it is not serialized with
+    /// fitted models.
     #[serde(skip)]
     pub mode: crate::hist::TrainMode,
 }
@@ -304,21 +306,12 @@ impl RegressionTree {
         };
         let mut idx = indices.to_vec();
         let mut candidates = 0u64;
-        tree.build(
-            &ctx,
-            &mut idx,
-            0,
-            rng,
-            &mut candidates,
-            scratch,
-            crate::hist::NodeHist::Unbuilt,
-        );
+        tree.build(&ctx, &mut idx, 0, rng, &mut candidates, scratch);
         rec.incr("mlkit.tree.split_candidates", candidates);
         Ok(tree)
     }
 
     /// Recursively grows the subtree over `indices`; returns the node id.
-    #[allow(clippy::too_many_arguments)]
     fn build(
         &mut self,
         ctx: &BuildCtx<'_>,
@@ -327,9 +320,8 @@ impl RegressionTree {
         rng: &mut StdRng,
         candidates: &mut u64,
         scratch: &mut crate::hist::TrainScratch,
-        hist: crate::hist::NodeHist,
     ) -> usize {
-        use crate::hist::{NodeHist, TrainMode};
+        use crate::hist::TrainMode;
         let (g_sum, h_sum) = sums(ctx.grad, ctx.hess, indices);
         let leaf_value = (-g_sum / (h_sum + ctx.params.lambda)) as f32;
 
@@ -337,11 +329,11 @@ impl RegressionTree {
             return self.push(Node::Leaf { value: leaf_value });
         }
 
-        let (found, scanned, slot) = if ctx.params.mode == TrainMode::Reference {
-            let (f, s) = find_best_split(ctx, indices, g_sum, h_sum, rng);
-            (f, s, 0)
-        } else {
-            crate::hist::find_best_split_hist(ctx, indices, g_sum, h_sum, rng, scratch, hist, depth)
+        let (found, scanned) = match ctx.params.mode {
+            TrainMode::Reference => find_best_split(ctx, indices, g_sum, h_sum, rng),
+            TrainMode::Exact => {
+                crate::hist::find_best_split_hist(ctx, indices, g_sum, h_sum, rng, scratch)
+            }
         };
         *candidates += scanned;
         let Some(best) = found else {
@@ -355,14 +347,6 @@ impl RegressionTree {
         if mid == 0 || mid == indices.len() {
             return self.push(Node::Leaf { value: leaf_value });
         }
-        // Fast mode: build the smaller child's histogram now (while the
-        // parent's slab is still resident for sibling subtraction).
-        let (left_hist, right_hist) = if ctx.params.mode == TrainMode::Fast {
-            let (l, r) = indices.split_at(mid);
-            crate::hist::prepare_children(ctx, scratch, slot, depth, l, r)
-        } else {
-            (NodeHist::Unbuilt, NodeHist::Unbuilt)
-        };
         let threshold = ctx.binner.threshold(best.feature, best.bin as usize - 1);
         let node_id = self.push(Node::Split {
             feature: best.feature,
@@ -372,24 +356,8 @@ impl RegressionTree {
             right: usize::MAX,
         });
         let (left_idx, right_idx) = indices.split_at_mut(mid);
-        let left = self.build(
-            ctx,
-            left_idx,
-            depth + 1,
-            rng,
-            candidates,
-            scratch,
-            left_hist,
-        );
-        let right = self.build(
-            ctx,
-            right_idx,
-            depth + 1,
-            rng,
-            candidates,
-            scratch,
-            right_hist,
-        );
+        let left = self.build(ctx, left_idx, depth + 1, rng, candidates, scratch);
+        let right = self.build(ctx, right_idx, depth + 1, rng, candidates, scratch);
         if let Node::Split {
             left: l, right: r, ..
         } = &mut self.nodes[node_id]

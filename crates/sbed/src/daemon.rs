@@ -70,10 +70,10 @@ use streamd::artifact::PipelineArtifact;
 use streamd::serve::ServeConfig;
 use titan_sim::topology::Topology;
 
-/// How long blocked threads sleep between shutdown-flag checks. Pure
+/// How long blocked threads sleep between stop-flag checks. Pure
 /// liveness tuning: no scored value depends on it.
 const POLL: Duration = Duration::from_millis(5);
-/// Socket read timeout so readers notice shutdown.
+/// Socket read timeout so readers notice the stop flag.
 const READ_TIMEOUT: Duration = Duration::from_millis(100);
 /// Engine request-queue bound: frames queued across all connections
 /// awaiting the sequencer, and the most messages one engine burst takes.
@@ -246,8 +246,10 @@ fn io_err(context: &str, source: std::io::Error) -> SbedError {
 /// the report with [`Daemon::join`].
 pub struct Daemon {
     addr: SocketAddr,
-    draining: Arc<AtomicBool>,
-    shutdown: Arc<AtomicBool>,
+    /// Set once the daemon stops: by [`Daemon::drain`] or when the
+    /// engine thread exits. Readers refuse frames and stop, the accept
+    /// thread stops, and the engine finishes what it holds.
+    stopping: Arc<AtomicBool>,
     engine_tx: Option<SyncSender<ToEngine>>,
     engine: Option<JoinHandle<EngineOutcome>>,
     accept: Option<JoinHandle<()>>,
@@ -281,8 +283,7 @@ impl Daemon {
             .set_nonblocking(true)
             .map_err(|e| io_err("setting listener non-blocking", e))?;
 
-        let draining = Arc::new(AtomicBool::new(false));
-        let shutdown = Arc::new(AtomicBool::new(false));
+        let stopping = Arc::new(AtomicBool::new(false));
         let n_connections = Arc::new(AtomicU64::new(0));
         let transport_errors = Arc::new(AtomicU64::new(0));
         let n_overloads = Arc::new(AtomicU64::new(0));
@@ -293,17 +294,15 @@ impl Daemon {
         let engine = {
             let artifact = Arc::clone(&artifact);
             let cfg = cfg.clone();
-            let draining = Arc::clone(&draining);
-            let shutdown = Arc::clone(&shutdown);
+            let stopping = Arc::clone(&stopping);
             let n_overloads = Arc::clone(&n_overloads);
             std::thread::Builder::new()
                 .name("sbed-engine".into())
                 .spawn(move || {
                     let outcome =
-                        run_engine(artifact.as_ref(), &cfg, engine_rx, &draining, &n_overloads);
+                        run_engine(artifact.as_ref(), &cfg, engine_rx, &stopping, &n_overloads);
                     // Whatever ended the engine ends the daemon.
-                    draining.store(true, Ordering::SeqCst);
-                    shutdown.store(true, Ordering::SeqCst);
+                    stopping.store(true, Ordering::SeqCst);
                     outcome
                 })
                 .map_err(|e| io_err("spawning engine thread", e))?
@@ -311,8 +310,7 @@ impl Daemon {
 
         let accept = {
             let engine_tx = engine_tx.clone();
-            let draining = Arc::clone(&draining);
-            let shutdown = Arc::clone(&shutdown);
+            let stopping = Arc::clone(&stopping);
             let n_connections = Arc::clone(&n_connections);
             let transport_errors = Arc::clone(&transport_errors);
             let n_overloads = Arc::clone(&n_overloads);
@@ -324,8 +322,7 @@ impl Daemon {
                     run_accept(
                         listener,
                         engine_tx,
-                        draining,
-                        shutdown,
+                        stopping,
                         n_connections,
                         transport_errors,
                         n_overloads,
@@ -338,8 +335,7 @@ impl Daemon {
 
         Ok(Daemon {
             addr,
-            draining,
-            shutdown,
+            stopping,
             engine_tx: Some(engine_tx),
             engine: Some(engine),
             accept: Some(accept),
@@ -370,7 +366,7 @@ impl Daemon {
     /// [`SbedError::Draining`] if the engine is no longer accepting
     /// work.
     pub fn swap_at(&self, at_seq: u64, envelope: Vec<u8>) -> Result<()> {
-        if self.draining.load(Ordering::SeqCst) {
+        if self.stopping.load(Ordering::SeqCst) {
             return Err(SbedError::Draining);
         }
         match &self.engine_tx {
@@ -388,8 +384,7 @@ impl Daemon {
     /// admitted; everything already queued is scored and answered.
     /// Idempotent. Follow with [`Daemon::join`].
     pub fn drain(&self) {
-        self.draining.store(true, Ordering::SeqCst);
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.stopping.store(true, Ordering::SeqCst);
         if let Some(tx) = &self.engine_tx {
             // Best-effort wake-up; the engine also polls the flag.
             tx.try_send(ToEngine::Drain).ok();
@@ -448,8 +443,7 @@ impl Daemon {
 fn run_accept(
     listener: TcpListener,
     engine_tx: SyncSender<ToEngine>,
-    draining: Arc<AtomicBool>,
-    shutdown: Arc<AtomicBool>,
+    stopping: Arc<AtomicBool>,
     n_connections: Arc<AtomicU64>,
     transport_errors: Arc<AtomicU64>,
     n_overloads: Arc<AtomicU64>,
@@ -457,7 +451,7 @@ fn run_accept(
     conn_window: usize,
 ) {
     loop {
-        if shutdown.load(Ordering::SeqCst) {
+        if stopping.load(Ordering::SeqCst) {
             break;
         }
         match listener.accept() {
@@ -475,8 +469,7 @@ fn run_accept(
                     inflight: AtomicUsize::new(0),
                 });
                 let engine_tx = engine_tx.clone();
-                let draining = Arc::clone(&draining);
-                let shutdown = Arc::clone(&shutdown);
+                let stopping = Arc::clone(&stopping);
                 let transport_errors = Arc::clone(&transport_errors);
                 let n_overloads = Arc::clone(&n_overloads);
                 let spawned =
@@ -487,8 +480,7 @@ fn run_accept(
                                 stream,
                                 &conn,
                                 engine_tx,
-                                draining,
-                                shutdown,
+                                stopping,
                                 transport_errors,
                                 n_overloads,
                                 conn_window,
@@ -507,12 +499,12 @@ fn run_accept(
 }
 
 /// Reads `buf.len()` bytes, tolerating read timeouts (checking the
-/// shutdown flag at each) and interrupts. `Ok(false)` means the peer
-/// closed (or shutdown fired) before the first byte.
+/// stop flag at each) and interrupts. `Ok(false)` means the peer
+/// closed (or the daemon stopped) before the first byte.
 fn read_full(
     stream: &mut impl Read,
     buf: &mut [u8],
-    shutdown: &AtomicBool,
+    stopping: &AtomicBool,
 ) -> std::io::Result<bool> {
     let mut got = 0usize;
     while got < buf.len() {
@@ -530,7 +522,7 @@ fn read_full(
             }
             Ok(n) => got += n,
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                if shutdown.load(Ordering::SeqCst) {
+                if stopping.load(Ordering::SeqCst) {
                     return Ok(false);
                 }
             }
@@ -541,13 +533,11 @@ fn read_full(
     Ok(true)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_reader(
     stream: TcpStream,
     conn: &Arc<Conn>,
     engine_tx: SyncSender<ToEngine>,
-    draining: Arc<AtomicBool>,
-    shutdown: Arc<AtomicBool>,
+    stopping: Arc<AtomicBool>,
     transport_errors: Arc<AtomicU64>,
     n_overloads: Arc<AtomicU64>,
     conn_window: usize,
@@ -558,11 +548,11 @@ fn run_reader(
     };
 
     loop {
-        if shutdown.load(Ordering::SeqCst) {
+        if stopping.load(Ordering::SeqCst) {
             break;
         }
         let mut hdr = [0u8; wire::HEADER_LEN];
-        match read_full(&mut stream, &mut hdr, &shutdown) {
+        match read_full(&mut stream, &mut hdr, &stopping) {
             Ok(true) => {}
             Ok(false) => break,
             Err(_) => break,
@@ -580,7 +570,7 @@ fn run_reader(
                     // skip the payload and keep the connection.
                     SbedError::Version { .. } if raw.len <= wire::MAX_PAYLOAD => {
                         let mut sink = vec![0u8; raw.len as usize];
-                        match read_full(&mut stream, &mut sink, &shutdown) {
+                        match read_full(&mut stream, &mut sink, &stopping) {
                             Ok(true) => continue,
                             _ => break,
                         }
@@ -594,7 +584,7 @@ fn run_reader(
             }
         };
         let mut payload = vec![0u8; header.len as usize];
-        match read_full(&mut stream, &mut payload, &shutdown) {
+        match read_full(&mut stream, &mut payload, &stopping) {
             Ok(true) => {}
             _ => break,
         }
@@ -614,7 +604,8 @@ fn run_reader(
             refuse(header.request_id, wire::ERR_MALFORMED, &e.to_string());
             continue;
         }
-        if draining.load(Ordering::SeqCst) {
+        // The daemon may have stopped while this frame was being read.
+        if stopping.load(Ordering::SeqCst) {
             refuse(
                 header.request_id,
                 wire::ERR_DRAINING,
@@ -856,7 +847,7 @@ fn run_engine(
     artifact: &PipelineArtifact,
     cfg: &DaemonConfig,
     rx: mpsc::Receiver<ToEngine>,
-    draining: &AtomicBool,
+    stopping: &AtomicBool,
     n_overloads: &AtomicU64,
 ) -> EngineOutcome {
     let failed = |e: SbedError| EngineOutcome {
@@ -901,7 +892,7 @@ fn run_engine(
         let mut next = match rx.recv_timeout(POLL) {
             Ok(msg) => Some(msg),
             Err(RecvTimeoutError::Timeout) => {
-                if draining.load(Ordering::SeqCst) {
+                if stopping.load(Ordering::SeqCst) {
                     break;
                 }
                 continue;

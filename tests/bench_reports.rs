@@ -13,9 +13,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
 /// Every gated metric: (bench, metric, direction, limit).
-const LIMITS: [(&str, &str, Better, f64); 7] = [
+const LIMITS: [(&str, &str, Better, f64); 6] = [
     ("fastpath", "batch_speedup", Better::higher, 3.0),
-    ("train", "fast_speedup", Better::higher, 2.0),
     ("train", "exact_speedup", Better::higher, 1.0),
     ("sbed", "rps", Better::higher, 500.0),
     ("sbed", "p99_over_p50", Better::higher, 1.0),

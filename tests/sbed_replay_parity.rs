@@ -18,12 +18,18 @@
 //! daemon's window of frames awaiting their first reply is never
 //! refused, with or without launches whose SCORES come later, and its
 //! response checksum is an in-process session's.
+//!
+//! A proptest pins the session's own validation in process: invalid
+//! frames inserted into a synthetic stream each get one typed error,
+//! decided by a small reference validator, and leave every other reply
+//! byte-identical.
 
 use gpu_error_prediction::{mlkit, obskit, sbed, sbepred, streamd, titan_sim};
 use mlkit::dataset::Dataset;
 use mlkit::gbdt::Gbdt;
 use mlkit::model::Classifier;
 use mlkit::scaler::StandardScaler;
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sbed::client::{run_fleet, Connection, FleetConfig, FleetOutcome, ResponseBody};
@@ -36,8 +42,8 @@ use sbepred::datasets::DsSplit;
 use sbepred::features::{FeatureExtractor, FeatureSpec};
 use sbepred::samples::build_samples;
 use sbepred::twostage::prepare_with_extractor;
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::Arc;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 use streamd::artifact::{PipelineArtifact, PipelineModel};
 use streamd::serve::{serve, NullSink, ServeConfig};
@@ -462,4 +468,273 @@ fn keep_the_window_full(topology: Topology, synth: &SynthConfig, artifact: &Pipe
         session.response_fnv(),
         "daemon response stream differs from the in-process session"
     );
+}
+
+/// The ways an inserted event frame breaks the session's stream
+/// discipline.
+#[derive(Debug, Clone, Copy)]
+enum Breach {
+    /// A tick at or before the current one.
+    StaleTick,
+    /// A launch whose minute is not the current tick.
+    OffTickLaunch,
+    /// An SBE delta whose minute is not the current tick.
+    OffTickSbe,
+    /// A launch reusing an admitted aprun.
+    DuplicateAprun,
+    /// A launch that lists one node twice.
+    RepeatedNode,
+    /// A launch with a node outside the topology.
+    LaunchOutsideTopology,
+    /// An SBE delta on a node outside the topology.
+    SbeOutsideTopology,
+    /// A payload `WireEvent::decode` cannot read.
+    Undecodable,
+}
+
+const BREACHES: [Breach; 8] = [
+    Breach::StaleTick,
+    Breach::OffTickLaunch,
+    Breach::OffTickSbe,
+    Breach::DuplicateAprun,
+    Breach::RepeatedNode,
+    Breach::LaunchOutsideTopology,
+    Breach::SbeOutsideTopology,
+    Breach::Undecodable,
+];
+
+/// One event frame of a test stream.
+#[derive(Debug, Clone)]
+enum TestFrame {
+    Event(WireEvent),
+    Garbage(Vec<u8>),
+}
+
+impl TestFrame {
+    fn payload(&self) -> Vec<u8> {
+        match self {
+            TestFrame::Event(ev) => ev.encode(),
+            TestFrame::Garbage(bytes) => bytes.clone(),
+        }
+    }
+}
+
+/// The session's stream discipline restated from its rules, as the
+/// reference the session is checked against.
+struct Discipline {
+    n_nodes: u32,
+    current: Option<u64>,
+    apruns: BTreeSet<u32>,
+}
+
+impl Discipline {
+    /// The error code the session must answer `frame` with, or `None`
+    /// when it admits the frame (which then advances the state).
+    fn judge(&mut self, frame: &TestFrame) -> Option<u16> {
+        let ev = match frame {
+            TestFrame::Garbage(_) => return Some(wire::ERR_MALFORMED),
+            TestFrame::Event(ev) => ev,
+        };
+        let on_tick = |minute: u64| self.current == Some(minute);
+        let admitted = match ev {
+            WireEvent::Tick { minute } => self.current.is_none_or(|cur| *minute > cur),
+            WireEvent::Launch {
+                minute,
+                aprun,
+                nodes,
+                ..
+            } => {
+                let distinct: BTreeSet<u32> = nodes.iter().copied().collect();
+                on_tick(*minute)
+                    && !self.apruns.contains(aprun)
+                    && distinct.len() == nodes.len()
+                    && nodes.iter().all(|&n| n < self.n_nodes)
+            }
+            WireEvent::Sbe { minute, node, .. } => on_tick(*minute) && *node < self.n_nodes,
+        };
+        if !admitted {
+            return Some(wire::ERR_REJECTED);
+        }
+        match ev {
+            WireEvent::Tick { minute } => self.current = Some(*minute),
+            WireEvent::Launch { aprun, .. } => {
+                self.apruns.insert(*aprun);
+            }
+            WireEvent::Sbe { .. } => {}
+        }
+        None
+    }
+}
+
+/// Builds a frame that commits `breach` against `state`, the
+/// discipline after every valid frame before it; `k` numbers the
+/// insertion (fresh apruns) and `p` varies the details.
+fn breaching_frame(breach: Breach, state: &Discipline, k: u32, p: u32) -> TestFrame {
+    let cur = state.current.expect("insertions follow the first tick");
+    let n = state.n_nodes;
+    let fresh_aprun = 1_000_000 + k;
+    let off_tick = if p.is_multiple_of(2) || cur == 0 {
+        cur + 1 + u64::from(p / 2 % 5)
+    } else {
+        u64::from(p / 2) % cur
+    };
+    let launch = |minute: u64, aprun: u32, nodes: Vec<u32>| WireEvent::Launch {
+        minute,
+        aprun,
+        app: p % 7,
+        runtime_min: 30,
+        core_util: 0.5,
+        mem_util: 0.25,
+        nodes,
+    };
+    let sbe = |minute: u64, node: u32| WireEvent::Sbe {
+        minute,
+        node,
+        app: p % 7,
+        count: 1,
+    };
+    let nodes: Vec<u32> = (0..1 + p % 4).map(|i| (p + i) % n).collect();
+    let ev = match breach {
+        Breach::StaleTick => WireEvent::Tick {
+            minute: cur - u64::from(p) % (cur + 1),
+        },
+        Breach::OffTickLaunch => launch(off_tick, fresh_aprun, nodes),
+        Breach::OffTickSbe => sbe(off_tick, p % n),
+        Breach::DuplicateAprun => {
+            let seen: Vec<u32> = state.apruns.iter().copied().collect();
+            launch(cur, seen[p as usize % seen.len()], nodes)
+        }
+        Breach::RepeatedNode => {
+            let mut nodes = nodes;
+            nodes.push(nodes[p as usize % nodes.len()]);
+            launch(cur, fresh_aprun, nodes)
+        }
+        Breach::LaunchOutsideTopology => {
+            let mut nodes = nodes;
+            let at = p as usize % (nodes.len() + 1);
+            nodes.insert(at, n + p % 100);
+            launch(cur, fresh_aprun, nodes)
+        }
+        Breach::SbeOutsideTopology => sbe(cur, n + p % 100),
+        Breach::Undecodable => {
+            let mut bytes = launch(cur, fresh_aprun, nodes).encode();
+            match p % 3 {
+                0 => bytes.truncate(p as usize / 3 % bytes.len()),
+                1 => bytes[0] = 3 + (p / 3 % 200) as u8,
+                _ => bytes.push(0),
+            }
+            return TestFrame::Garbage(bytes);
+        }
+    };
+    TestFrame::Event(ev)
+}
+
+/// The artifact every session proptest case serves.
+fn tiny_session_artifact() -> &'static PipelineArtifact {
+    static ARTIFACT: OnceLock<PipelineArtifact> = OnceLock::new();
+    ARTIFACT.get_or_init(|| {
+        let n_nodes = Topology::tiny().expect("tiny topology").n_nodes();
+        synthetic_artifact(n_nodes, 2)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Invalid event frames inserted into a valid stream after its first
+    /// tick and first launch each get exactly one reply, an ERROR with
+    /// the code the reference discipline decides; every other reply,
+    /// the REPORT included, is byte for byte what a fresh session fed
+    /// only the valid frames under the same request ids answers.
+    #[test]
+    fn session_refuses_each_invalid_frame_and_answers_the_rest_unchanged(
+        seed in 0u64..1_000,
+        inserts in prop::collection::vec((0usize..100_000, 0usize..8, 0u32..1_000), 1..12),
+    ) {
+        let topology = Topology::tiny().expect("tiny topology");
+        let synth = SynthConfig {
+            minutes: 12,
+            ..SynthConfig::demo(seed, topology.n_nodes())
+        };
+        let valid = synth_events(&synth);
+        // Insertion points: before valid frame `at`, for `at` in
+        // 2..=len, so the first tick and first launch are admitted.
+        let mut inserts: Vec<(usize, Breach, u32)> = inserts
+            .into_iter()
+            .map(|(pick, b, p)| (2 + pick % (valid.len() - 1), BREACHES[b], p))
+            .collect();
+        inserts.sort_by_key(|&(at, _, _)| at);
+
+        // The mixed stream, judged frame by frame in stream order.
+        let mut model = Discipline {
+            n_nodes: topology.n_nodes(),
+            current: None,
+            apruns: BTreeSet::new(),
+        };
+        let mut frames: Vec<(TestFrame, Option<u16>)> = Vec::new();
+        let mut pending = inserts.iter().peekable();
+        for i in 0..=valid.len() {
+            while let Some(&&(_, breach, p)) = pending.peek().filter(|ins| ins.0 == i) {
+                let frame = breaching_frame(breach, &model, frames.len() as u32, p);
+                let code = model.judge(&frame);
+                prop_assert!(code.is_some(), "{breach:?} frame was admissible: {frame:?}");
+                frames.push((frame, code));
+                pending.next();
+            }
+            if let Some(ev) = valid.get(i) {
+                let frame = TestFrame::Event(ev.clone());
+                let code = model.judge(&frame);
+                prop_assert!(code.is_none(), "synthetic frame {i} judged invalid: {ev:?}");
+                frames.push((frame, code));
+            }
+        }
+        let finish_id = frames.len() as u64;
+
+        let serve_cfg = ServeConfig::window(0, synth.minutes);
+        let artifact = tiny_session_artifact();
+        let mut mixed = ScoreSession::new(artifact, &serve_cfg, topology).expect("session");
+        let mut only_valid = ScoreSession::new(artifact, &serve_cfg, topology).expect("session");
+        let mut mixed_rest = Vec::new();
+        let mut valid_replies = Vec::new();
+        for (id, (frame, code)) in frames.iter().enumerate() {
+            let id = id as u64;
+            let payload = frame.payload();
+            let replies = mixed.handle(wire::KIND_EVENT, id, &payload).expect("handle");
+            match code {
+                Some(code) => {
+                    prop_assert!(replies.len() == 1, "frame {id} ({frame:?}): {replies:?}");
+                    let r = &replies[0];
+                    prop_assert_eq!((r.kind, r.request_id), (wire::KIND_ERROR, id));
+                    let (decoded, _) = wire::decode_frame(&r.bytes).expect("reply frame");
+                    let err = wire::ErrorPayload::decode(&decoded.payload).expect("error payload");
+                    prop_assert!(
+                        err.code == *code,
+                        "frame {id} ({frame:?}): code {} ({}), want {code}",
+                        err.code,
+                        err.message
+                    );
+                }
+                None => {
+                    mixed_rest.extend(replies);
+                    let valid = only_valid.handle(wire::KIND_EVENT, id, &payload);
+                    valid_replies.extend(valid.expect("handle"));
+                }
+            }
+        }
+        for (session, out) in [
+            (&mut mixed, &mut mixed_rest),
+            (&mut only_valid, &mut valid_replies),
+        ] {
+            let replies = session.handle(wire::KIND_FINISH, finish_id, &[]).expect("finish");
+            prop_assert_eq!(replies.last().map(|r| r.kind), Some(wire::KIND_REPORT));
+            out.extend(replies);
+        }
+        prop_assert_eq!(mixed.n_rejected(), inserts.len() as u64);
+        prop_assert_eq!(only_valid.n_rejected(), 0);
+        prop_assert!(
+            valid_replies.iter().any(|r| r.kind == wire::KIND_SCORES),
+            "degenerate stream: nothing scored"
+        );
+        prop_assert_eq!(mixed_rest, valid_replies);
+    }
 }
