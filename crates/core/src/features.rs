@@ -20,7 +20,7 @@
 //! Counts enter as `ln(1 + x)`; scaling is left to the caller (the
 //! TwoStage pipeline standardises with train-set statistics).
 
-use crate::history::{HistoryView, SbeHistory};
+use crate::history::SbeHistory;
 use crate::samples::LabeledSample;
 use crate::{PredError, Result};
 use mlkit::dataset::Dataset;
@@ -360,9 +360,9 @@ pub struct SampleFacts {
 }
 
 /// The integer SBE-history counts behind the Hist feature group, queried
-/// at a sample's start minute. Counts are exact integers, so batch and
-/// incremental indexes agreeing on them implies bit-identical `ln(1+x)`
-/// features.
+/// at a sample's start minute. Counts are exact integers, so a batch-built
+/// and a stream-fed [`SbeHistory`] agreeing on them implies bit-identical
+/// `ln(1+x)` features.
 ///
 /// Fields for scopes the [`FeatureSpec`] disables are left 0 and never
 /// emitted.
@@ -391,10 +391,10 @@ pub struct HistCounts {
 }
 
 impl HistCounts {
-    /// Queries the counts `spec` needs from any [`HistoryView`] at minute
-    /// `start`, for a run of `app` on `node` allocated `alloc_nodes`.
-    pub fn at<H: HistoryView + ?Sized>(
-        history: &H,
+    /// Queries the counts `spec` needs from `history` at minute `start`,
+    /// for a run of `app` on `node` allocated `alloc_nodes`.
+    pub fn at(
+        history: &SbeHistory,
         spec: &FeatureSpec,
         node: NodeId,
         app: AppId,

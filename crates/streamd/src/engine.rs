@@ -3,7 +3,8 @@
 //! Maintains, event by event, exactly the per-(app, node) state the batch
 //! [`sbepred::features::FeatureExtractor`] derives from a whole trace:
 //!
-//! * an [`IncrementalHistory`] of job-boundary SBE snapshot deltas, and
+//! * an [`SbeHistory`] of job-boundary SBE snapshot deltas, ingested one
+//!   at a time, and
 //! * the most recent application to *start* on each node (the
 //!   previous-app feature).
 //!
@@ -18,7 +19,7 @@
 
 use crate::Result;
 use sbepred::features::{FeatureSpec, HistCounts};
-use sbepred::history::IncrementalHistory;
+use sbepred::history::SbeHistory;
 use std::collections::BTreeMap;
 use titan_sim::apps::AppId;
 use titan_sim::topology::NodeId;
@@ -26,7 +27,7 @@ use titan_sim::topology::NodeId;
 /// Streaming per-(app, node) sliding-window state.
 #[derive(Debug, Clone, Default)]
 pub struct StreamFeatureEngine {
-    history: IncrementalHistory,
+    history: SbeHistory,
     /// Per node: `(start_min, app)` of the most recent run to start.
     node_last_app: BTreeMap<u32, (u64, u32)>,
     /// Prev-app updates from the current minute, applied at
@@ -54,7 +55,7 @@ impl StreamFeatureEngine {
     ///
     /// # Errors
     ///
-    /// Propagates [`IncrementalHistory::ingest`] ordering violations.
+    /// Propagates [`SbeHistory::ingest`] ordering violations.
     pub fn observe_sbe(&mut self, minute: u64, node: NodeId, app: AppId, count: u32) -> Result<()> {
         self.history.ingest(minute, node, app, count)?;
         Ok(())

@@ -11,8 +11,9 @@
 //! is [`TraceEvent::Tick`] first, then [`TraceEvent::Launch`]es in aprun
 //! id order, then [`TraceEvent::SbeVisible`] deltas in (job, node) order.
 //! A launch at minute `t` therefore observes strictly less than `t` of
-//! history — the same strict-visibility rule the batch `SbeHistory`
-//! queries implement.
+//! history — the same strict-visibility rule the `SbeHistory` queries
+//! implement, whether that index was built over the whole trace or fed
+//! from this stream.
 
 use crate::apps::AppId;
 use crate::schedule::{ApRunId, JobId};

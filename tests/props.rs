@@ -1,14 +1,15 @@
 //! Property-based tests (proptest) on core invariants across the
 //! workspace: topology coordinate algebra, statistics (and their answer to
-//! NaN-bearing input), metrics, the streaming SBE-history index against a
-//! naive event sum, sampling ratios, and forecasting stability.
+//! NaN-bearing input), metrics, the SBE-history index fed one event at a
+//! time against a naive event sum, sampling ratios, and forecasting
+//! stability.
 
 use gpu_error_prediction::mlkit::dataset::Dataset;
 use gpu_error_prediction::mlkit::metrics::{roc_auc, ConfusionMatrix};
 use gpu_error_prediction::mlkit::sampling::{random_oversample, random_undersample, smote};
 use gpu_error_prediction::mlkit::stats::{mean, percentile, ranks, spearman, std_dev, Ecdf};
 use gpu_error_prediction::mlkit::MlError;
-use gpu_error_prediction::sbepred::history::{HistoryView, IncrementalHistory};
+use gpu_error_prediction::sbepred::history::SbeHistory;
 use gpu_error_prediction::titan_sim::apps::AppId;
 use gpu_error_prediction::titan_sim::telemetry::window_stats;
 use gpu_error_prediction::titan_sim::topology::{NodeId, Topology};
@@ -247,7 +248,7 @@ proptest! {
     }
 
     #[test]
-    fn incremental_history_matches_a_naive_event_sum(
+    fn sbe_history_matches_a_naive_event_sum(
         steps in prop::collection::vec((0u64..4, 0u32..6, 0u32..4, 0u32..3, 0u32..8), 0..400),
         queries in prop::collection::vec(
             (history_bound(), history_bound(), 0u32..7, 0u32..5),
@@ -255,8 +256,8 @@ proptest! {
         ),
     ) {
         // Each step advances the minute by 0..=3, so repeated minutes are
-        // common, and ~400 events fill many 8-point arena chunks per series.
-        let mut history = IncrementalHistory::new();
+        // common and merge into one point per series.
+        let mut history = SbeHistory::default();
         let mut events: Vec<(u64, u32, u32, u32)> = Vec::with_capacity(steps.len());
         let mut minute = 0u64;
         for &(gap, node, app, count, stale) in &steps {
@@ -277,8 +278,7 @@ proptest! {
                 .map(|&(_, _, _, count)| u64::from(count))
                 .sum()
         };
-        prop_assert_eq!(history.frontier(), minute);
-        prop_assert_eq!(history.total(), naive(0, u64::MAX, &|_, _| true));
+        prop_assert_eq!(history.machine_before(u64::MAX), naive(0, u64::MAX, &|_, _| true));
         // Node 6 and app 4 never occur; `a > b` ranges are empty.
         for &(a, b, node, app) in &queries {
             prop_assert_eq!(
