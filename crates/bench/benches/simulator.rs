@@ -1,13 +1,11 @@
 //! Simulator throughput: full trace generation, per-slot telemetry
 //! re-simulation, and on-demand telemetry queries.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use titan_sim::apps::AppCatalog;
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use titan_sim::config::SimConfig;
 use titan_sim::engine::{generate, TelemetryQueryEngine};
-use titan_sim::schedule::Schedule;
-use titan_sim::telemetry::TelemetrySimulator;
-use titan_sim::topology::SlotId;
+use titan_sim::telemetry::SeriesKind;
+use titan_sim::topology::NodeId;
 
 fn bench_generate(c: &mut Criterion) {
     let mut group = c.benchmark_group("generate");
@@ -19,18 +17,28 @@ fn bench_generate(c: &mut Criterion) {
 }
 
 fn bench_slot_simulation(c: &mut Criterion) {
-    let cfg = SimConfig::tiny(3);
-    let catalog = AppCatalog::generate(&cfg.workload, cfg.seed, cfg.days).expect("catalog");
-    let schedule = Schedule::generate(&cfg, &catalog).expect("schedule");
-    let sim = TelemetrySimulator::new(&cfg, &schedule, &catalog).expect("simulator");
+    let trace = generate(&SimConfig::tiny(3)).expect("generates");
+    let horizon = trace.config().total_minutes();
     let mut group = c.benchmark_group("telemetry");
     group.sample_size(20);
-    // Full 30-day horizon for one 4-node slot = ~173k simulated minutes.
+    // Full 30-day horizon for one 4-node slot = ~173k simulated minutes: a
+    // fresh engine has no kept state and no checkpoint before minute 0, so
+    // it records node 4's whole slot from minute 0.
     group.bench_function("slot_full_horizon", |b| {
-        b.iter(|| {
-            sim.simulate_slot(std::hint::black_box(SlotId(1)))
-                .expect("simulates")
-        })
+        b.iter_batched(
+            || TelemetryQueryEngine::new(&trace).expect("engine builds"),
+            |engine| {
+                engine
+                    .node_series(
+                        std::hint::black_box(NodeId(4)),
+                        SeriesKind::GpuTemp,
+                        0,
+                        horizon,
+                    )
+                    .expect("simulates")
+            },
+            BatchSize::SmallInput,
+        )
     });
     group.finish();
 }

@@ -2,18 +2,19 @@
 //!
 //! [`generate`] runs the full pipeline — catalogue → schedule → fault
 //! model → per-slot telemetry — and emits a [`TraceSet`]. Slots are
-//! independent, so the telemetry sweep is parallelised across threads.
+//! independent, so the telemetry sweep is parallelised across threads; it
+//! keeps running sums, not per-minute series.
 //!
-//! [`TelemetryQueryEngine`] re-simulates telemetry *deterministically* for
-//! arbitrary (aprun, node) pairs after the fact, producing the window
-//! statistics the prediction features need (run window, the four
-//! look-back windows, CPU temperature, and slot-neighbour aggregates)
-//! without the trace ever storing minute-level series. The generation
-//! sweep leaves a fixed number of compact checkpoints per slot in the
-//! trace, and the engine resumes each slot from the later of the state
-//! its last window kept and the last checkpoint before the window, so
-//! no query replays a slot's past further back than one checkpoint
-//! stride.
+//! [`TelemetryQueryEngine`], the one public reader of telemetry,
+//! re-simulates it *deterministically* for arbitrary (aprun, node) pairs
+//! after the fact, producing the window statistics the prediction
+//! features need (run window, the four look-back windows, CPU
+//! temperature, and slot-neighbour aggregates) without the trace ever
+//! storing minute-level series. The generation sweep leaves a fixed
+//! number of compact checkpoints per slot in the trace, and the engine
+//! resumes each slot from the later of the state its last window kept
+//! and the last checkpoint before the window, so no query replays a
+//! slot's past further back than one checkpoint stride.
 
 use crate::apps::AppCatalog;
 use crate::config::SimConfig;
@@ -21,7 +22,8 @@ use crate::faults::FaultModel;
 use crate::rng::stream_rng_indexed;
 use crate::schedule::{ApRun, ApRunId, Schedule};
 use crate::telemetry::{
-    Checkpoint, SeriesKind, SlotCheckpoints, SlotSeries, SlotState, TelemetrySimulator, WindowStats,
+    Checkpoint, MemberSums, SeriesKind, SlotCheckpoints, SlotSeries, SlotState, TelemetrySimulator,
+    WindowStats,
 };
 use crate::topology::{NodeId, SlotId};
 use crate::trace::{SampleRecord, TraceSet};
@@ -71,9 +73,11 @@ pub fn generate(cfg: &SimConfig) -> Result<TraceSet> {
 /// histograms, and a `"titan_sim.generate"` span. Per-slot recorders are
 /// forked from `rec` and merged back in slot order, so the recorded
 /// metrics are byte-identical under any thread policy, and passing
-/// [`obskit::Recorder::null`] records nothing. The telemetry sweep also
-/// leaves each slot's checkpoints in the trace, for
-/// [`TelemetryQueryEngine`] to resume from.
+/// [`obskit::Recorder::null`] records nothing. The telemetry sweep records
+/// no minute: as it steps each slot it sums every member's GPU temperature
+/// and power over each of its runs (the sample means) and over the horizon
+/// (the cumulative heatmaps), and leaves the slot's checkpoints in the
+/// trace for [`TelemetryQueryEngine`] to resume from.
 ///
 /// # Errors
 ///
@@ -89,8 +93,6 @@ pub fn generate_full(
     let faults = FaultModel::generate(cfg)?;
     let sim = TelemetrySimulator::new(cfg, &schedule, &catalog)?;
     let n_nodes = cfg.topology.n_nodes() as usize;
-    let timelines = schedule.node_timelines(n_nodes);
-
     let n_slots = cfg.topology.n_slots();
 
     struct Shard {
@@ -102,22 +104,20 @@ pub fn generate_full(
     }
 
     let process_slot = |slot: SlotId, shard: &mut Shard| -> Result<()> {
-        let (series, checkpoints) = sim.simulate_slot_checkpointed(slot)?;
+        let (members, checkpoints) = sim.sweep(slot)?;
         shard.checkpoints = checkpoints;
-        let horizon = cfg.total_minutes();
         // Per-slot RNG draws: two streams (SBE + DBE) sample once per
         // busy interval on each member node.
         let mut slot_rng_draws = 0u64;
-        for &node in series.nodes() {
+        for MemberSums {
+            node,
+            horizon,
+            runs,
+        } in members
+        {
             // Cumulative sums for the Fig. 5 heatmaps.
-            let temps = series.series(node, SeriesKind::GpuTemp, 0, horizon)?;
-            let powers = series.series(node, SeriesKind::GpuPower, 0, horizon)?;
-            shard
-                .cum_temp
-                .push((node, temps.iter().map(|&v| v as f64).sum()));
-            shard
-                .cum_power
-                .push((node, powers.iter().map(|&v| v as f64).sum()));
+            shard.cum_temp.push((node, horizon.0));
+            shard.cum_power.push((node, horizon.1));
 
             // SBE sampling per busy interval on this node. DBEs draw
             // from an independent stream so that enabling/disabling them
@@ -127,9 +127,10 @@ pub fn generate_full(
             let cabinet = cfg.topology.cabinet_index(node)?;
             let mut node_sbes = 0u64;
             let mut node_dbes = 0u64;
-            for iv in &timelines[node.0 as usize] {
-                let avg_t = series.mean(node, SeriesKind::GpuTemp, iv.start_min, iv.end_min)?;
-                let avg_p = series.mean(node, SeriesKind::GpuPower, iv.start_min, iv.end_min)?;
+            let timeline = sim.timeline(node);
+            for (iv, (temp, power)) in timeline.iter().zip(runs) {
+                let minutes = (iv.end_min - iv.start_min) as f64;
+                let (avg_t, avg_p) = (temp / minutes, power / minutes);
                 let run = &schedule.apruns()[iv.aprun.0 as usize];
                 let app = catalog.profile(run.app_id)?;
                 let lambda =
@@ -159,9 +160,7 @@ pub fn generate_full(
                 });
             }
             if shard.rec.enabled() {
-                shard
-                    .rec
-                    .incr("titan_sim.samples", timelines[node.0 as usize].len() as u64);
+                shard.rec.incr("titan_sim.samples", timeline.len() as u64);
                 shard
                     .rec
                     .incr(&format!("titan_sim.sbes.cabinet.{cabinet}"), node_sbes);
@@ -248,7 +247,8 @@ pub struct SampleTelemetry {
     pub prev_power: [WindowStats; 4],
 }
 
-/// Recomputes telemetry statistics on demand, slot by slot.
+/// Recomputes telemetry statistics on demand, slot by slot: the one public
+/// way to read a trace's telemetry after generation.
 ///
 /// Every window is re-simulated from the trace's seed, but not from
 /// minute 0: a slot's window resumes from the later of two exact
@@ -770,6 +770,12 @@ mod tests {
             .slot_average_series(NodeId(3), SeriesKind::GpuTemp, 100, 200)
             .unwrap();
         assert_eq!(avg.len(), 100);
+        // Empty, out-of-horizon and unknown-node probes are refused.
+        let horizon = t.config().total_minutes();
+        let probe = |node, lo, hi| engine.node_series(node, SeriesKind::GpuTemp, lo, hi);
+        assert!(probe(NodeId(3), 10, 10).is_err());
+        assert!(probe(NodeId(3), 0, horizon + 1).is_err());
+        assert!(probe(NodeId(9_999), 0, 10).is_err());
     }
 
     #[test]

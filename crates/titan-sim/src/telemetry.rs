@@ -17,6 +17,16 @@
 //!   configurable thermal inertia, plus OU noise — neighbouring nodes in
 //!   the same slot measurably heat each other (paper §III-C3),
 //! * **CPU temperature** relaxes toward `ambient + rise × cpu-utilisation`.
+//!
+//! One per-minute step moves a slot's state forward and hands each
+//! minute's readings to a sink chosen at compile time: nothing when a
+//! query advances to its window, a recorded series of the window's
+//! minutes, and, when trace generation sweeps the horizon, the running
+//! sums of each member's GPU temperature and power that its run means and
+//! cumulative heatmaps need, so generation keeps no per-minute series.
+//! The simulator is crate-private: after generation,
+//! [`crate::engine::TelemetryQueryEngine`] is the one way to read
+//! telemetry.
 
 use crate::apps::AppCatalog;
 use crate::config::{SimConfig, MINUTES_PER_DAY};
@@ -89,7 +99,7 @@ pub fn window_stats(xs: &[f32]) -> WindowStats {
 }
 
 /// Per-aprun utilisation levels, pre-resolved from the app catalogue.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct RunUtil {
     core: f32,
     cpu: f32,
@@ -97,7 +107,7 @@ struct RunUtil {
 
 /// Procedural telemetry generator bound to a configuration and workload.
 #[derive(Debug)]
-pub struct TelemetrySimulator<'a> {
+pub(crate) struct TelemetrySimulator<'a> {
     cfg: &'a SimConfig,
     timelines: Vec<Vec<NodeInterval>>,
     run_util: Vec<RunUtil>,
@@ -109,7 +119,7 @@ impl<'a> TelemetrySimulator<'a> {
     /// # Errors
     ///
     /// Propagates catalogue lookup errors for dangling app references.
-    pub fn new(
+    pub(crate) fn new(
         cfg: &'a SimConfig,
         schedule: &Schedule,
         catalog: &AppCatalog,
@@ -134,7 +144,7 @@ impl<'a> TelemetrySimulator<'a> {
     /// Hot spots sit at the upper-left `(0, grid_y-1)` and lower-right
     /// `(grid_x-1, 0)` corners of the floor grid, matching the paper's
     /// Fig. 5(a); a small diurnal sine is superimposed.
-    pub fn ambient_c(&self, cabinet_x: u16, cabinet_y: u16, minute: u64) -> f64 {
+    fn ambient_c(&self, cabinet_x: u16, cabinet_y: u16, minute: u64) -> f64 {
         self.cfg.telemetry.ambient_base_c
             + self.spatial_c(cabinet_x, cabinet_y)
             + self.diurnal_c(cabinet_x, cabinet_y, minute)
@@ -162,74 +172,39 @@ impl<'a> TelemetrySimulator<'a> {
             * ((minute as f64 / MINUTES_PER_DAY as f64 * std::f64::consts::TAU) + phase).sin()
     }
 
-    /// Simulates the full horizon for one slot, returning all member
-    /// nodes' series.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::UnknownEntity`] for an out-of-range slot.
-    pub fn simulate_slot(&self, slot: SlotId) -> Result<SlotSeries> {
-        self.simulate_slot_range(slot, 0, self.cfg.total_minutes())
+    /// The busy timeline of `node`: sorted, non-overlapping intervals.
+    pub(crate) fn timeline(&self, node: NodeId) -> &[NodeInterval] {
+        &self.timelines[node.0 as usize]
     }
 
-    /// Like [`TelemetrySimulator::simulate_slot`], and also captures the
-    /// slot's [`SlotCheckpoints`] on the way: the sweep pauses at each
+    /// Steps `slot` through the whole horizon from minute 0 into one
+    /// [`MemberSums`] per member, and captures the slot's
+    /// [`SlotCheckpoints`] on the way: the sweep pauses at each
     /// [`checkpoint_minutes`] minute to snapshot its state, which changes
     /// no simulated bit.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::UnknownEntity`] for an out-of-range slot.
-    pub(crate) fn simulate_slot_checkpointed(
-        &self,
-        slot: SlotId,
-    ) -> Result<(SlotSeries, SlotCheckpoints)> {
+    pub(crate) fn sweep(&self, slot: SlotId) -> Result<(Vec<MemberSums>, SlotCheckpoints)> {
         let horizon = self.cfg.total_minutes();
         let mut state = self.slot_state(slot)?;
-        let mut series = state.empty_series(horizon as usize);
+        let mut sums: Vec<MemberSums> = state
+            .members
+            .iter()
+            .map(|m| MemberSums {
+                node: m.node,
+                horizon: (0.0, 0.0),
+                runs: vec![(0.0, 0.0); self.timeline(m.node).len()],
+            })
+            .collect();
         let mut checkpoints = SlotCheckpoints::default();
         for minute in checkpoint_minutes(horizon) {
-            self.record(&mut state, minute, &mut series);
+            self.record(&mut state, minute, &mut sums);
             checkpoints.capture(&state);
         }
-        self.record(&mut state, horizon, &mut series);
-        Ok((series, checkpoints))
-    }
-
-    /// Simulates minutes `[start, end)` for one slot.
-    ///
-    /// Note: the noise and thermal state is evolved from minute 0
-    /// regardless of `start` so that any sub-range is consistent with the
-    /// full-horizon simulation. The cost of a range query is therefore
-    /// proportional to `end`, not `end - start`.
-    /// [`crate::engine::TelemetryQueryEngine`] instead resumes a slot from
-    /// its own kept state or from the nearest checkpoint the trace
-    /// captured at generation, so its cost is bounded by the checkpoint
-    /// stride rather than by `end`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::UnknownEntity`] for an out-of-range slot and
-    /// [`SimError::InvalidTimeRange`] for an empty or out-of-horizon range.
-    pub fn simulate_slot_range(
-        &self,
-        slot: SlotId,
-        start_min: u64,
-        end_min: u64,
-    ) -> Result<SlotSeries> {
-        let mut state = self.slot_state(slot)?;
-        let horizon = self.cfg.total_minutes();
-        if start_min >= end_min || end_min > horizon {
-            return Err(SimError::InvalidTimeRange {
-                start: start_min,
-                end: end_min,
-                horizon,
-            });
-        }
-        self.advance(&mut state, start_min);
-        let mut out = state.empty_series((end_min - start_min) as usize);
-        self.record(&mut state, end_min, &mut out);
-        Ok(out)
+        self.record(&mut state, horizon, &mut sums);
+        Ok((sums, checkpoints))
     }
 
     /// The state of `slot` before minute 0: fresh per-node noise streams
@@ -267,7 +242,6 @@ impl<'a> TelemetrySimulator<'a> {
             });
         }
         Ok(SlotState {
-            slot,
             minute: 0,
             cabinet,
             members,
@@ -297,28 +271,24 @@ impl<'a> TelemetrySimulator<'a> {
         Ok(state)
     }
 
-    /// Steps `state` up to minute `to_min` without recording; a state at
-    /// or past `to_min` is left as it is.
+    /// Steps `state` up to minute `to_min`, keeping none of its readings;
+    /// a state at or past `to_min` is left as it is.
     pub(crate) fn advance(&self, state: &mut SlotState, to_min: u64) {
-        while state.minute < to_min {
-            self.step(state, None);
-        }
+        self.record(state, to_min, &mut ());
     }
 
-    /// Steps `state` up to minute `end_min`, appending every minute to
-    /// `out`, which must end where `state` stands.
-    pub(crate) fn record(&self, state: &mut SlotState, end_min: u64, out: &mut SlotSeries) {
-        debug_assert_eq!(out.start_min + out.len() as u64, state.minute);
+    /// Steps `state` up to minute `end_min`, handing every minute's
+    /// readings to `sink`; a state at or past `end_min` is left as it is.
+    pub(crate) fn record<S: MinuteSink>(&self, state: &mut SlotState, end_min: u64, sink: &mut S) {
         while state.minute < end_min {
-            self.step(state, Some(out));
+            self.step(state, sink);
         }
     }
 
-    /// Simulates the minute `state` stands at, appending it to `out` when
-    /// one is given. Recording never changes what is simulated, so an
-    /// advanced and a recorded state stay bit-identical.
+    /// Simulates the minute `state` stands at and hands its readings to
+    /// `sink`. A sink only reads, so every sink leaves the same state.
     #[inline(always)]
-    fn step(&self, state: &mut SlotState, mut out: Option<&mut SlotSeries>) {
+    fn step<S: MinuteSink>(&self, state: &mut SlotState, sink: &mut S) {
         let t = &self.cfg.telemetry;
         let minute = state.minute;
         // The diurnal term is shared because slot members never straddle
@@ -330,7 +300,7 @@ impl<'a> TelemetrySimulator<'a> {
             while m.cursor < tl.len() && tl[m.cursor].end_min <= minute {
                 m.cursor += 1;
             }
-            let (core_util, _cpu_util) = self.util_at(tl, m.cursor, minute);
+            let core_util = self.util(tl, busy_at(tl, m.cursor, minute)).core;
             let target = t.idle_power_w + core_util as f64 * (t.tdp_power_w - t.idle_power_w);
             m.power = (target + m.power_noise.step(&mut m.rng)).max(5.0);
         }
@@ -341,7 +311,8 @@ impl<'a> TelemetrySimulator<'a> {
         let mut temp_sum = 0.0f64;
         for (i, m) in state.members.iter_mut().enumerate() {
             let tl = &self.timelines[m.node.0 as usize];
-            let (_, cpu_util) = self.util_at(tl, m.cursor, minute);
+            let busy = busy_at(tl, m.cursor, minute);
+            let cpu_util = self.util(tl, busy).cpu;
             let amb = m.amb_static + diurnal;
             let nei_avg = if k > 1 {
                 (power_sum - m.power) / (k - 1) as f64
@@ -357,30 +328,82 @@ impl<'a> TelemetrySimulator<'a> {
             let ctemp = m.cpu_temp + m.cpu_noise.step(&mut m.rng);
 
             temp_sum += temp;
-            if let Some(out) = out.as_deref_mut() {
-                out.gpu_temp[i].push(temp as f32);
-                out.gpu_power[i].push(m.power as f32);
-                out.cpu_temp[i].push(ctemp as f32);
-            }
+            sink.member(i, busy, temp as f32, m.power as f32, ctemp as f32);
         }
-        if let Some(out) = out {
-            out.slot_temp_sum.push(temp_sum as f32);
-            out.slot_power_sum.push(power_sum as f32);
-        }
+        sink.slot(temp_sum as f32, power_sum as f32);
         state.minute += 1;
     }
 
-    /// Returns `(core_util, cpu_util)` at `minute` for a node timeline with
-    /// the cursor already advanced past finished intervals.
+    /// The utilisation of the run in interval `busy` of the node timeline
+    /// `tl`, or of an idle node.
     #[inline]
-    fn util_at(&self, tl: &[NodeInterval], cursor: usize, minute: u64) -> (f32, f32) {
-        if cursor < tl.len() && tl[cursor].start_min <= minute && minute < tl[cursor].end_min {
-            let u = self.run_util[tl[cursor].aprun.0 as usize];
-            (u.core, u.cpu)
-        } else {
-            (0.0, 0.0)
+    fn util(&self, tl: &[NodeInterval], busy: Option<usize>) -> RunUtil {
+        busy.map_or(RunUtil::default(), |k| {
+            self.run_util[tl[k].aprun.0 as usize]
+        })
+    }
+}
+
+/// The index of the interval of the node timeline `tl` that holds
+/// `minute`, if any, with the cursor already advanced past finished
+/// intervals.
+#[inline]
+fn busy_at(tl: &[NodeInterval], cursor: usize, minute: u64) -> Option<usize> {
+    (cursor < tl.len() && tl[cursor].start_min <= minute && minute < tl[cursor].end_min)
+        .then_some(cursor)
+}
+
+/// Where the per-minute step hands the minute's readings. The sink is a
+/// type parameter, so `()`, which keeps nothing, compiles to a bare step.
+pub(crate) trait MinuteSink {
+    /// Member `i`'s GPU temperature and power and CPU temperature, and the
+    /// index of the interval of its timeline it is busy in, if any.
+    fn member(&mut self, i: usize, busy: Option<usize>, temp: f32, power: f32, cpu_temp: f32);
+    /// The slot's GPU temperature and power summed over its members.
+    fn slot(&mut self, temp_sum: f32, power_sum: f32);
+}
+
+impl MinuteSink for () {
+    fn member(&mut self, _: usize, _: Option<usize>, _: f32, _: f32, _: f32) {}
+    fn slot(&mut self, _: f32, _: f32) {}
+}
+
+impl MinuteSink for SlotSeries {
+    fn member(&mut self, i: usize, _: Option<usize>, temp: f32, power: f32, cpu_temp: f32) {
+        self.gpu_temp[i].push(temp);
+        self.gpu_power[i].push(power);
+        self.cpu_temp[i].push(cpu_temp);
+    }
+    fn slot(&mut self, temp_sum: f32, power_sum: f32) {
+        self.slot_temp_sum.push(temp_sum);
+        self.slot_power_sum.push(power_sum);
+    }
+}
+
+/// What trace generation keeps of one slot member's readings: its GPU
+/// temperature and power, each summed in f64 from 0.0 over its f32
+/// readings in minute order, the same sums a recorded series gives.
+#[derive(Debug)]
+pub(crate) struct MemberSums {
+    pub(crate) node: NodeId,
+    /// (temperature, power) over the whole horizon.
+    pub(crate) horizon: (f64, f64),
+    /// (temperature, power) over each interval of the node's timeline.
+    pub(crate) runs: Vec<(f64, f64)>,
+}
+
+impl MinuteSink for Vec<MemberSums> {
+    fn member(&mut self, i: usize, busy: Option<usize>, temp: f32, power: f32, _: f32) {
+        let (temp, power) = (f64::from(temp), f64::from(power));
+        let m = &mut self[i];
+        m.horizon.0 += temp;
+        m.horizon.1 += power;
+        if let Some(k) = busy {
+            m.runs[k].0 += temp;
+            m.runs[k].1 += power;
         }
     }
+    fn slot(&mut self, _: f32, _: f32) {}
 }
 
 /// One slot member's simulation state between minutes.
@@ -409,7 +432,6 @@ struct MemberState {
 /// full-horizon series bit for bit.
 #[derive(Debug, Clone)]
 pub(crate) struct SlotState {
-    slot: SlotId,
     minute: u64,
     /// The slot's cabinet, which sets the shared diurnal term.
     cabinet: (u16, u16),
@@ -427,7 +449,6 @@ impl SlotState {
     pub(crate) fn empty_series(&self, len: usize) -> SlotSeries {
         let k = self.members.len();
         SlotSeries {
-            slot: self.slot,
             start_min: self.minute,
             nodes: self.members.iter().map(|m| m.node).collect(),
             gpu_temp: vec![Vec::with_capacity(len); k],
@@ -470,7 +491,7 @@ struct MemberCheckpoint {
 }
 
 /// Exact snapshots of one slot's simulation at [`checkpoint_minutes`],
-/// captured by [`TelemetrySimulator::simulate_slot_checkpointed`] so that
+/// captured by [`TelemetrySimulator::sweep`] so that
 /// a telemetry query can resume near any minute instead of replaying the
 /// slot from minute 0.
 #[derive(Debug, Clone, Default)]
@@ -529,8 +550,7 @@ impl SlotCheckpoints {
 
 /// The simulated telemetry of one slot over a minute range.
 #[derive(Debug, Clone)]
-pub struct SlotSeries {
-    slot: SlotId,
+pub(crate) struct SlotSeries {
     start_min: u64,
     nodes: Vec<NodeId>,
     gpu_temp: Vec<Vec<f32>>,
@@ -541,28 +561,13 @@ pub struct SlotSeries {
 }
 
 impl SlotSeries {
-    /// The slot simulated.
-    pub fn slot(&self) -> SlotId {
-        self.slot
-    }
-
-    /// First simulated minute.
-    pub fn start_min(&self) -> u64 {
-        self.start_min
-    }
-
     /// Number of simulated minutes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.slot_temp_sum.len()
     }
 
-    /// `true` when no minutes were simulated.
-    pub fn is_empty(&self) -> bool {
-        self.slot_temp_sum.is_empty()
-    }
-
     /// Member nodes in id order.
-    pub fn nodes(&self) -> &[NodeId] {
+    pub(crate) fn nodes(&self) -> &[NodeId] {
         &self.nodes
     }
 
@@ -597,7 +602,7 @@ impl SlotSeries {
     ///
     /// Returns [`SimError::UnknownEntity`] when `node` is not a member and
     /// [`SimError::InvalidTimeRange`] for a range outside the simulation.
-    pub fn series(
+    pub(crate) fn series(
         &self,
         node: NodeId,
         kind: SeriesKind,
@@ -619,7 +624,7 @@ impl SlotSeries {
     /// # Errors
     ///
     /// Same conditions as [`SlotSeries::series`].
-    pub fn stats(
+    pub(crate) fn stats(
         &self,
         node: NodeId,
         kind: SeriesKind,
@@ -637,7 +642,7 @@ impl SlotSeries {
     /// Returns [`SimError::InvalidConfig`] for [`SeriesKind::CpuTemp`]
     /// (CPU telemetry is per-node only in the paper), plus the range and
     /// membership errors of [`SlotSeries::series`].
-    pub fn neighbor_stats(
+    pub(crate) fn neighbor_stats(
         &self,
         node: NodeId,
         kind: SeriesKind,
@@ -664,26 +669,6 @@ impl SlotSeries {
         let nei: Vec<f32> = (lo..hi).map(|t| (sums[t] - own[t]) * inv).collect();
         Ok(window_stats(&nei))
     }
-
-    /// Mean of one node's series over a range (shortcut used by the fault
-    /// model, which only needs averages).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SlotSeries::series`].
-    pub fn mean(
-        &self,
-        node: NodeId,
-        kind: SeriesKind,
-        start_min: u64,
-        end_min: u64,
-    ) -> Result<f64> {
-        let s = self.series(node, kind, start_min, end_min)?;
-        if s.is_empty() {
-            return Ok(0.0);
-        }
-        Ok(s.iter().map(|&x| x as f64).sum::<f64>() / s.len() as f64)
-    }
 }
 
 #[cfg(test)]
@@ -698,6 +683,30 @@ mod tests {
         let catalog = AppCatalog::generate(&cfg.workload, cfg.seed, cfg.days).unwrap();
         let sched = Schedule::generate(&cfg, &catalog).unwrap();
         (cfg, sched, catalog)
+    }
+
+    /// `slot` recorded over `[lo, hi)` after stepping from minute 0.
+    fn recorded(sim: &TelemetrySimulator<'_>, slot: SlotId, lo: u64, hi: u64) -> SlotSeries {
+        let mut state = sim.slot_state(slot).unwrap();
+        sim.advance(&mut state, lo);
+        let mut series = state.empty_series((hi - lo) as usize);
+        sim.record(&mut state, hi, &mut series);
+        series
+    }
+
+    /// The oracle of [`TelemetrySimulator::sweep`]: the whole horizon of
+    /// `slot` recorded, capturing checkpoints on the way.
+    fn recorded_sweep(sim: &TelemetrySimulator<'_>, slot: SlotId) -> (SlotSeries, SlotCheckpoints) {
+        let horizon = sim.cfg.total_minutes();
+        let mut state = sim.slot_state(slot).unwrap();
+        let mut series = state.empty_series(horizon as usize);
+        let mut checkpoints = SlotCheckpoints::default();
+        for minute in checkpoint_minutes(horizon) {
+            sim.record(&mut state, minute, &mut series);
+            checkpoints.capture(&state);
+        }
+        sim.record(&mut state, horizon, &mut series);
+        (series, checkpoints)
     }
 
     #[test]
@@ -717,8 +726,8 @@ mod tests {
     fn simulation_is_deterministic() {
         let (cfg, sched, catalog) = setup();
         let sim = TelemetrySimulator::new(&cfg, &sched, &catalog).unwrap();
-        let a = sim.simulate_slot_range(SlotId(0), 0, 500).unwrap();
-        let b = sim.simulate_slot_range(SlotId(0), 0, 500).unwrap();
+        let a = recorded(&sim, SlotId(0), 0, 500);
+        let b = recorded(&sim, SlotId(0), 0, 500);
         assert_eq!(a.gpu_temp, b.gpu_temp);
         assert_eq!(a.gpu_power, b.gpu_power);
     }
@@ -727,8 +736,8 @@ mod tests {
     fn range_query_matches_full_simulation() {
         let (cfg, sched, catalog) = setup();
         let sim = TelemetrySimulator::new(&cfg, &sched, &catalog).unwrap();
-        let full = sim.simulate_slot_range(SlotId(1), 0, 800).unwrap();
-        let sub = sim.simulate_slot_range(SlotId(1), 300, 800).unwrap();
+        let full = recorded(&sim, SlotId(1), 0, 800);
+        let sub = recorded(&sim, SlotId(1), 300, 800);
         let node = sub.nodes()[0];
         let a = full.series(node, SeriesKind::GpuTemp, 300, 800).unwrap();
         let b = sub.series(node, SeriesKind::GpuTemp, 300, 800).unwrap();
@@ -741,11 +750,11 @@ mod tests {
         let sim = TelemetrySimulator::new(&cfg, &sched, &catalog).unwrap();
         let slot = SlotId(1);
         let horizon = cfg.total_minutes();
-        let full = sim.simulate_slot(slot).unwrap();
+        let full = recorded(&sim, slot, 0, horizon);
         let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         // `part` must equal `full` from its first minute on, bit for bit.
         let assert_tail = |part: &SlotSeries| {
-            let lo = part.start_min() as usize;
+            let lo = part.start_min as usize;
             let hi = lo + part.len();
             assert_eq!(part.nodes(), full.nodes());
             for i in 0..full.nodes().len() {
@@ -766,16 +775,18 @@ mod tests {
             assert_eq!(state.minute(), m);
             let mut part = state.empty_series((end - m) as usize);
             sim.record(&mut state, end, &mut part);
-            assert_eq!(part.start_min(), m);
+            assert_eq!(part.start_min, m);
             assert_eq!(part.len() as u64, end - m);
             assert_tail(&part);
         }
 
-        // Capturing checkpoints moves no bit of the sweep, and each one,
-        // restored onto a fresh state, records the rest of the full run.
-        let (swept, checkpoints) = sim.simulate_slot_checkpointed(slot).unwrap();
+        // Capturing checkpoints moves no bit of a recorded sweep, and each
+        // checkpoint of the summing sweep, restored onto a fresh state,
+        // records the rest of the full run.
+        let (swept, _) = recorded_sweep(&sim, slot);
         assert_eq!(swept.len() as u64, horizon);
         assert_tail(&swept);
+        let (_, checkpoints) = sim.sweep(slot).unwrap();
         assert_eq!(checkpoints.minutes.len(), CHECKPOINTS_PER_SLOT);
         for &m in &checkpoints.minutes {
             let c = checkpoints.at_or_before(m).unwrap();
@@ -784,8 +795,48 @@ mod tests {
             assert_eq!(state.minute(), m);
             let mut part = state.empty_series((horizon - m) as usize);
             sim.record(&mut state, horizon, &mut part);
-            assert_eq!(part.start_min(), m);
+            assert_eq!(part.start_min, m);
             assert_tail(&part);
+        }
+    }
+
+    /// The sweep keeps only sums, and they must be the bits a recorded
+    /// horizon sums to: each a left-to-right f64 sum from 0.0 of the f32
+    /// readings, over the whole horizon and over every timeline interval.
+    #[test]
+    fn sweep_sums_equal_a_recorded_horizon_bit_for_bit() {
+        let (cfg, sched, catalog) = setup();
+        let sim = TelemetrySimulator::new(&cfg, &sched, &catalog).unwrap();
+        let horizon = cfg.total_minutes();
+        let sum = |xs: &[f32]| {
+            xs.iter()
+                .fold(0.0f64, |acc, &x| acc + f64::from(x))
+                .to_bits()
+        };
+        for slot in [0, 5, 10, 15].map(SlotId) {
+            let (sums, checkpoints) = sim.sweep(slot).unwrap();
+            let (series, oracle) = recorded_sweep(&sim, slot);
+            assert_eq!(checkpoints.minutes, oracle.minutes);
+            let nodes: Vec<NodeId> = sums.iter().map(|m| m.node).collect();
+            assert_eq!(nodes, series.nodes());
+            let mut runs = 0;
+            for m in &sums {
+                let over = |kind, lo, hi| sum(series.series(m.node, kind, lo, hi).unwrap());
+                assert_eq!(m.horizon.0.to_bits(), over(SeriesKind::GpuTemp, 0, horizon));
+                assert_eq!(
+                    m.horizon.1.to_bits(),
+                    over(SeriesKind::GpuPower, 0, horizon)
+                );
+                let timeline = sim.timeline(m.node);
+                assert_eq!(m.runs.len(), timeline.len());
+                for (iv, &(temp, power)) in timeline.iter().zip(&m.runs) {
+                    let (lo, hi) = (iv.start_min, iv.end_min);
+                    assert_eq!(temp.to_bits(), over(SeriesKind::GpuTemp, lo, hi));
+                    assert_eq!(power.to_bits(), over(SeriesKind::GpuPower, lo, hi));
+                }
+                runs += timeline.len();
+            }
+            assert!(runs > 0, "slot {} ran nothing", slot.0);
         }
     }
 
@@ -793,7 +844,7 @@ mod tests {
     fn checkpoint_lookup_picks_the_last_at_or_before() {
         let (cfg, sched, catalog) = setup();
         let sim = TelemetrySimulator::new(&cfg, &sched, &catalog).unwrap();
-        let (_, checkpoints) = sim.simulate_slot_checkpointed(SlotId(0)).unwrap();
+        let (_, checkpoints) = sim.sweep(SlotId(0)).unwrap();
         let minutes = &checkpoints.minutes;
         assert!(checkpoints.at_or_before(0).is_none());
         assert!(checkpoints.at_or_before(minutes[0] - 1).is_none());
@@ -857,25 +908,22 @@ mod tests {
         }
         let (node, iv) = pick.expect("tiny workload has a >=60 min run");
         let slot = cfg.topology.slot_of(node).unwrap();
-        let series = sim.simulate_slot(slot).unwrap();
-        let busy_t = series
-            .mean(node, SeriesKind::GpuTemp, iv.start_min + 10, iv.end_min)
-            .unwrap();
-        let busy_p = series
-            .mean(node, SeriesKind::GpuPower, iv.start_min + 10, iv.end_min)
-            .unwrap();
+        let series = recorded(&sim, slot, 0, iv.end_min);
+        let mean = |kind, lo, hi| series.stats(node, kind, lo, hi).unwrap().mean;
+        let busy_t = mean(SeriesKind::GpuTemp, iv.start_min + 10, iv.end_min);
+        let busy_p = mean(SeriesKind::GpuPower, iv.start_min + 10, iv.end_min);
         // Compare to the window right before the run starts (idle or not,
         // power at idle is the common case in the tiny config).
-        let idle_p = series
-            .mean(
-                node,
-                SeriesKind::GpuPower,
-                iv.start_min.saturating_sub(60),
-                iv.start_min,
-            )
-            .unwrap();
+        let idle_p = mean(
+            SeriesKind::GpuPower,
+            iv.start_min.saturating_sub(60),
+            iv.start_min,
+        );
         assert!(busy_p > idle_p + 10.0, "busy {busy_p} vs idle {idle_p}");
-        assert!(busy_t > cfg.telemetry.ambient_base_c, "busy temp {busy_t}");
+        assert!(
+            f64::from(busy_t) > cfg.telemetry.ambient_base_c,
+            "busy temp {busy_t}"
+        );
     }
 
     #[test]
@@ -895,7 +943,7 @@ mod tests {
     fn neighbor_stats_average_others() {
         let (cfg, sched, catalog) = setup();
         let sim = TelemetrySimulator::new(&cfg, &sched, &catalog).unwrap();
-        let series = sim.simulate_slot_range(SlotId(0), 0, 100).unwrap();
+        let series = recorded(&sim, SlotId(0), 0, 100);
         let nodes = series.nodes().to_vec();
         let target = nodes[0];
         let nei = series
@@ -904,7 +952,7 @@ mod tests {
         // Manual average of the other three nodes' means.
         let mut acc = 0.0;
         for &n in &nodes[1..] {
-            acc += series.mean(n, SeriesKind::GpuPower, 0, 100).unwrap();
+            acc += f64::from(series.stats(n, SeriesKind::GpuPower, 0, 100).unwrap().mean);
         }
         let manual = acc / (nodes.len() - 1) as f64;
         assert!(
@@ -918,12 +966,10 @@ mod tests {
     fn invalid_ranges_rejected() {
         let (cfg, sched, catalog) = setup();
         let sim = TelemetrySimulator::new(&cfg, &sched, &catalog).unwrap();
-        assert!(sim.simulate_slot_range(SlotId(0), 10, 10).is_err());
-        assert!(sim
-            .simulate_slot_range(SlotId(0), 0, cfg.total_minutes() + 1)
-            .is_err());
-        assert!(sim.simulate_slot_range(SlotId(9999), 0, 10).is_err());
-        let series = sim.simulate_slot_range(SlotId(0), 100, 200).unwrap();
+        // Empty and out-of-horizon windows are refused by the query engine
+        // (`node_series_probe_works`).
+        assert!(sim.slot_state(SlotId(9999)).is_err());
+        let series = recorded(&sim, SlotId(0), 100, 200);
         let node = series.nodes()[0];
         assert!(series.series(node, SeriesKind::GpuTemp, 0, 50).is_err());
         assert!(series.series(node, SeriesKind::GpuTemp, 150, 250).is_err());
@@ -936,7 +982,7 @@ mod tests {
     fn cpu_neighbor_stats_rejected() {
         let (cfg, sched, catalog) = setup();
         let sim = TelemetrySimulator::new(&cfg, &sched, &catalog).unwrap();
-        let series = sim.simulate_slot_range(SlotId(0), 0, 10).unwrap();
+        let series = recorded(&sim, SlotId(0), 0, 10);
         let node = series.nodes()[0];
         assert!(series
             .neighbor_stats(node, SeriesKind::CpuTemp, 0, 10)
@@ -947,7 +993,7 @@ mod tests {
     fn temperatures_physically_plausible() {
         let (cfg, sched, catalog) = setup();
         let sim = TelemetrySimulator::new(&cfg, &sched, &catalog).unwrap();
-        let series = sim.simulate_slot_range(SlotId(2), 0, 2_000).unwrap();
+        let series = recorded(&sim, SlotId(2), 0, 2_000);
         for &n in series.nodes() {
             let s = series.series(n, SeriesKind::GpuTemp, 0, 2_000).unwrap();
             for &v in s {

@@ -8,7 +8,7 @@ use titan_sim::engine::{generate, SampleTelemetry, TelemetryQueryEngine};
 use titan_sim::rng::{derive_seed_indexed, OuProcess, XorShift64};
 use titan_sim::schedule::ApRunId;
 use titan_sim::telemetry::{window_stats, SeriesKind};
-use titan_sim::topology::{NodeId, SlotId, Topology};
+use titan_sim::topology::{NodeId, Topology};
 use titan_sim::trace::TraceSet;
 
 /// One short tiny trace per thread policy (Serial, Fixed(2), Fixed(8)).
@@ -256,34 +256,20 @@ fn tiny_trace_invariants_hold_across_seeds() {
 
 #[test]
 fn slot_range_queries_compose() {
-    use titan_sim::apps::AppCatalog;
-    use titan_sim::schedule::Schedule;
-    use titan_sim::telemetry::{SeriesKind, TelemetrySimulator};
-
-    let cfg = SimConfig::tiny(5);
-    let catalog = AppCatalog::generate(&cfg.workload, cfg.seed, cfg.days).expect("catalog");
-    let schedule = Schedule::generate(&cfg, &catalog).expect("schedule");
-    let sim = TelemetrySimulator::new(&cfg, &schedule, &catalog).expect("simulator");
-    let full = sim
-        .simulate_slot_range(SlotId(0), 0, 600)
-        .expect("simulates");
-    let node = NodeId(0);
+    let trace = generate(&SimConfig::tiny(5)).expect("generates");
+    let horizon = trace.config().total_minutes();
+    let mid = horizon / 2;
+    // A fresh engine per query: the full horizon replays from minute 0 and
+    // the second half resumes from a generation checkpoint.
+    let query = |lo, hi| {
+        let engine = TelemetryQueryEngine::new(&trace).expect("engine builds");
+        let xs = engine
+            .node_series(NodeId(0), SeriesKind::GpuPower, lo, hi)
+            .expect("in range");
+        xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+    };
+    let full = query(0, horizon);
     // Two half-range queries agree with the full range.
-    let a = sim
-        .simulate_slot_range(SlotId(0), 0, 300)
-        .expect("simulates");
-    let b = sim
-        .simulate_slot_range(SlotId(0), 300, 600)
-        .expect("simulates");
-    let f = full
-        .series(node, SeriesKind::GpuPower, 0, 600)
-        .expect("in range");
-    let fa = a
-        .series(node, SeriesKind::GpuPower, 0, 300)
-        .expect("in range");
-    let fb = b
-        .series(node, SeriesKind::GpuPower, 300, 600)
-        .expect("in range");
-    assert_eq!(&f[..300], fa);
-    assert_eq!(&f[300..], fb);
+    assert_eq!(query(0, mid), &full[..mid as usize]);
+    assert_eq!(query(mid, horizon), &full[mid as usize..]);
 }

@@ -166,27 +166,51 @@ fn feature_extraction_is_reproducible() {
     assert_eq!(a.x().as_slice(), b.x().as_slice());
 }
 
+/// Generation folds each run's means and each node's cumulative sums
+/// while it steps, keeping no per-minute series. They must carry exactly
+/// the bits the query engine re-simulates: every sample's means those of
+/// its run window, and every node's cumulative sums the sequential f64
+/// sum of its series over the whole horizon.
 #[test]
 fn stored_sample_averages_match_requeried_telemetry() {
-    // The generation pass and the query engine must agree on the run
-    // means — proof the procedural regeneration is faithful.
     let t = generate(&SimConfig::tiny(5)).expect("generates");
     let engine = TelemetryQueryEngine::new(&t).expect("engine builds");
-    let pairs: Vec<_> = t
-        .samples()
-        .iter()
-        .step_by(37)
-        .take(30)
-        .map(|s| (s.aprun, s.node))
-        .collect();
+    let pairs: Vec<_> = t.samples().iter().map(|s| (s.aprun, s.node)).collect();
     let stats = engine.query(&pairs).expect("queries");
-    for (st, s) in stats.iter().zip(t.samples().iter().step_by(37).take(30)) {
-        assert!(
-            (st.run_temp.mean - s.avg_gpu_temp_c).abs() < 0.01,
-            "temp {} vs {}",
-            st.run_temp.mean,
-            s.avg_gpu_temp_c
+    for (st, s) in stats.iter().zip(t.samples()) {
+        let pair = (s.aprun, s.node);
+        assert_eq!(
+            st.run_temp.mean.to_bits(),
+            s.avg_gpu_temp_c.to_bits(),
+            "temp of {pair:?}"
         );
+        assert_eq!(
+            st.run_power.mean.to_bits(),
+            s.avg_gpu_power_w.to_bits(),
+            "power of {pair:?}"
+        );
+    }
+
+    // A shorter horizon keeps the whole-horizon probes of all 64 nodes
+    // to a few seconds in debug builds.
+    let mut cfg = SimConfig::tiny(5);
+    cfg.days = 5;
+    let t = generate(&cfg).expect("generates");
+    let engine = TelemetryQueryEngine::new(&t).expect("engine builds");
+    let horizon = t.config().total_minutes();
+    for node in t.config().topology.nodes() {
+        for (kind, cum) in [
+            (SeriesKind::GpuTemp, t.node_cum_temp()),
+            (SeriesKind::GpuPower, t.node_cum_power()),
+        ] {
+            let xs = engine.node_series(node, kind, 0, horizon).expect("probes");
+            let sum = xs.iter().fold(0.0f64, |acc, &x| acc + f64::from(x));
+            assert_eq!(
+                cum[node.0 as usize].to_bits(),
+                sum.to_bits(),
+                "{kind:?} of {node:?}"
+            );
+        }
     }
 }
 
