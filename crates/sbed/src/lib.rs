@@ -12,10 +12,12 @@
 //! * [`session`] — the sequential scoring state machine: admitted
 //!   frames in, deterministic response stream out;
 //! * [`daemon`] — the TCP server (std blocking I/O, no async runtime):
-//!   a sequencer that makes multi-connection serving a pure function
-//!   of the request sequence, bounded typed back-pressure, replies
-//!   written once per burst under a write timeout, graceful drain, and
-//!   request-log recording;
+//!   reader threads, one engine thread, replies written once per burst
+//!   under a write timeout, and graceful drain. The engine owns the
+//!   crate-private admission core: the sequencer that makes
+//!   multi-connection serving a pure function of the request sequence,
+//!   bounded typed back-pressure, swap boundaries and request-log
+//!   recording, with no socket, thread or clock;
 //! * [`replay`] — bit-identical re-scoring of a recorded request log;
 //! * [`client`] / [`fleet`] — the wire client, the mock-fleet load
 //!   driver with failure-node injection, and seeded synthetic
@@ -37,7 +39,11 @@ pub mod replay;
 pub mod session;
 pub mod wire;
 
+mod admission;
 mod error;
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod fixture;
 
 pub use error::SbedError;
 

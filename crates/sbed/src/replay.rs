@@ -14,7 +14,7 @@
 //! concatenated verbatim.
 
 use crate::session::ScoreSession;
-use crate::wire::{self, EncodedResponse, ReportPayload};
+use crate::wire::{self, ReportPayload};
 use crate::{Result, SbedError};
 use std::io::Write;
 use std::path::Path;
@@ -74,8 +74,6 @@ impl LogWriter {
 /// What replaying a log produced.
 #[derive(Debug)]
 pub struct ReplayOutcome {
-    /// Every response the session emitted, in emission order.
-    pub responses: Vec<EncodedResponse>,
     /// The final metrics snapshot.
     pub snapshot: String,
     /// The rolling checksum over every emitted response frame.
@@ -88,11 +86,19 @@ pub struct ReplayOutcome {
 
 /// Replays a recorded log (as bytes) through a fresh session.
 ///
+/// A log holds what the daemon admitted, in order, so every frame's
+/// request id is checked against it: an EVENT or FINISH carries the
+/// next admission sequence number, a SWAP the number of the frame
+/// after it, and nothing follows a FINISH. The payload checksum does
+/// not cover these header fields, so this is what catches a damaged id
+/// or kind.
+///
 /// # Errors
 ///
 /// A malformed log or schema-hash mismatch ([`SbedError::Payload`] /
-/// [`SbedError::Protocol`]), frame decode errors, and scoring-core
-/// failures.
+/// [`SbedError::Protocol`]), frame decode errors (a log cut inside a
+/// frame is [`SbedError::Truncated`]), a frame out of sequence
+/// ([`SbedError::Protocol`]), and scoring-core failures.
 pub fn replay_log_bytes(
     bytes: &[u8],
     artifact: &PipelineArtifact,
@@ -122,37 +128,48 @@ pub fn replay_log_bytes(
         });
     }
     let mut session = ScoreSession::new(artifact, cfg, topology)?;
-    let mut responses = Vec::new();
     let mut rest = bytes.get(16..).unwrap_or(&[]);
     let mut n_frames = 0u64;
+    // The admission sequence number of the next EVENT or FINISH.
+    let mut next_seq = 0u64;
     while !rest.is_empty() {
         let (frame, used) = wire::decode_frame(rest)?;
         rest = rest.get(used..).unwrap_or(&[]);
+        let (kind, id) = (frame.header.kind, frame.header.request_id);
+        let misplaced = |what: String| SbedError::Protocol {
+            reason: format!("log frame {n_frames} {what}"),
+        };
+        if session.finished() {
+            return Err(misplaced("follows the FINISH".into()));
+        }
+        if !matches!(kind, wire::KIND_EVENT | wire::KIND_FINISH | wire::KIND_SWAP) {
+            return Err(misplaced(format!("has kind {kind:#06x}, never logged")));
+        }
+        if id != next_seq {
+            return Err(misplaced(format!(
+                "carries request id {id}; its admission sequence is {next_seq}"
+            )));
+        }
         n_frames += 1;
         // A logged SWAP frame marks where the live engine hot-swapped
         // its artifact; replaying it at the same position reproduces
         // every post-swap score. The engine validated before logging,
         // so a failure here means the log or artifact chain is damaged.
-        if frame.header.kind == wire::KIND_SWAP {
+        if kind == wire::KIND_SWAP {
             let swap = session.prepare_swap(&frame.payload)?;
-            let mut rs = session.apply_swap(swap)?;
-            responses.append(&mut rs);
-            continue;
+            session.apply_swap(swap)?;
+        } else {
+            session.handle(kind, id, &frame.payload)?;
+            next_seq += 1;
         }
-        let mut rs = session.handle(frame.header.kind, frame.header.request_id, &frame.payload)?;
-        responses.append(&mut rs);
     }
     // A log that ends without a FINISH frame was a drained run: apply
     // the same finalisation the live daemon did.
-    if !session.finished() {
-        let mut rs = session.finalize()?;
-        responses.append(&mut rs);
-    }
+    session.finalize()?;
     Ok(ReplayOutcome {
         snapshot: session.snapshot_json(),
         response_fnv: session.response_fnv(),
         report: session.report(),
-        responses,
         n_frames,
     })
 }
@@ -173,4 +190,123 @@ pub fn replay_log_file(
         source: e,
     })?;
     replay_log_bytes(&bytes, artifact, cfg, topology)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::admission::tests::{demo_run, models};
+    use crate::admission::{Admission, Input};
+    use crate::wire::HEADER_LEN;
+    use std::sync::OnceLock;
+
+    /// A log the admission core recorded, once: the demo run's 210
+    /// events and its FINISH, with the successor swapped in at frame 105.
+    fn recorded_log() -> &'static [u8] {
+        static LOG: OnceLock<Vec<u8>> = OnceLock::new();
+        LOG.get_or_init(|| {
+            let (champion, successor) = models();
+            let (topology, serve, frames) = demo_run(5);
+            let path =
+                std::env::temp_dir().join(format!("sbed_log_cuts_{}.bin", std::process::id()));
+            let log = LogWriter::create(&path, champion.schema_hash()).expect("log");
+            let session = ScoreSession::new(champion, &serve, topology).expect("session");
+            let mut core = Admission::new(session, Some(log));
+            let swap = Input::Swap {
+                at_seq: 105,
+                envelope: successor.clone(),
+            };
+            core.deliver(swap).expect("swap");
+            for (seq, (kind, payload)) in frames.into_iter().enumerate() {
+                let frame = Input::Frame {
+                    peer: 0u64,
+                    seq: seq as u64,
+                    kind,
+                    payload,
+                };
+                core.deliver(frame).expect("frame");
+            }
+            core.shut().expect("shut");
+            drop(core);
+            let bytes = std::fs::read(&path).expect("read log");
+            std::fs::remove_file(&path).ok();
+            bytes
+        })
+    }
+
+    fn replay(bytes: &[u8]) -> Result<ReplayOutcome> {
+        let (champion, _) = models();
+        let (topology, serve, _) = demo_run(5);
+        replay_log_bytes(bytes, champion, &serve, topology)
+    }
+
+    /// The end offset of every frame in `log`.
+    fn frame_ends(log: &[u8]) -> Vec<usize> {
+        let mut ends = Vec::new();
+        let mut at = 16;
+        while at < log.len() {
+            let (_, used) = wire::decode_frame(&log[at..]).expect("logged frame");
+            at += used;
+            ends.push(at);
+        }
+        ends
+    }
+
+    /// A log cut at frame boundary k replays the first k frames (a
+    /// drained run); a cut inside the header or any frame is a typed
+    /// truncation, never a panic.
+    #[test]
+    fn a_cut_log_replays_its_whole_frames_or_reports_the_truncation() {
+        let log = recorded_log();
+        let ends = frame_ends(log);
+        assert_eq!(ends.len(), 212, "210 events, the swap and the FINISH");
+        let whole = replay(log).expect("whole log");
+        assert_eq!(whole.report.n_swaps, 1);
+        for cut in [0, 1, 8, 15] {
+            let e = replay(&log[..cut]).expect_err("cut header");
+            assert!(matches!(e, SbedError::Truncated { .. }), "cut {cut}: {e}");
+        }
+        let mut start = 16;
+        for (k, &end) in ends.iter().enumerate() {
+            let replayed = replay(&log[..start]).expect("cut at a boundary");
+            assert_eq!(replayed.n_frames, k as u64);
+            let inside = [1, HEADER_LEN - 1, HEADER_LEN, end - start - 1];
+            for cut in inside.map(|d| start + d).into_iter().filter(|&c| c < end) {
+                let e = replay(&log[..cut]).expect_err("cut inside a frame");
+                assert!(matches!(e, SbedError::Truncated { .. }), "cut {cut}: {e}");
+            }
+            start = end;
+        }
+    }
+
+    /// Header damage the payload checksum cannot see: a request id off
+    /// its admission sequence, on an EVENT or on the SWAP, and an EVENT
+    /// turned into a FINISH with frames after it.
+    #[test]
+    fn a_frame_out_of_sequence_is_a_typed_error() {
+        let log = recorded_log();
+        let ends = frame_ends(log);
+        let at = |k: usize| if k == 0 { 16 } else { ends[k - 1] };
+        let kind = |log: &[u8], k: usize| u16::from_le_bytes([log[at(k) + 6], log[at(k) + 7]]);
+        let swap = (0..ends.len())
+            .find(|&k| kind(log, k) == wire::KIND_SWAP)
+            .expect("logged swap");
+        assert_eq!(swap, 105);
+        let mut damages: Vec<Vec<u8>> = Vec::new();
+        for k in [5, swap, swap + 1] {
+            let mut bad = log.to_vec();
+            bad[at(k) + 8] ^= 1;
+            damages.push(bad);
+        }
+        let mut finish_early = log.to_vec();
+        finish_early[at(5) + 6..at(5) + 8].copy_from_slice(&wire::KIND_FINISH.to_le_bytes());
+        damages.push(finish_early);
+        let mut not_a_request = log.to_vec();
+        not_a_request[at(5) + 6..at(5) + 8].copy_from_slice(&wire::KIND_ACK.to_le_bytes());
+        damages.push(not_a_request);
+        for (i, bad) in damages.iter().enumerate() {
+            let e = replay(bad).expect_err("damaged header");
+            assert!(matches!(e, SbedError::Protocol { .. }), "damage {i}: {e}");
+        }
+    }
 }

@@ -99,8 +99,8 @@ pub struct Frame {
 
 /// One response the session emitted, ready to write: the encoded frame
 /// plus the routing facts the daemon needs (which request it answers,
-/// and whether it is that request's final response — the signal that
-/// releases the requester's in-flight slot).
+/// and whether it is that request's final response, after which the
+/// daemon forgets the request; its window slot was freed at its first).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EncodedResponse {
     /// The request this response answers.

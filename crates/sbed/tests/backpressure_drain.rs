@@ -88,18 +88,17 @@ fn conn_window_overload_is_typed_not_dropped() {
     assert!(report.n_overloads >= 1, "overload refusal not counted");
 }
 
-/// The bounded reorder buffer refuses early arrivals with
-/// ERR_OVERLOAD, and stale/duplicate sequence numbers with
-/// ERR_REJECTED — all typed, all retransmittable where it makes sense.
+/// Stale and duplicate sequence numbers get typed ERR_REJECTED
+/// responses over the wire, and the connection carries on. (The
+/// reorder buffer's own bound is forced in process, at its real 4096
+/// frames, by the admission core's unit tests.)
 #[test]
-fn reorder_buffer_and_sequence_rejections_are_typed() {
-    let daemon = spawn_daemon(|c| c.reorder_capacity = 1);
+fn stale_and_duplicate_sequences_are_typed_rejections() {
+    let daemon = spawn_daemon(|_| {});
     let addr = daemon.addr();
     let mut conn = Connection::connect(addr).expect("conn");
 
     conn.send_event(1, &tick(1)).expect("send 1"); // buffered (waiting for 0)
-    conn.send_event(2, &tick(2)).expect("send 2"); // buffer full
-    expect_error(&mut conn, 2, wire::ERR_OVERLOAD);
     conn.send_event(1, &tick(1)).expect("send dup 1"); // already queued
     expect_error(&mut conn, 1, wire::ERR_REJECTED);
 
@@ -110,7 +109,7 @@ fn reorder_buffer_and_sequence_rejections_are_typed() {
     conn.send_event(0, &tick(0)).expect("send stale 0"); // already admitted
     expect_error(&mut conn, 0, wire::ERR_REJECTED);
 
-    conn.send_event(2, &tick(2)).expect("resend 2");
+    conn.send_event(2, &tick(2)).expect("send 2");
     expect_ack(&mut conn, 2);
     conn.send_finish(3).expect("finish");
     let r = conn.recv().expect("recv").expect("report");
@@ -118,14 +117,15 @@ fn reorder_buffer_and_sequence_rejections_are_typed() {
 
     let report = daemon.join().expect("join");
     assert_eq!(report.report.n_events, 3);
-    assert!(report.n_overloads >= 1);
+    assert_eq!(report.n_overloads, 0);
 }
 
 /// Drain finishes everything admitted, then the port closes: new
 /// connection attempts are refused by the OS.
 #[test]
 fn drain_completes_admitted_work_and_closes_the_port() {
-    let daemon = spawn_daemon(|c| c.exit_on_finish = false);
+    // No FINISH ever arrives: the drain supplies the ending.
+    let daemon = spawn_daemon(|_| {});
     let addr = daemon.addr();
     let mut conn = Connection::connect(addr).expect("conn");
 
@@ -220,7 +220,6 @@ fn drained_recorded_log_replays_byte_identically() {
 
     let mut cfg = DaemonConfig::new("127.0.0.1:0", serve, topology);
     cfg.record_log = Some(log_path.clone());
-    cfg.exit_on_finish = false;
     let daemon = Daemon::spawn(Arc::new(artifact.clone()), cfg).expect("daemon spawns");
     let addr = daemon.addr();
 

@@ -17,24 +17,17 @@
 
 mod common;
 
-use common::synthetic_artifact;
+use common::{fitted_artifact, synthetic_artifact};
 use mlkit::artifact::Lineage;
-use mlkit::dataset::Dataset;
-use mlkit::gbdt::Gbdt;
 use mlkit::hash::fnv1a64;
-use mlkit::model::Classifier;
-use mlkit::scaler::StandardScaler;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use sbed::client::{run_fleet, FleetConfig, FleetOutcome};
 use sbed::daemon::{Daemon, DaemonConfig, DaemonReport};
 use sbed::fleet::{synth_events, SynthConfig};
 use sbed::replay::replay_log_file;
 use sbed::wire::WireEvent;
-use sbepred::features::FeatureSpec;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use streamd::artifact::{PipelineArtifact, PipelineModel};
+use streamd::artifact::PipelineArtifact;
 use streamd::serve::ServeConfig;
 use titan_sim::topology::Topology;
 
@@ -45,41 +38,7 @@ type ScoreMap = BTreeMap<(u32, u32), (u32, bool)>;
 /// a swap), differently seeded model, encoded with a valid succession
 /// header naming the champion as parent.
 fn challenger_bytes(champion: &PipelineArtifact, generation: u32) -> Vec<u8> {
-    let spec = FeatureSpec::no_telemetry();
-    let n = spec.n_features();
-    let mut rng = StdRng::seed_from_u64(1717);
-    let rows: Vec<Vec<f32>> = (0..160)
-        .map(|_| (0..n).map(|_| rng.gen::<f32>() * 2.0 - 1.0).collect())
-        .collect();
-    let y: Vec<f32> = rows
-        .iter()
-        .map(|r| {
-            if r.iter().sum::<f32>() > 0.0 {
-                1.0
-            } else {
-                0.0
-            }
-        })
-        .collect();
-    let data = Dataset::from_rows(&rows, &y).expect("challenger dataset");
-    let scaler = StandardScaler::fit(&data).expect("challenger scaler");
-    let scaled = scaler.transform(&data).expect("challenger transform");
-    let mut model = Gbdt::new()
-        .n_trees(12)
-        .max_depth(3)
-        .min_samples_leaf(2)
-        .seed(6);
-    model
-        .fit(&scaled, &mut obskit::Recorder::null())
-        .expect("challenger fit");
-    let challenger = PipelineArtifact::new(
-        spec,
-        champion.offenders().to_vec(),
-        scaler,
-        PipelineModel::Gbdt(model),
-        60,
-        "adapt-g1",
-    );
+    let challenger = fitted_artifact(1717, 6, 60, "adapt-g1");
     let parent = fnv1a64(&champion.to_bytes().expect("champion bytes"));
     let lineage = Lineage::child_of(parent, generation.wrapping_sub(1), 0, 60);
     challenger
