@@ -2,12 +2,11 @@
 //!
 //! Raw model inference over a pre-built feature buffer: the interpreted
 //! `Gbdt::predict_proba` (the oracle) vs the compiled struct-of-arrays
-//! scorer's `predict_proba_into` (the serving path), on a
-//! production-sized ensemble (deep trees whose node tables outgrow the
-//! upper cache levels — the regime the lockstep-lane kernel is built
-//! for). The batch is kept below the interpreted path's parallel-row
-//! threshold so both sides run serial and the numbers are per-core
-//! predictions/sec.
+//! scorer's `predict_proba_into` (the serving path), on a large
+//! ensemble (deep trees whose node arrays outgrow the upper cache
+//! levels — the regime the lockstep-lane kernel is built for). The
+//! batch is kept below the interpreted path's parallel-row threshold so
+//! both sides run serial and the numbers are per-core predictions/sec.
 //!
 //! Besides the Criterion timings, the bench hand-times both sides and
 //! writes `BENCH_fastpath.json` at the workspace root, the report
@@ -28,10 +27,11 @@ use sbe_bench::{BenchReport, Metric};
 /// side serial so batch numbers compare one core against one core.
 const BATCH_ROWS: usize = 4_000;
 const N_FEATURES: usize = 64;
-/// A production-scale ensemble: ~170k nodes, well past what fits in the
-/// upper cache levels, so scoring cost is dominated by per-step memory
-/// latency — serialized on the interpreted walk, overlapped eight-wide
-/// on the compiled one.
+/// A large ensemble: ~170k nodes, where the serving champion (120 trees
+/// of depth 5) has at most 7,560; both run the one compiled kernel.
+/// This one is well past what fits in the upper cache levels, so
+/// scoring cost is dominated by per-step memory latency — serialized on
+/// the interpreted walk, overlapped eight-wide on the compiled one.
 const N_TREES: usize = 150;
 const MAX_DEPTH: usize = 10;
 const TRAIN_ROWS: usize = 12_000;

@@ -42,7 +42,7 @@
 //! scoring loop. `--trace PATH` accepts either a trace JSON file or a
 //! directory containing `trace.json`. `train` fits the evaluation's GBDT
 //! or LR (`ModelKind::gbdt` / `ModelKind::lr`), and `serve` scores
-//! through the flattened fastpath tables, which `train` checks bit for
+//! through the flattened fastpath arrays, which `train` checks bit for
 //! bit against the interpreted model before it ships an artifact.
 //! `serve`, `serve-net` and `adapt` batch with `ServeConfig::window`'s
 //! policy. `check-bench` reads the reports that `cargo bench -p

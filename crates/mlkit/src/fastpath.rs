@@ -6,19 +6,16 @@
 //! branch mispredictions and cache misses. This module
 //! *compiles* a fitted model into a contiguous struct-of-arrays form and
 //! scores batches out of a reusable column-major [`FeatureFrame`], so the
-//! hot loop is a fixed-count, predicated walk over five flat arrays with
+//! hot loop is a fixed-count, predicated walk over flat arrays with
 //! zero allocation per batch.
 //!
 //! Layout ([`CompiledGbdt`]): every tree's nodes are appended to one
-//! shared table in breadth-first order (hot upper levels stay adjacent),
-//! children numbered *right first* so every split satisfies
-//! `left == right + 1`, and a leaf is encoded as a *self-loop*
-//! (`left == right == self`). From that flattening the compiler derives
-//! a packed traversal form — normally one 64-bit word per node holding
-//! the threshold bits, feature index, and child pointer (the *narrow*
-//! form; a *wide* fallback with a separate child array covers ensembles
-//! past 2^16 nodes or features) — so a step is one node load, one
-//! feature gather, and pure arithmetic:
+//! shared set of arrays in breadth-first order (hot upper levels stay
+//! adjacent), children numbered *right first* so every split's left
+//! child is its right child plus one. Each node is stored once, as three
+//! entries: a 64-bit word `threshold_bits << 32 | feature`, a `u32`
+//! `kid` (the right child's id), and its leaf value. A step is two node
+//! loads, one feature gather, and pure arithmetic:
 //!
 //! ```text
 //! next = kid[n] + (row[feature[n]] < threshold[n])   // 0 → right, 1 → left
@@ -31,15 +28,16 @@
 //! exactly `depth` iterations regardless of where the row lands, so
 //! there is no data-dependent control flow at all.
 //!
-//! Batch scoring tiles the rows ([`CompiledGbdt::predict_proba_into`])
-//! and walks eight rows in lockstep per tree. The lockstep lanes are
-//! the decisive structure for production-sized ensembles: once the node
-//! tables outgrow the upper cache levels, the interpreted walk eats one
-//! serialized miss per step while the eight independent lane chains
-//! keep eight misses in flight. Tiling bounds the feature working set
-//! per ensemble sweep, and the [`FeatureFrame`] pads its column stride
-//! away from 4 KiB multiples so tiled columns do not alias onto the
-//! same cache sets.
+//! Scoring has one entry per model, `predict_proba_into`: a batch (or a
+//! one-row frame) scored into a caller-owned slice. The GBDT kernel
+//! tiles the rows and walks eight rows in lockstep per tree. The
+//! lockstep lanes are the decisive structure for large ensembles: once
+//! the node arrays outgrow the upper cache levels, the interpreted walk
+//! eats one serialized miss per step while the eight independent lane
+//! chains keep eight misses in flight. Tiling bounds the feature working
+//! set per ensemble sweep, and the [`FeatureFrame`] pads its column
+//! stride away from 4 KiB multiples so tiled columns do not alias onto
+//! the same cache sets.
 //!
 //! Bit-exactness is a hard contract, not an aspiration: compilation
 //! stores the same `f32` thresholds and leaf values the interpreted
@@ -52,62 +50,22 @@ use crate::gbdt::Gbdt;
 use crate::linear::sigmoid;
 use crate::{MlError, Result};
 
-/// Struct-of-arrays node storage shared by every tree of a compiled
-/// ensemble — the flattening artifact the packed traversal arrays are
-/// derived from. Parallel arrays, indexed by node id:
-///
-/// * `feature[n]` / `threshold[n]` — the split predicate (`+∞`
-///   threshold on leaves),
-/// * `left[n]` / `right[n]` — child ids (`n` itself on leaves; splits
-///   always satisfy `left == right + 1` per the right-first BFS), and
-/// * `value[n]` — the leaf value (`0.0` on internal nodes).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct NodeTables {
-    pub(crate) feature: Vec<u32>,
-    pub(crate) threshold: Vec<f32>,
-    pub(crate) left: Vec<u32>,
-    pub(crate) right: Vec<u32>,
-    pub(crate) value: Vec<f32>,
-}
-
-impl NodeTables {
-    pub(crate) fn len(&self) -> usize {
-        self.feature.len()
-    }
-
-    pub(crate) fn push(&mut self, feature: u32, threshold: f32, left: u32, right: u32, value: f32) {
-        self.feature.push(feature);
-        self.threshold.push(threshold);
-        self.left.push(left);
-        self.right.push(right);
-        self.value.push(value);
-    }
-}
-
 /// A fitted [`Gbdt`] flattened for branch-free batch scoring.
 ///
-/// Built with [`Gbdt::compile`]; scores with [`CompiledGbdt::proba_row`]
-/// (one row) or [`CompiledGbdt::predict_proba_into`] (a whole
-/// [`FeatureFrame`], no allocation). Produces bit-identical
-/// probabilities to the interpreted
+/// Built with [`Gbdt::compile`]; scores a whole [`FeatureFrame`] with
+/// [`CompiledGbdt::predict_proba_into`], without allocating. Produces
+/// bit-identical probabilities to the interpreted
 /// [`Classifier::predict_proba`](crate::model::Classifier::predict_proba).
 #[derive(Debug, Clone)]
 pub struct CompiledGbdt {
-    tables: NodeTables,
-    /// Packed traversal mirror of `tables`, one 64-bit word per node
-    /// with the threshold bits in the high half. Leaves carry NaN
-    /// threshold bits so `v < t` is false for every `v`. In the narrow
-    /// form the low half is `feature << 16 | kid`, so a step is a
-    /// single node load; the wide form stores the feature alone and
-    /// reads `kid` from its own array.
-    packed: Vec<u64>,
-    /// Wide form only: right-child id for splits (`left` is `kid + 1`),
-    /// self for leaves. Empty in the narrow form.
+    /// One word per node, `threshold_bits << 32 | feature`. Leaves carry
+    /// NaN threshold bits so `v < t` is false for every `v`.
+    word: Vec<u64>,
+    /// Per node: the right child's id on a split (the left child is
+    /// `kid + 1`), the node's own id on a leaf.
     kid: Vec<u32>,
-    /// Whether `packed` uses the narrow (single-load) encoding. True
-    /// whenever node ids and feature indices fit in 16 bits — every
-    /// realistically sized ensemble.
-    narrow: bool,
+    /// Per node: the leaf value (`0.0` on splits).
+    value: Vec<f32>,
     /// Node id of each tree's root, in boosting order.
     roots: Vec<u32>,
     /// Per-tree walk length: the tree's maximum leaf depth.
@@ -127,37 +85,6 @@ const TILE: usize = 1024;
 /// in flight instead of the interpreted walk's one.
 const LANES: usize = 8;
 
-/// Builds the packed traversal arrays from flattened node tables.
-///
-/// Narrow form: `threshold_bits << 32 | feature << 16 | kid` in one
-/// word, empty `kid` array. Wide form: `threshold_bits << 32 | feature`
-/// with `kid` alongside. Leaves get NaN threshold bits and a self `kid`
-/// in both forms so the walk parks on them.
-fn pack_tables(tables: &NodeTables, narrow: bool) -> (Vec<u64>, Vec<u32>) {
-    let mut packed = Vec::with_capacity(tables.len());
-    let mut kid = Vec::with_capacity(if narrow { 0 } else { tables.len() });
-    for n in 0..tables.len() {
-        let leaf = tables.left[n] == tables.right[n];
-        let t_bits = if leaf {
-            f32::NAN.to_bits()
-        } else {
-            debug_assert_eq!(tables.left[n], tables.right[n] + 1, "right-first BFS");
-            tables.threshold[n].to_bits()
-        };
-        if narrow {
-            packed.push(
-                u64::from(t_bits) << 32
-                    | u64::from(tables.feature[n]) << 16
-                    | u64::from(tables.right[n]),
-            );
-        } else {
-            packed.push(u64::from(t_bits) << 32 | u64::from(tables.feature[n]));
-            kid.push(tables.right[n]);
-        }
-    }
-    (packed, kid)
-}
-
 impl CompiledGbdt {
     /// Flattens a fitted ensemble.
     ///
@@ -171,26 +98,23 @@ impl CompiledGbdt {
         if trees.is_empty() {
             return Err(MlError::NotFitted);
         }
-        let mut tables = NodeTables::default();
+        let (mut word, mut kid, mut value) = (Vec::new(), Vec::new(), Vec::new());
         let mut roots = Vec::with_capacity(trees.len());
         let mut tree_steps = Vec::with_capacity(trees.len());
         for tree in trees {
-            roots.push(tables.len() as u32);
-            tree_steps.push(tree.flatten_into(&mut tables));
+            roots.push(word.len() as u32);
+            tree_steps.push(tree.flatten_into(&mut word, &mut kid, &mut value));
         }
-        if tables.len() > u32::MAX as usize {
+        if word.len() > u32::MAX as usize {
             return Err(MlError::InvalidParameter {
                 name: "n_nodes",
-                reason: format!("ensemble has {} nodes; node ids are u32", tables.len()),
+                reason: format!("ensemble has {} nodes; node ids are u32", word.len()),
             });
         }
-        let narrow = tables.len() <= 1 << 16 && model.fitted_n_features() <= 1 << 16;
-        let (packed, kid) = pack_tables(&tables, narrow);
         Ok(CompiledGbdt {
-            tables,
-            packed,
+            word,
             kid,
-            narrow,
+            value,
             roots,
             tree_steps,
             base_score: model.fitted_base_score(),
@@ -212,7 +136,7 @@ impl CompiledGbdt {
 
     /// Total nodes across all flattened trees.
     pub fn n_nodes(&self) -> usize {
-        self.tables.len()
+        self.word.len()
     }
 
     /// The longest predicated walk any tree performs (max leaf depth).
@@ -225,26 +149,10 @@ impl CompiledGbdt {
         self.threshold
     }
 
-    /// Decoded traversal fields of node `n`: `(threshold_bits, feature,
-    /// kid)`, independent of the packed form.
-    #[inline]
-    fn node_parts(&self, n: usize) -> (u32, u32, u32) {
-        let w = self.packed[n];
-        if self.narrow {
-            (
-                (w >> 32) as u32,
-                (w >> 16) as u32 & 0xFFFF,
-                w as u32 & 0xFFFF,
-            )
-        } else {
-            ((w >> 32) as u32, w as u32, self.kid[n])
-        }
-    }
-
     /// Adds one tree's shrunk leaf values into the tile `out`, which
     /// covers frame rows `row0 .. row0 + out.len()`. Walks [`LANES`]
-    /// rows in lockstep so their independent gathers overlap; narrow
-    /// ensembles take the single-load-per-step kernel.
+    /// rows in lockstep so their independent gathers overlap; the rows
+    /// past the last full group walk one at a time.
     fn score_tree_tile(
         &self,
         root: u32,
@@ -253,69 +161,7 @@ impl CompiledGbdt {
         row0: usize,
         out: &mut [f32],
     ) {
-        if self.narrow {
-            self.score_tree_tile_narrow(root, steps, frame, row0, out);
-        } else {
-            self.score_tree_tile_wide(root, steps, frame, row0, out);
-        }
-    }
-
-    /// Narrow kernel: the whole node — threshold, feature, child — comes
-    /// from one 64-bit load, so a step is one node load, one feature
-    /// gather, and arithmetic.
-    fn score_tree_tile_narrow(
-        &self,
-        root: u32,
-        steps: u32,
-        frame: &FeatureFrame,
-        row0: usize,
-        out: &mut [f32],
-    ) {
-        let packed = &self.packed;
-        let data = &frame.data;
-        let stride = frame.cap_rows;
-        let n = out.len();
-        let mut i = 0;
-        while i + LANES <= n {
-            let mut cur = [root; LANES];
-            for _ in 0..steps {
-                for (lane, c) in cur.iter_mut().enumerate() {
-                    let w = packed[*c as usize];
-                    let t = f32::from_bits((w >> 32) as u32);
-                    let v = data[((w >> 16) as u32 & 0xFFFF) as usize * stride + row0 + i + lane];
-                    *c = (w as u32 & 0xFFFF) + u32::from(v < t);
-                }
-            }
-            for (lane, c) in cur.iter().enumerate() {
-                out[i + lane] += self.learning_rate * self.tables.value[*c as usize];
-            }
-            i += LANES;
-        }
-        while i < n {
-            let mut node = root as usize;
-            for _ in 0..steps {
-                let w = packed[node];
-                let t = f32::from_bits((w >> 32) as u32);
-                let v = data[((w >> 16) as u32 & 0xFFFF) as usize * stride + row0 + i];
-                node = ((w as u32 & 0xFFFF) + u32::from(v < t)) as usize;
-            }
-            out[i] += self.learning_rate * self.tables.value[node];
-            i += 1;
-        }
-    }
-
-    /// Wide kernel (fallback for ensembles whose node ids or feature
-    /// indices exceed 16 bits): the child pointer lives in its own
-    /// array, so a step is two node loads plus the gather.
-    fn score_tree_tile_wide(
-        &self,
-        root: u32,
-        steps: u32,
-        frame: &FeatureFrame,
-        row0: usize,
-        out: &mut [f32],
-    ) {
-        let packed = &self.packed;
+        let word = &self.word;
         let kid = &self.kid;
         let data = &frame.data;
         let stride = frame.cap_rows;
@@ -326,59 +172,28 @@ impl CompiledGbdt {
             for _ in 0..steps {
                 for (lane, c) in cur.iter_mut().enumerate() {
                     let node = *c as usize;
-                    let w = packed[node];
+                    let w = word[node];
                     let t = f32::from_bits((w >> 32) as u32);
                     let v = data[(w as u32) as usize * stride + row0 + i + lane];
                     *c = kid[node] + u32::from(v < t);
                 }
             }
             for (lane, c) in cur.iter().enumerate() {
-                out[i + lane] += self.learning_rate * self.tables.value[*c as usize];
+                out[i + lane] += self.learning_rate * self.value[*c as usize];
             }
             i += LANES;
         }
         while i < n {
             let mut node = root as usize;
             for _ in 0..steps {
-                let w = packed[node];
+                let w = word[node];
                 let t = f32::from_bits((w >> 32) as u32);
                 let v = data[(w as u32) as usize * stride + row0 + i];
                 node = (kid[node] + u32::from(v < t)) as usize;
             }
-            out[i] += self.learning_rate * self.tables.value[node];
+            out[i] += self.learning_rate * self.value[node];
             i += 1;
         }
-    }
-
-    /// Raw additive score (log-odds) for one feature row. Bit-identical
-    /// to the interpreted accumulation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` has fewer features than the model expects.
-    pub fn raw_score_row(&self, row: &[f32]) -> f32 {
-        assert!(row.len() >= self.n_features, "feature row too short");
-        let mut s = self.base_score;
-        for (k, &root) in self.roots.iter().enumerate() {
-            let mut node = root as usize;
-            for _ in 0..self.tree_steps[k] {
-                let (t_bits, f, kid) = self.node_parts(node);
-                let t = f32::from_bits(t_bits);
-                let v = row[f as usize];
-                node = (kid + u32::from(v < t)) as usize;
-            }
-            s += self.learning_rate * self.tables.value[node];
-        }
-        s
-    }
-
-    /// Positive-class probability for one feature row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` has fewer features than the model expects.
-    pub fn proba_row(&self, row: &[f32]) -> f32 {
-        sigmoid(self.raw_score_row(row))
     }
 
     /// Scores every row of `frame` into `out` without allocating.
@@ -423,18 +238,6 @@ impl CompiledGbdt {
         }
         Ok(())
     }
-
-    /// Allocating convenience wrapper around
-    /// [`CompiledGbdt::predict_proba_into`].
-    ///
-    /// # Errors
-    ///
-    /// See [`CompiledGbdt::predict_proba_into`].
-    pub fn predict_proba(&self, frame: &FeatureFrame) -> Result<Vec<f32>> {
-        let mut out = vec![0.0f32; frame.n_rows()];
-        self.predict_proba_into(frame, &mut out)?;
-        Ok(out)
-    }
 }
 
 /// A fitted [`LogisticRegression`](crate::linear::LogisticRegression)
@@ -467,15 +270,6 @@ impl CompiledLinear {
     /// The decision threshold carried over from the interpreted model.
     pub fn threshold(&self) -> f32 {
         self.threshold
-    }
-
-    /// Positive-class probability for one feature row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is shorter than the weight vector.
-    pub fn proba_row(&self, row: &[f32]) -> f32 {
-        sigmoid(crate::matrix::dot(&self.weights, &row[..self.weights.len()]) + self.bias)
     }
 
     /// Scores every row of `frame` into `out` without allocating.
@@ -678,6 +472,20 @@ mod tests {
         Dataset::from_rows(&rows, &y).unwrap()
     }
 
+    /// Scores a whole frame through `predict_proba_into`.
+    fn proba(compiled: &CompiledGbdt, frame: &FeatureFrame) -> Result<Vec<f32>> {
+        let mut out = vec![0.0f32; frame.n_rows()];
+        compiled.predict_proba_into(frame, &mut out)?;
+        Ok(out)
+    }
+
+    /// Scores one row as a one-row frame, which runs the kernel's lane
+    /// tail.
+    fn proba_one(compiled: &CompiledGbdt, row: &[f32]) -> f32 {
+        let frame = FeatureFrame::from_rows(&[row.to_vec()]).unwrap();
+        proba(compiled, &frame).unwrap()[0]
+    }
+
     fn assert_bitwise_parity(model: &Gbdt, compiled: &CompiledGbdt, ds: &Dataset) {
         let interpreted = model.predict_proba(ds).unwrap();
         let frame = FeatureFrame::from_rows(
@@ -686,14 +494,14 @@ mod tests {
                 .collect::<Vec<_>>(),
         )
         .unwrap();
-        let fast = compiled.predict_proba(&frame).unwrap();
+        let fast = proba(compiled, &frame).unwrap();
         for (i, (a, b)) in interpreted.iter().zip(&fast).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "row {i}: {a} vs {b}");
         }
-        // Single-row entry point agrees with the batch one.
+        // A one-row frame agrees with the batch.
         for (i, f) in fast.iter().enumerate() {
-            let p = compiled.proba_row(ds.x().row(i));
-            assert_eq!(p.to_bits(), f.to_bits(), "proba_row at {i}");
+            let p = proba_one(compiled, ds.x().row(i));
+            assert_eq!(p.to_bits(), f.to_bits(), "one-row frame at {i}");
         }
     }
 
@@ -753,7 +561,7 @@ mod tests {
         let qds = Dataset::from_rows(&queries, &[0.0; 4]).unwrap();
         let interp = model.predict_proba(&qds).unwrap();
         for (q, want) in queries.iter().zip(&interp) {
-            let got = compiled.proba_row(q);
+            let got = proba_one(&compiled, q);
             assert_eq!(got.to_bits(), want.to_bits(), "query {q:?}");
         }
         // Tie goes right: exactly-on-threshold scores like the right
@@ -770,11 +578,11 @@ mod tests {
         let compiled = model.compile().unwrap();
         // `NaN < t` is false on both paths, so a NaN row must score
         // exactly like an always-right row.
-        let nan = compiled.proba_row(&[f32::NAN]);
-        let right = compiled.proba_row(&[f32::INFINITY]);
+        let nan = proba_one(&compiled, &[f32::NAN]);
+        let right = proba_one(&compiled, &[f32::INFINITY]);
         assert_eq!(nan.to_bits(), right.to_bits());
         let frame = FeatureFrame::from_rows(&[vec![f32::NAN], vec![f32::INFINITY]]).unwrap();
-        let out = compiled.predict_proba(&frame).unwrap();
+        let out = proba(&compiled, &frame).unwrap();
         assert_eq!(out[0].to_bits(), out[1].to_bits());
     }
 
@@ -784,44 +592,69 @@ mod tests {
         let mut model = Gbdt::new().n_trees(6).min_samples_leaf(2);
         model.fit(&ds, &mut obskit::Recorder::null()).unwrap();
         let compiled = model.compile().unwrap();
-        assert!(compiled.narrow, "small ensembles take the narrow form");
-        let t = &compiled.tables;
-        for n in 0..t.len() {
-            let (t_bits, feature, kid) = compiled.node_parts(n);
-            assert_eq!(feature, t.feature[n]);
-            if t.left[n] == t.right[n] {
-                // Leaf: self-loop in the tables; the packed form parks
-                // on it via a NaN threshold (`v < NaN` is false for
-                // every v) and a self kid.
-                assert_eq!(t.left[n] as usize, n);
-                assert_eq!(kid as usize, n);
-                assert!(f32::from_bits(t_bits).is_nan());
-            } else {
-                assert_eq!(t.left[n], t.right[n] + 1, "split children right-first");
-                assert_eq!(kid, t.right[n]);
-                assert_eq!(t_bits, t.threshold[n].to_bits());
+        let n_nodes = compiled.n_nodes();
+        assert_eq!(compiled.kid.len(), n_nodes);
+        assert_eq!(compiled.value.len(), n_nodes);
+        // Tree k owns the node ids from its root up to the next root.
+        let mut ends: Vec<u32> = compiled.roots[1..].to_vec();
+        ends.push(n_nodes as u32);
+        let mut n_splits = 0;
+        for (&root, &end) in compiled.roots.iter().zip(&ends) {
+            for n in root..end {
+                let (w, kid) = (compiled.word[n as usize], compiled.kid[n as usize]);
+                let t = f32::from_bits((w >> 32) as u32);
+                if t.is_nan() {
+                    // Leaf: `v < NaN` is false for every v and the kid is
+                    // the node itself, so the walk parks.
+                    assert_eq!(kid, n, "leaf {n} parks on itself");
+                    assert_eq!(w as u32, 0, "leaf {n} reads feature 0");
+                } else {
+                    // Split: the right child is `kid`, the left `kid + 1`,
+                    // both inside this tree and after the split.
+                    n_splits += 1;
+                    assert!(kid > n && kid + 1 < end, "split {n} children in its tree");
+                    assert!((w as u32 as usize) < compiled.n_features());
+                    assert_eq!(compiled.value[n as usize], 0.0);
+                }
             }
         }
+        assert!(n_splits > 0, "the xor ensemble splits");
     }
 
     #[test]
-    fn wide_fallback_kernel_matches_narrow() {
-        // Repack a (small) compiled ensemble in the wide form the huge
-        // ensembles would take, and hold both kernels to the same bits.
-        let ds = xor_dataset(TILE + 29);
-        let mut model = Gbdt::new().n_trees(9).min_samples_leaf(2).seed(5);
+    fn ensembles_past_sixteen_bit_node_ids_match() {
+        // Past 2^16 nodes, node ids no longer fit in 16 bits. Many small
+        // trees on a small dataset get there cheaply.
+        let rows: Vec<Vec<f32>> = (0..200)
+            .map(|i| vec![i as f32, ((i * 37) % 101) as f32, ((i * 11) % 7) as f32])
+            .collect();
+        let y: Vec<f32> = (0..200u64)
+            .map(|i| ((i.wrapping_mul(2654435761) >> 9) % 2) as f32)
+            .collect();
+        let ds = Dataset::from_rows(&rows, &y).unwrap();
+        let mut model = Gbdt::new()
+            .n_trees(1500)
+            .max_depth(6)
+            .min_samples_leaf(1)
+            .learning_rate(0.05)
+            .seed(11);
         model.fit(&ds, &mut obskit::Recorder::null()).unwrap();
         let compiled = model.compile().unwrap();
-        assert!(compiled.narrow);
-        let mut wide = compiled.clone();
-        let (packed, kid) = pack_tables(&wide.tables, false);
-        wide.packed = packed;
-        wide.kid = kid;
-        wide.narrow = false;
-        for n in 0..compiled.tables.len() {
-            assert_eq!(compiled.node_parts(n), wide.node_parts(n), "node {n}");
-        }
-        assert_bitwise_parity(&model, &wide, &ds);
+        assert!(compiled.n_nodes() > 65_536, "{} nodes", compiled.n_nodes());
+        // More than two tiles plus a ragged lane tail, reaching past the
+        // training range on every feature; `assert_bitwise_parity` also
+        // scores each row as a one-row frame.
+        let probes: Vec<Vec<f32>> = (0..TILE * 2 + 13)
+            .map(|i| {
+                vec![
+                    (i % 211) as f32 - 5.0,
+                    ((i * 37) % 103) as f32,
+                    (i % 9) as f32,
+                ]
+            })
+            .collect();
+        let probes = Dataset::from_rows(&probes, &vec![0.0; probes.len()]).unwrap();
+        assert_bitwise_parity(&model, &compiled, &probes);
     }
 
     #[test]
@@ -856,7 +689,7 @@ mod tests {
         let compiled = model.compile().unwrap();
         let narrow = FeatureFrame::from_rows(&[vec![0.0]]).unwrap();
         assert!(matches!(
-            compiled.predict_proba(&narrow),
+            proba(&compiled, &narrow),
             Err(MlError::DimensionMismatch { .. })
         ));
         let frame = FeatureFrame::from_rows(&[vec![0.0, 1.0]]).unwrap();
@@ -888,8 +721,10 @@ mod tests {
         compiled.predict_proba_into(&frame, &mut out).unwrap();
         for (i, (a, b)) in interp.iter().zip(&out).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "row {i}");
-            let single = compiled.proba_row(&rows[i]);
-            assert_eq!(single.to_bits(), a.to_bits(), "proba_row at {i}");
+            let frame = FeatureFrame::from_rows(&rows[i..=i]).unwrap();
+            let mut single = [0.0f32];
+            compiled.predict_proba_into(&frame, &mut single).unwrap();
+            assert_eq!(single[0].to_bits(), a.to_bits(), "one-row frame at {i}");
         }
     }
 
@@ -929,6 +764,6 @@ mod tests {
         let compiled = model.compile().unwrap();
         let mut frame = FeatureFrame::default();
         frame.reset(2);
-        assert_eq!(compiled.predict_proba(&frame).unwrap(), Vec::<f32>::new());
+        assert_eq!(proba(&compiled, &frame).unwrap(), Vec::<f32>::new());
     }
 }

@@ -401,19 +401,24 @@ impl RegressionTree {
         }
     }
 
-    /// Appends this tree to a compiled ensemble's shared
-    /// [`NodeTables`](crate::fastpath), returning the number of
-    /// predicated steps that guarantee a leaf (the maximum leaf depth).
+    /// Appends this tree to a compiled ensemble's node arrays (see
+    /// [`crate::fastpath`]), returning the number of predicated steps
+    /// that guarantee a leaf (the maximum leaf depth).
     ///
     /// Nodes are re-laid-out in breadth-first order so the hot upper
-    /// levels of every tree sit adjacently, and leaves become self-loops
-    /// (`left == right == self`, `+∞` threshold) so a fixed-count walk
-    /// parks on them. Children are numbered *right first*, so every
-    /// split satisfies `left == right + 1` — the packed traversal in
-    /// `fastpath` exploits that to replace two child pointers with one
-    /// (`next = right + (v < t)`); see the module docs for the contract.
-    pub(crate) fn flatten_into(&self, tables: &mut crate::fastpath::NodeTables) -> u32 {
-        let base = tables.len() as u32;
+    /// levels of every tree sit adjacently. Children are numbered *right
+    /// first*, so a split's left child is always its right child plus
+    /// one and one `kid` entry (the right child) stands for both:
+    /// `next = kid + (v < t)`. A leaf parks a fixed-count walk: NaN
+    /// threshold bits make `v < t` false for every `v`, and its `kid`
+    /// is itself.
+    pub(crate) fn flatten_into(
+        &self,
+        word: &mut Vec<u64>,
+        kid: &mut Vec<u32>,
+        value: &mut Vec<f32>,
+    ) -> u32 {
+        let base = word.len() as u32;
         let n = self.nodes.len();
         // BFS numbering: visiting order doubles as the new node id, so a
         // split's children always receive consecutive ids (right, left).
@@ -437,25 +442,21 @@ impl RegressionTree {
         let mut max_leaf_depth = 0;
         for &old in &order {
             match &self.nodes[old] {
-                Node::Leaf { value } => {
-                    let me = base + new_id[old];
-                    tables.push(0, f32::INFINITY, me, me, *value);
+                Node::Leaf { value: v } => {
+                    word.push(u64::from(f32::NAN.to_bits()) << 32);
+                    kid.push(base + new_id[old]);
+                    value.push(*v);
                     max_leaf_depth = max_leaf_depth.max(depth[old]);
                 }
                 Node::Split {
                     feature,
                     threshold,
-                    left,
                     right,
                     ..
                 } => {
-                    tables.push(
-                        *feature as u32,
-                        *threshold,
-                        base + new_id[*left],
-                        base + new_id[*right],
-                        0.0,
-                    );
+                    word.push(u64::from(threshold.to_bits()) << 32 | u64::from(*feature as u32));
+                    kid.push(base + new_id[*right]);
+                    value.push(0.0);
                 }
             }
         }

@@ -20,8 +20,10 @@
 //!   reply (its ACK, an error or the REPORT). A SCORES frees nothing.
 //! * **Swap boundaries.** A swap scheduled at `s` applies after frame
 //!   `s − 1` and before frame `s`, or at the next boundary reached if
-//!   `s` has passed. One the session refuses, one scheduled after the
-//!   drain and one the run never reaches count as rejected.
+//!   `s` has passed. The last swap scheduled at a boundary wins. One it
+//!   replaced, one the session refuses, one scheduled after the drain
+//!   and one the run never reaches count as rejected, so every scheduled
+//!   swap is either applied or counted.
 //! * **Drain and shut.** After the drain, frames already queued are
 //!   still admitted. Shut finalises the session and refuses every
 //!   buffered frame with [`wire::ERR_DRAINING`].
@@ -171,10 +173,13 @@ impl<'a, P: Peer> Admission<'a, P> {
                 self.n_swaps_rejected += 1;
                 Ok(())
             }
-            // Last scheduling wins for a boundary; pump applies it once
+            // Last scheduling wins for a boundary, and the swap it
+            // replaces counts as rejected; pump applies the winner once
             // every frame below `at_seq` has been scored.
             Input::Swap { at_seq, envelope } => {
-                self.swaps.insert(at_seq, envelope);
+                if self.swaps.insert(at_seq, envelope).is_some() {
+                    self.n_swaps_rejected += 1;
+                }
                 self.pump()
             }
             Input::Drain => {
@@ -624,6 +629,29 @@ pub(crate) mod tests {
         }
         let report = core.report();
         assert_eq!((report.n_admitted, report.n_overloads), (early, 1));
+    }
+
+    /// A second swap scheduled at the same boundary replaces the first,
+    /// which counts as rejected: one applied, one rejected.
+    #[test]
+    fn a_replaced_swap_counts_as_rejected() {
+        let (champion, successor) = models();
+        let run = demo_run(0);
+        let mut core = core(champion, &run);
+        for _ in 0..2 {
+            let swap = Input::Swap {
+                at_seq: 5,
+                envelope: successor.clone(),
+            };
+            core.deliver(swap).expect("swap");
+        }
+        for (seq, f) in run.2.iter().enumerate() {
+            core.deliver(frame(0, seq as u64, f)).expect("frame");
+        }
+        core.shut().expect("shut");
+        let report = core.report();
+        assert_eq!(report.report.n_swaps, 1);
+        assert_eq!(report.n_swaps_rejected, 1);
     }
 
     /// Shut refuses exactly the frames still buffered, each to its

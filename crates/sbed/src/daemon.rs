@@ -138,9 +138,11 @@ pub struct DaemonReport {
     /// Overload refusals (connection window, queue, reorder buffer).
     pub n_overloads: u64,
     /// Scheduled hot swaps the engine refused (bad lineage, schema
-    /// mismatch, stale generation, or scheduled past the end of the
-    /// run). Refused swaps are never logged, so a recorded log only
-    /// ever contains swaps a replay will accept.
+    /// mismatch, stale generation, replaced by a later swap at the same
+    /// boundary, scheduled after the drain or past the end of the run).
+    /// Every scheduled swap is either applied or counted here. Refused
+    /// swaps are never logged, so a recorded log only ever contains
+    /// swaps a replay will accept.
     pub n_swaps_rejected: u64,
 }
 
@@ -302,9 +304,10 @@ impl Daemon {
     /// over scoring after every frame below `at_seq` is answered and
     /// before frame `at_seq` is admitted. If that boundary has already
     /// passed, the swap applies at the next boundary the engine
-    /// reaches. The engine validates lineage/schema/generation before
-    /// committing; a refused swap leaves the champion serving and is
-    /// counted in [`DaemonReport::n_swaps_rejected`].
+    /// reaches. A later swap scheduled at the same boundary replaces
+    /// this one. The engine validates lineage/schema/generation before
+    /// committing; a refused or replaced swap leaves the champion
+    /// serving and is counted in [`DaemonReport::n_swaps_rejected`].
     ///
     /// # Errors
     ///

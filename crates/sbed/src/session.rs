@@ -186,24 +186,22 @@ impl<'a> ScoreSession<'a> {
         self.response_fnv = h.finish();
     }
 
-    fn emit(&mut self, rs: &mut Vec<EncodedResponse>, request_id: u64, kind: u16, payload: &[u8]) {
+    /// Encodes one response frame, folds it into the checksum, and
+    /// queues it; `last` marks the request's final response.
+    fn emit(
+        &mut self,
+        rs: &mut Vec<EncodedResponse>,
+        request_id: u64,
+        kind: u16,
+        payload: &[u8],
+        last: bool,
+    ) {
         let bytes = wire::encode_frame(kind, request_id, payload);
         self.fold_response(&bytes);
         rs.push(EncodedResponse {
             request_id,
             kind,
-            last: kind != wire::KIND_ACK,
-            bytes,
-        });
-    }
-
-    fn emit_ack(&mut self, rs: &mut Vec<EncodedResponse>, request_id: u64, terminal: bool) {
-        let bytes = wire::encode_frame(wire::KIND_ACK, request_id, &[]);
-        self.fold_response(&bytes);
-        rs.push(EncodedResponse {
-            request_id,
-            kind: wire::KIND_ACK,
-            last: terminal,
+            last,
             bytes,
         });
     }
@@ -214,7 +212,21 @@ impl<'a> ScoreSession<'a> {
             message: msg.to_string(),
         }
         .encode();
-        self.emit(rs, request_id, wire::KIND_ERROR, &payload);
+        self.emit(rs, request_id, wire::KIND_ERROR, &payload, true);
+    }
+
+    /// Closes launch `aprun`, answering its request with one SCORES
+    /// frame of the rows it collected.
+    fn emit_scores(&mut self, rs: &mut Vec<EncodedResponse>, aprun: u32) {
+        if let Some(open) = self.open.remove(&aprun) {
+            let payload = ScoresPayload {
+                minute: open.minute,
+                aprun,
+                entries: open.entries,
+            }
+            .encode();
+            self.emit(rs, open.request_id, wire::KIND_SCORES, &payload, true);
+        }
     }
 
     /// Routes freshly flushed [`ScoredLaunch`] rows to their open
@@ -243,15 +255,7 @@ impl<'a> ScoreSession<'a> {
                 None => false,
             };
             if done {
-                if let Some(open) = self.open.remove(&s.aprun) {
-                    let payload = ScoresPayload {
-                        minute: open.minute,
-                        aprun: s.aprun,
-                        entries: open.entries,
-                    }
-                    .encode();
-                    self.emit(rs, open.request_id, wire::KIND_SCORES, &payload);
-                }
+                self.emit_scores(rs, s.aprun);
             }
         }
     }
@@ -343,14 +347,9 @@ impl<'a> ScoreSession<'a> {
         }
         match kind {
             wire::KIND_FINISH => {
-                let mut sink = NullSink;
-                let mut out = std::mem::take(&mut self.out);
-                self.step.step_finish(&mut out, &mut sink, &mut self.rec)?;
-                self.out = out;
-                self.finished = true;
-                self.route_out(&mut rs);
+                rs = self.finalize()?;
                 let report = self.report().encode();
-                self.emit(&mut rs, request_id, wire::KIND_REPORT, &report);
+                self.emit(&mut rs, request_id, wire::KIND_REPORT, &report, true);
             }
             wire::KIND_EVENT => {
                 let ev = match WireEvent::decode(payload) {
@@ -390,16 +389,12 @@ impl<'a> ScoreSession<'a> {
         rs: &mut Vec<EncodedResponse>,
     ) -> Result<()> {
         let mut sink = NullSink;
-        let mut out = std::mem::take(&mut self.out);
-        let fed = match ev {
+        let out = &mut self.out;
+        match ev {
             WireEvent::Tick { minute } => {
-                let r = self
-                    .step
-                    .step_tick(*minute, &mut out, &mut sink, &mut self.rec);
-                if r.is_ok() {
-                    self.current_minute = Some(*minute);
-                }
-                r.map(|()| true)
+                self.step
+                    .step_tick(*minute, out, &mut sink, &mut self.rec)?;
+                self.current_minute = Some(*minute);
             }
             WireEvent::Launch {
                 minute,
@@ -432,41 +427,29 @@ impl<'a> ScoreSession<'a> {
                     },
                 );
                 self.step
-                    .step_launch(&facts, &mut out, &mut sink, &mut self.rec)
-                    .map(|()| true)
+                    .step_launch(&facts, out, &mut sink, &mut self.rec)?;
             }
             WireEvent::Sbe {
                 minute,
                 node,
                 app,
                 count,
-            } => self
-                .step
-                .step_sbe(*minute, NodeId(*node), AppId(*app), *count, &mut self.rec)
-                .map(|()| true),
-        };
-        self.out = out;
-        fed?;
+            } => {
+                self.step
+                    .step_sbe(*minute, NodeId(*node), AppId(*app), *count, &mut self.rec)?;
+            }
+        }
         self.n_events += 1;
         // ACK first, then anything the step completed. A launch's ACK
         // is not terminal (its SCORES comes later); out-of-window
         // launches complete immediately below with an empty SCORES.
         let launch_like = matches!(ev, WireEvent::Launch { .. });
-        self.emit_ack(rs, request_id, !launch_like);
+        self.emit(rs, request_id, wire::KIND_ACK, &[], !launch_like);
         self.route_out(rs);
         // An out-of-window launch never produces rows: answer it now.
         if let WireEvent::Launch { aprun, .. } = ev {
-            let empty_done = self.open.get(aprun).is_some_and(|o| o.expected == 0);
-            if empty_done {
-                if let Some(open) = self.open.remove(aprun) {
-                    let payload = ScoresPayload {
-                        minute: open.minute,
-                        aprun: *aprun,
-                        entries: open.entries,
-                    }
-                    .encode();
-                    self.emit(rs, open.request_id, wire::KIND_SCORES, &payload);
-                }
+            if self.open.get(aprun).is_some_and(|o| o.expected == 0) {
+                self.emit_scores(rs, *aprun);
             }
         }
         Ok(())
@@ -517,13 +500,14 @@ impl<'a> ScoreSession<'a> {
     pub fn apply_swap(&mut self, swap: SessionSwap) -> Result<Vec<EncodedResponse>> {
         let mut rs = Vec::new();
         let mut sink = NullSink;
-        let mut out = std::mem::take(&mut self.out);
         let now_min = self.current_minute.unwrap_or(0);
-        let result =
-            self.step
-                .swap_artifact(now_min, swap.prepared, &mut out, &mut sink, &mut self.rec);
-        self.out = out;
-        result?;
+        self.step.swap_artifact(
+            now_min,
+            swap.prepared,
+            &mut self.out,
+            &mut sink,
+            &mut self.rec,
+        )?;
         self.route_out(&mut rs);
         self.champion_checksum = swap.checksum;
         self.champion_generation = swap.lineage_generation;
@@ -545,9 +529,8 @@ impl<'a> ScoreSession<'a> {
             return Ok(rs);
         }
         let mut sink = NullSink;
-        let mut out = std::mem::take(&mut self.out);
-        self.step.step_finish(&mut out, &mut sink, &mut self.rec)?;
-        self.out = out;
+        self.step
+            .step_finish(&mut self.out, &mut sink, &mut self.rec)?;
         self.finished = true;
         self.route_out(&mut rs);
         Ok(rs)

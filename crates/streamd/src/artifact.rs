@@ -87,44 +87,20 @@ impl PipelineModel {
     }
 }
 
-/// The branch-free counterpart of [`PipelineModel`]: struct-of-arrays
-/// node tables (GBDT) or a bare weight vector (LR), scoring a reusable
+/// The branch-free counterpart of [`PipelineModel`]: flat node arrays
+/// (GBDT) or a bare weight vector (LR), scoring a reusable
 /// [`FeatureFrame`] without allocating. Probabilities are bit-identical
 /// to [`PipelineModel::predict_proba`] on the same rows.
 #[derive(Debug, Clone)]
 pub enum CompiledScorer {
-    /// Flattened gradient-boosted trees (boxed: the packed node
-    /// tables make this variant much larger than the LR one).
+    /// Flattened gradient-boosted trees (boxed: the node arrays make
+    /// this variant much larger than the LR one).
     Gbdt(Box<CompiledGbdt>),
     /// Compiled logistic regression.
     Logistic(CompiledLinear),
 }
 
 impl CompiledScorer {
-    /// The underlying model's display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            CompiledScorer::Gbdt(_) => "GBDT",
-            CompiledScorer::Logistic(_) => "LR",
-        }
-    }
-
-    /// Number of features the scorer expects per row.
-    pub fn n_features(&self) -> usize {
-        match self {
-            CompiledScorer::Gbdt(m) => m.n_features(),
-            CompiledScorer::Logistic(m) => m.n_features(),
-        }
-    }
-
-    /// The decision threshold carried over from the interpreted model.
-    pub fn threshold(&self) -> f32 {
-        match self {
-            CompiledScorer::Gbdt(m) => m.threshold(),
-            CompiledScorer::Logistic(m) => m.threshold(),
-        }
-    }
-
     /// Scores every row of `frame` into `out` without allocating.
     ///
     /// # Errors

@@ -5,8 +5,8 @@
 //! test derives the data deterministically from a generated seed, fits a
 //! GBDT (and an LR), compiles it, and compares probabilities bit for bit
 //! on the training rows plus out-of-range query rows — through the
-//! single-row scorer, the zero-alloc `FeatureFrame` batch API, and after
-//! a `PipelineArtifact` save/load round-trip. Any divergence (a
+//! zero-alloc `FeatureFrame` batch API, a one-row frame per row, and
+//! after a `PipelineArtifact` save/load round-trip. Any divergence (a
 //! reordered accumulation, a mis-flattened node, a tie broken the other
 //! way) fails with the generated inputs printed.
 
@@ -51,8 +51,16 @@ fn labels(rows: &[Vec<f32>]) -> Vec<f32> {
     y
 }
 
+/// Scores `rows[i]` alone, as a one-row frame (the kernel's lane tail).
+fn one_row(rows: &[Vec<f32>], i: usize, score: impl Fn(&FeatureFrame, &mut [f32])) -> f32 {
+    let frame = FeatureFrame::from_rows(&rows[i..=i]).expect("one-row frame");
+    let mut out = [0.0f32];
+    score(&frame, &mut out);
+    out[0]
+}
+
 /// Compares compiled vs interpreted on every row of `rows`, through the
-/// batch frame API and the single-row scorer. Returns the first
+/// batch frame API and a one-row frame per row. Returns the first
 /// mismatch's description, `None` when bit-identical.
 fn gbdt_mismatch(model: &Gbdt, rows: &[Vec<f32>]) -> Option<String> {
     let ds = Dataset::from_rows(rows, &vec![0.0; rows.len()]).expect("dataset");
@@ -69,10 +77,12 @@ fn gbdt_mismatch(model: &Gbdt, rows: &[Vec<f32>]) -> Option<String> {
                 "batch mismatch at row {i}: interpreted {a} vs compiled {b}"
             ));
         }
-        let single = compiled.proba_row(&rows[i]);
+        let single = one_row(rows, i, |f, o| {
+            compiled.predict_proba_into(f, o).expect("compiled predict")
+        });
         if single.to_bits() != a.to_bits() {
             return Some(format!(
-                "proba_row mismatch at row {i}: interpreted {a} vs compiled {single}"
+                "one-row frame mismatch at row {i}: interpreted {a} vs compiled {single}"
             ));
         }
     }
@@ -193,10 +203,12 @@ proptest! {
                 a.to_bits() == b.to_bits(),
                 "LR mismatch at row {i}: interpreted {a} vs compiled {b}"
             );
-            let single = compiled.proba_row(&rows[i]);
+            let single = one_row(&rows, i, |f, o| {
+                compiled.predict_proba_into(f, o).expect("compiled predict")
+            });
             prop_assert!(
                 single.to_bits() == a.to_bits(),
-                "LR proba_row mismatch at row {i}: interpreted {a} vs compiled {single}"
+                "LR one-row frame mismatch at row {i}: interpreted {a} vs compiled {single}"
             );
         }
     }
